@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -40,6 +41,10 @@ FIXTURE_NAMES = ("model1", "model2", "model3", "model4", "model5", "euler")
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """A malformed command-line argument (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +220,10 @@ def print_table(rows: list[Sequence[str]], header: Sequence[str] | None = None) 
 def _apply_subclass(g: Glom, subclass: str | None) -> Glom:
     if not subclass:
         return g
-    names = [tok.split("=")[0].strip() for tok in subclass.split(",") if tok.strip()]
+    names = [tok.strip() for tok in subclass.split(",") if tok.strip()]
+    for name in names:
+        if "=" in name:
+            raise UsageError(f"--subclass takes names of parameters to set to zero, got {name!r}")
     return g.zeroed(names)
 
 
@@ -364,6 +372,16 @@ def _parse_assignments(tokens: list[str]) -> dict[str, Fraction]:
     return out
 
 
+def _parse_state(text: str, modes: int) -> tuple[float, ...]:
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != modes or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--x0 expects {modes} comma-separated finite numbers, got {text!r}")
+    return values
+
+
 def cmd_simulate(args) -> int:
     g = load_model(args.model)
     assignment = _parse_assignments(args.assign or [])
@@ -371,9 +389,12 @@ def cmd_simulate(args) -> int:
     missing = needed - set(assignment)
     if missing:
         raise ConfigError(f"unassigned generic parameters: {sorted(missing)}")
+    for flag, value in (("--t", args.t), ("--dt", args.dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
     initial = None
     if args.x0:
-        initial = tuple(float(v) for v in args.x0.split(","))
+        initial = _parse_state(args.x0, g.modes)
     cfg = SimConfig(
         t_end=args.t, dt=args.dt, param_assignment=assignment, initial_state=initial, seed=args.seed
     )
@@ -478,7 +499,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return COMMANDS[args.cmd](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, EnergyViolation, ContractViolation, IntegrationError) as exc:

@@ -4,7 +4,9 @@ Numeric matrices are reduced by integer Bareiss elimination (one-step,
 divide by the previous pivot), which keeps every intermediate entry equal
 to a minor of the input and therefore bounded.  The pivot rule is fixed
 for reproducibility: scan columns left to right, take the first row with
-a nonzero entry.
+a nonzero entry.  Generic ranks of parameter-dependent matrices are taken
+modulo a prime at random integer points instead (`generic_rank`); that
+is a lower bound, which callers check against an exact elimination.
 
 Polynomial matrices use the same Bareiss scheme with exact multivariate
 division; there the pivot rule is lowest total degree, ties broken by
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm, prod
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
 from .poly import Poly, PolyMatrix, grlex_key
@@ -30,26 +32,26 @@ from .poly import Poly, PolyMatrix, grlex_key
 GENERIC_LOW = 1 << 20
 GENERIC_HIGH = 1 << 31
 
+# Mersenne prime for modular rank.  It exceeds GENERIC_HIGH, so every
+# sampled value is a distinct nonzero residue.
+MODULUS = (1 << 61) - 1
+
 
 # ---------------------------------------------------------------------------
 # integer core
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _int_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """Scale each row to coprime integers (row scaling preserves nullspace)."""
     out = []
     for row in rows:
-        den = reduce(_lcm, (c.denominator for c in row), 1)
-        ints = [int(c * den) for c in row]
-        g = reduce(gcd, (abs(v) for v in ints), 0)
+        den = lcm(*map(attrgetter("denominator"), row))
+        ints = list(map(int, row)) if den == 1 else [int(c * den) for c in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -94,6 +96,35 @@ def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(pivots)
 
 
+def rank_mod(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(MODULUS) of an integer matrix.
+
+    Never exceeds the rational rank; it is smaller exactly when MODULUS
+    divides every nonzero minor of maximal size (e.g. [[MODULUS]] has rank 0).
+    Each row is reduced against the monic pivot rows found so far (keyed
+    by leading column) until it vanishes or opens a new pivot column.
+    """
+    p = MODULUS
+    pivots: dict[int, dict[int, int]] = {}
+    for ints in rows:
+        row = {j: r for j, v in enumerate(ints) if v and (r := v % p)}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in prow.items():
+                nv = (row.get(j, 0) - f * v) % p
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+    return len(pivots)
+
+
 def nullspace_rational(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[int]]:
     """Right nullspace basis with coprime integer entries.
 
@@ -116,9 +147,9 @@ def nullspace_rational(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[
                 if row[j] and v[j]:
                     s += Fraction(row[j]) * v[j]
             v[c] = -s / row[c]
-        den = reduce(_lcm, (x.denominator for x in v), 1)
+        den = lcm(*(x.denominator for x in v))
         ints_v = [int(x * den) for x in v]
-        g = reduce(gcd, (abs(x) for x in ints_v), 0)
+        g = gcd(*ints_v)
         basis.append([x // g for x in ints_v])
     return basis
 
@@ -149,6 +180,30 @@ def rank_exact(m: PolyMatrix) -> int:
     return rank_rational(_fraction_rows(m))
 
 
+def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction | int]]:
+    """Exact value of every entry with variable i set to the integer values[i].
+
+    Entries whose coefficients are all integers come back as ints, the rest
+    as Fractions; both are accepted by the rational routines above.
+    """
+    out = []
+    powers: dict[tuple[int, ...], int] = {}  # value of each monomial met so far
+    for row in m.entries:
+        vals: list[Fraction | int] = [0] * m.cols
+        for c, e in enumerate(row):
+            if not e.terms:
+                continue
+            total = 0
+            for mono, coef in e.terms.items():
+                pv = powers.get(mono)
+                if pv is None:
+                    pv = powers[mono] = prod(values[i] ** k for i, k in enumerate(mono) if k)
+                total += (coef.numerator if coef.denominator == 1 else coef) * pv
+            vals[c] = total
+        out.append(vals)
+    return out
+
+
 def generic_rank(
     m: PolyMatrix,
     generic_params: Iterable[str] | None = None,
@@ -157,11 +212,21 @@ def generic_rank(
 ) -> int:
     """Rank of a parameter-dependent matrix at random integer parameter values.
 
-    Substitutes independent integers from [2^20, 2^31) for each generic
-    parameter, computes the exact rank, and returns the maximum over
-    `trials` repetitions.  By Schwartz-Zippel this equals the rank at
-    generic (all-nonzero, algebraically independent) parameter values
-    except with negligible probability.
+    Substitutes independent integers from S = [2^20, 2^31) for each generic
+    parameter, scales each evaluated row to coprime integers, ranks the
+    result over GF(p) with p = MODULUS = 2^61 - 1, and returns the maximum
+    over `trials` repetitions (stopping early at full rank).
+
+    The result never exceeds the generic rank r.  Let Delta be a nonzero
+    r x r minor of the matrix over Q(params) and D its total degree (at
+    most r times the largest entry degree).  If Delta mod p is not the zero
+    polynomial, Schwartz-Zippel over GF(p) bounds the chance that one trial
+    misses it by D / |S| < D / 2^31, so all trials miss with probability
+    below (D / 2^31)^trials.  If p divides every such minor of the scaled
+    rows at every point (an exact coefficient that is a multiple of p can
+    cause this: rows p1*[1, 1] and p1*[1, 1 + p]), the result falls short
+    whatever the draws, so callers that need the exact rank must check it
+    by an exact elimination.  A matrix without parameters is ranked exactly.
     """
     if trials < 1:
         raise ContractViolation("trials must be at least 1")
@@ -176,11 +241,13 @@ def generic_rank(
         return rank_exact(m)
     rng = random.Random(seed)
     table = m.table
+    full = min(m.rows, m.cols)
     best = 0
     for _ in range(trials):
-        values = {table.index(n): Fraction(rng.randrange(GENERIC_LOW, GENERIC_HIGH)) for n in names}
-        rows = [[e.eval(values) if e else Fraction(0) for e in row] for row in m.entries]
-        best = max(best, rank_rational(rows))
+        values = {table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
+        best = max(best, rank_mod(_int_rows(evaluate_at(m, values))))
+        if best == full:
+            break
     return best
 
 
@@ -307,8 +374,8 @@ def _strip_content(vec: list[Poly]) -> list[Poly]:
     nonzero = [v for v in vec if v]
     if not nonzero:
         return vec
-    g = reduce(gcd, (v.content().numerator for v in nonzero))
-    den = reduce(_lcm, (v.content().denominator for v in nonzero))
+    g = gcd(*(v.content().numerator for v in nonzero))
+    den = lcm(*(v.content().denominator for v in nonzero))
     vec = [v.scale(Fraction(den, g)) for v in vec]
     mins = None
     for v in vec:

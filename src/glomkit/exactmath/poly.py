@@ -15,8 +15,7 @@ before parameters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import ContractViolation
@@ -39,7 +38,7 @@ class VarTable:
     extra shared symbols in the order given.
     """
 
-    __slots__ = ("names", "state_count", "_index", "_hash")
+    __slots__ = ("names", "state_count", "_index", "_hash", "_zero_mono")
 
     def __init__(self, names: Iterable[str], state_count: int):
         self.names = tuple(names)
@@ -48,6 +47,7 @@ class VarTable:
             raise ContractViolation("variable names must be unique")
         self._index = {name: i for i, name in enumerate(self.names)}
         self._hash = hash((self.names, self.state_count))
+        self._zero_mono = (0,) * len(self.names)  # shared by every constant
 
     @classmethod
     def for_model(cls, modes: int, gyrostats: int, extra: Iterable[str] = ()) -> "VarTable":
@@ -96,7 +96,7 @@ class VarTable:
         c = Fraction(value)
         if c == 0:
             return Poly(self, {})
-        return Poly(self, {(0,) * len(self.names): c})
+        return Poly(self, {self._zero_mono: c})
 
     def var(self, name: str) -> "Poly":
         i = self.index(name)
@@ -318,8 +318,8 @@ class Poly:
         """Positive rational g such that self/g has coprime integer coefficients."""
         if not self.terms:
             return Fraction(1)
-        num = reduce(gcd, (abs(c.numerator) for c in self.terms.values()))
-        den = reduce(_lcm, (c.denominator for c in self.terms.values()))
+        num = gcd(*(c.numerator for c in self.terms.values()))
+        den = lcm(*(c.denominator for c in self.terms.values()))
         return Fraction(num, den)
 
     def monomial_content(self) -> Monomial:
@@ -404,10 +404,6 @@ def monomial_str(table: VarTable, mono: Monomial) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 class PolyMatrix:
     """Dense matrix of polynomials sharing one variable table."""
 
@@ -462,8 +458,9 @@ class PolyMatrix:
         return out
 
     def parameter_names(self) -> set[str]:
-        names: set[str] = set()
+        monos: set[Monomial] = set()
         for row in self.entries:
             for e in row:
-                names |= e.parameter_names()
-        return names
+                monos.update(e.terms)
+        M = self.table.state_count
+        return {self.table.names[i] for mono in monos for i, k in enumerate(mono) if k and i >= M}

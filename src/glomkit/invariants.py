@@ -24,6 +24,7 @@ from .exactmath import Poly, PolyMatrix, VarTable, grlex_key, monomial_str
 from .exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
+    evaluate_at,
     generic_rank,
     nullspace_rational,
     rank_rational,
@@ -70,9 +71,10 @@ class QuadraticForm:
         M = table.state_count
         if len(vec) != M * (M + 3) // 2:
             raise ContractViolation("coefficient vector has wrong length")
-        as_poly = [v if isinstance(v, Poly) else table.const(v) for v in vec]
+        zero = table.zero()  # one shared zero keeps stored bases small
+        as_poly = [v if isinstance(v, Poly) else table.const(v) if v else zero for v in vec]
         d = tuple(as_poly[:M])
-        e_rows = [[table.zero()] * M for _ in range(M)]
+        e_rows = [[zero] * M for _ in range(M)]
         idx = M
         for i in range(M):
             for j in range(i + 1, M):
@@ -282,11 +284,12 @@ def count_invariants(g: Glom, seed: int = 0, trials: int = 3) -> InvariantReport
     """Count quadratic invariants and reconstruct a basis.
 
     The raw count is cols - generic rank of the system.  Under generic
-    parameters the basis is reconstructed at one recorded random rational
-    parameter point (coefficients are instance-specific, counts are
-    generic); fully numeric models are solved exactly.  The functionally
-    independent count is the rank of the basis gradients at random state
-    points (best of `trials`).
+    parameters the generic rank is bounded below by `generic_rank` (mod p)
+    and the basis is the exact nullspace at the first recorded random
+    integer parameter point whose rank reaches that bound (coefficients are
+    instance-specific, counts are generic); fully numeric models are solved
+    exactly.  The functionally independent count is the rank of the basis
+    gradients at random state points (best of `trials`).
     """
     rng = random.Random(seed)
     system = build_system(g)
@@ -297,38 +300,37 @@ def count_invariants(g: Glom, seed: int = 0, trials: int = 3) -> InvariantReport
 
     if not params:
         rows = [[e.coefficient(zero_mono) for e in row] for row in system.matrix.entries]
-        raw = n_cols - rank_rational(rows)
         vectors = nullspace_rational(rows, n_cols)
         param_point = None
         generic = False
     else:
-        raw = n_cols - generic_rank(system.matrix, trials=trials, seed=rng.randrange(1 << 30))
+        # The modular rank and the exact rank at any point are both lower
+        # bounds on the generic rank.  The first point whose exact rank
+        # reaches the modular bound is accepted; its exact nullspace fixes
+        # the count.  If the modular rank is right, so is the count.  If it
+        # falls short, a non-generic point can be accepted, and then the
+        # count is too high (chance below D / 2^31, see generic_rank).
+        rank = generic_rank(system.matrix, trials=trials, seed=rng.randrange(1 << 30))
         for _ in range(8):
-            point = {
-                name: Fraction(rng.randrange(GENERIC_LOW, GENERIC_HIGH)) for name in params
-            }
-            values = {table.index(n): v for n, v in point.items()}
-            rows = [
-                [e.eval(values) if e else Fraction(0) for e in row]
-                for row in system.matrix.entries
-            ]
-            if n_cols - rank_rational(rows) == raw:
+            values = {table.index(name): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for name in params}
+            vectors = nullspace_rational(evaluate_at(system.matrix, values), n_cols)
+            if n_cols - len(vectors) >= rank:
                 break
         else:
             raise ContractViolation("could not find a parameter point of generic rank")
-        vectors = nullspace_rational(rows, n_cols)
-        param_point = point
+        param_point = {name: Fraction(values[table.index(name)]) for name in params}
         generic = True
+    raw = len(vectors)
 
     basis = tuple(
         QuadraticForm.from_coeff_vector(table, [Fraction(v) for v in vec]) for vec in vectors
     )
-    independent = _independent_count(basis, rng, trials)
+    independent = independent_count(basis, rng, trials)
     energy_included = basis_contains(basis, QuadraticForm.energy(table))
     return InvariantReport(raw, independent, basis, energy_included, generic, param_point, seed)
 
 
-def _independent_count(basis: Sequence[QuadraticForm], rng: random.Random, trials: int) -> int:
+def independent_count(basis: Sequence[QuadraticForm], rng: random.Random, trials: int = 3) -> int:
     """Rank of the gradient matrix at random generic state points (max of trials)."""
     if not basis:
         return 0

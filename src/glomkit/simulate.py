@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, ContractViolation, IntegrationError
-from .exactmath.linalg import GENERIC_HIGH, GENERIC_LOW, rank_rational
-from .invariants import QuadraticForm
+from .invariants import QuadraticForm, independent_count
 from .models import Glom, assemble_field
 
 PROBE_DRIFT_TOLERANCE = 1e-6
@@ -33,6 +32,8 @@ class SimConfig:
     method: str = "rk4"
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ContractViolation("dt and t_end must be finite")
         if self.dt == 0:
             raise ContractViolation("dt must be nonzero")
         if abs(self.t_end) < abs(self.dt):
@@ -160,29 +161,6 @@ def integrate(
     return DriftReport(steps, cfg.dt, cfg.t_end, x0, quantities, tuple(x))
 
 
-def independent_gradient_count(basis: Sequence[QuadraticForm], seed: int = 0, trials: int = 3) -> int:
-    """Rank of the basis gradients at random generic state points."""
-    if not basis:
-        return 0
-    rng = random.Random(seed)
-    table = basis[0].table
-    M = basis[0].M
-    best = 0
-    for _ in range(trials):
-        values = {
-            table.index(f"x{i}"): Fraction(rng.randrange(GENERIC_LOW, GENERIC_HIGH))
-            for i in range(1, M + 1)
-        }
-        rows = []
-        for form in basis:
-            grads = form.gradient()
-            rows.append([gi.eval(values) if gi else Fraction(0) for gi in grads])
-        best = max(best, rank_rational(rows))
-        if best == len(basis):
-            break
-    return best
-
-
 def dimension_probe(g: Glom, cfg: SimConfig, basis: Sequence[QuadraticForm]) -> int:
     """Expected dimension of the invariant manifold holding the trajectory.
 
@@ -197,4 +175,4 @@ def dimension_probe(g: Glom, cfg: SimConfig, basis: Sequence[QuadraticForm]) -> 
             raise ConsistencyError(
                 f"{q.name} drifts {q.max_relative_drift:.3e}, beyond {PROBE_DRIFT_TOLERANCE:.0e}"
             )
-    return g.modes - independent_gradient_count(numeric, seed=cfg.seed)
+    return g.modes - independent_count(numeric, random.Random(cfg.seed))

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+GOLDEN = Path(__file__).parent / "golden"
+
 import pytest
 
 from glomkit.cli import (
@@ -210,3 +212,41 @@ def test_reports_are_byte_stable(tmp_path):
     for path in (c, d):
         assert main(["enumerate", "model2", "--vary", "c1,a2", "--seed", "5", "--out", str(path)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 20251])
+@pytest.mark.parametrize("model", ["model1", "model2", "model3", "model4", "model5"])
+def test_invariants_reports_match_golden_bytes(tmp_path, model, seed):
+    out = tmp_path / "report.json"
+    assert main(["invariants", model, "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"invariants_{model}_seed{seed}.json").read_bytes()
+
+
+def test_subclass_assignment_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["invariants", "model2", "--subclass", "q2=3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "q2=3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--x0", "a,b,c"],
+        ["--x0", "0.3,0.4"],
+        ["--x0", "0.3,nan,0.5"],
+        ["--dt", "nan"],
+        ["--dt", "-0.1"],
+        ["--dt", "0"],
+        ["--t", "inf"],
+        ["--t", "-1"],
+    ],
+)
+def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
+    out = tmp_path / "report.json"
+    argv = ["simulate", "euler", "--assign", "p1=1,q1=1", "--t", "1", "--dt", "0.1"]
+    assert main(argv + flags + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

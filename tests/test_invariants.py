@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from glomkit.errors import ContractViolation
+from glomkit.exactmath import generic_rank
+from glomkit import invariants
+from glomkit.exactmath.linalg import MODULUS
 from glomkit.invariants import (
     basis_contains,
     build_system,
@@ -150,6 +153,37 @@ def test_raw_count_matches_point_evaluation_oracle():
         exact = g.with_params(values)
         report = count_invariants(exact, seed=6)
         assert report.raw_count == oracle_raw_count(exact, n_points=40, seed=rng.randrange(1000))
+
+
+def test_count_survives_a_coefficient_divisible_by_the_modulus():
+    # p1 = 2^61 - 1 vanishes mod p; generic_rank scales every evaluated row
+    # to coprime integers before reducing it, which removes that factor, so
+    # it does not see the p1 = 0 subclass (one invariant more).
+    g = builtin_model("euler").with_params({"p1": ParamSpec.exact(Fraction(MODULUS))})
+    system = build_system(g)
+    assert system.cols - generic_rank(system.matrix, seed=1) == 2
+    for seed in range(4):
+        report = count_invariants(g, seed=seed)
+        exact = g.with_params({n: ParamSpec.exact(v) for n, v in report.param_point.items()})
+        assert report.raw_count == oracle_raw_count(exact, n_points=40, seed=seed) == 2
+        assert report.independent_count == 2
+        for form in report.basis:
+            assert verify_conserved(exact, form)
+
+
+def test_exact_nullspace_overrules_a_modular_rank_shortfall(monkeypatch):
+    # a modular rank one below the generic rank, as when p divides every
+    # maximal minor, lowers the bar a point must reach; the count still
+    # comes from the exact nullspace at the (generic) point drawn
+    expected = count_invariants(builtin_model("model3"), seed=2)
+    real = invariants.generic_rank
+    monkeypatch.setattr(invariants, "generic_rank", lambda *a, **k: real(*a, **k) - 1)
+    report = count_invariants(builtin_model("model3"), seed=2)
+    assert (report.raw_count, report.param_point, report.basis) == (
+        expected.raw_count,
+        expected.param_point,
+        expected.basis,
+    )
 
 
 # ---------------------------------------------------------------------------

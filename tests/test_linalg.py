@@ -14,6 +14,14 @@ from glomkit.exactmath import (
     proportional,
     rank_exact,
 )
+from glomkit.exactmath.linalg import (
+    GENERIC_HIGH,
+    GENERIC_LOW,
+    MODULUS,
+    evaluate_at,
+    rank_mod,
+    rank_rational,
+)
 from glomkit.hamiltonian import build_J
 from glomkit.invariants import build_system
 from glomkit.models import builtin_model
@@ -132,6 +140,85 @@ def test_generic_rank_matches_exact_on_numeric():
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)]
         m = constant_matrix(table, rows)
         assert generic_rank(m, seed=rng.randrange(100)) == rank_exact(m)
+
+
+def test_generic_rank_matches_exact_rank_at_the_same_points():
+    # generic_rank ranks mod p at the points it draws; the exact ranks at
+    # those points are the former exact algorithm
+    for name in ("model1", "model2", "model3", "model4", "model5"):
+        m = build_system(builtin_model(name)).matrix
+        names = sorted(m.parameter_names())
+        for seed in (0, 9):
+            rng = random.Random(seed)
+            exact = max(
+                rank_rational(
+                    evaluate_at(
+                        m, {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
+                    )
+                )
+                for _ in range(3)
+            )
+            assert generic_rank(m, seed=seed) == exact
+
+
+def test_generic_rank_is_a_lower_bound_when_a_minor_vanishes_mod_p():
+    # the determinant p * p1^2 is nonzero wherever p1 is, so the generic
+    # rank is 2; every row is scaled to coprime integers first, and then
+    # the rows [1, 1] and [1, 1 + p] coincide mod p
+    table = VarTable.for_model(3, 1)
+    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in [["p1", "p1"], ["p1", f"{MODULUS + 1}*p1"]]])
+    assert rank_rational(evaluate_at(m, {table.index("p1"): GENERIC_LOW})) == 2
+    assert generic_rank(m, seed=0) == 1
+
+
+def _agree(rows):
+    assert rank_mod(rows) == rank_rational(rows)
+
+
+def _bounded_by_rational(rows):
+    assert rank_mod(rows) <= rank_rational(rows)
+
+
+# Below the Hadamard bound no nonzero minor is divisible by p: with at most
+# 4 columns and |entries| < 2^12 every minor is below 2^52, so the ranks
+# must agree exactly, rank-deficient matrices included.
+SMALL = 4095
+
+def test_rank_mod_equals_rank_rational_below_hadamard_bound():
+    rng = random.Random(2)
+    for _ in range(300):
+        n_cols, n_rows = rng.randrange(1, 5), rng.randrange(1, 7)
+        # draws from a few values give many rank-deficient matrices
+        bound = rng.choice([1, 2, SMALL])
+        _agree([[rng.randint(-bound, bound) for _ in range(n_cols)] for _ in range(n_rows)])
+
+
+def test_rank_mod_never_exceeds_rank_rational():
+    rng = random.Random(3)
+    pool = [0, 1, -2, MODULUS, -MODULUS, 3 * MODULUS, MODULUS - 1, MODULUS + 1, 1 << 70]
+    for _ in range(300):
+        n_cols, n_rows = rng.randrange(1, 5), rng.randrange(1, 6)
+        _bounded_by_rational([[rng.choice(pool) for _ in range(n_cols)] for _ in range(n_rows)])
+
+
+def test_rank_mod_matches_rank_rational_on_random_matrices():
+    # Rank-r products of random factors (r >= 1) with one entry replaced by
+    # a multiple of p.  The ranks differ only if p divides every maximal
+    # minor, which these seeded draws do not hit; several multiples of p
+    # that carry rank between them can make it happen, as shown below.
+    rng = random.Random(61)
+    for _ in range(120):
+        n_rows, n_cols = rng.randrange(2, 9), rng.randrange(2, 9)
+        r = rng.randrange(1, min(n_rows, n_cols) + 1)
+        left = [[rng.randrange(-(1 << 64), 1 << 64) for _ in range(r)] for _ in range(n_rows)]
+        right = [[rng.randrange(-(1 << 64), 1 << 64) for _ in range(n_cols)] for _ in range(r)]
+        rows = [[sum(lrow[k] * right[k][j] for k in range(r)) for j in range(n_cols)] for lrow in left]
+        rows[rng.randrange(n_rows)][rng.randrange(n_cols)] = rng.randrange(-3, 4) * MODULUS
+        _agree(rows)
+    # the shortfall the docstring describes: p divides every maximal minor
+    assert rank_rational([[MODULUS]]) == 1 and rank_mod([[MODULUS]]) == 0
+    assert rank_rational([[1, 1], [1, 1 + MODULUS]]) == 2
+    assert rank_mod([[1, 1], [1, 1 + MODULUS]]) == 1
 
 
 def test_generic_rank_rejects_bad_trials():
