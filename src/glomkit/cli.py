@@ -6,8 +6,10 @@ simulate.  Model files use the schema
     {"modes": M, "gyrostats": [{"modes": [i, j, k],
                                 "params": {"a": spec, ..., "q": spec}}]}
 
-where each spec is "0", "generic", or an exact rational like "3" or
-"-1/2"; "r" may be omitted (derived as -p-q) or supplied as an exact
+where each spec is "0", "generic" (the slot's own symbol, such as "b2"),
+an exact rational like "3" or "-1/2", a symbol name like "b2" or "beta",
+or a rational multiple of one like "-1*a2"; slots naming one symbol are
+tied.  "r" may be omitted (derived as -p-q) or supplied as an exact
 value, in which case the energy constraint is validated rather than
 repaired.  Parsing is strict: unknown keys are rejected.
 
@@ -22,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -33,7 +36,7 @@ from .exactmath import Poly, monomial_str
 from .hamiltonian import build_J, casimirs, jacobi
 from .hierarchy import HierarchySpec, check_recurrence, hierarchy_report
 from .invariants import QuadraticForm, count_invariants, enumerate_subclasses
-from .models import Glom, Gyrostat, ParamSpec, check_energy
+from .models import Glom, Gyrostat, ParamSpec, check_energy, instantiate
 from .simulate import SimConfig, integrate
 
 FIXTURE_NAMES = ("model1", "model2", "model3", "model4", "model5", "euler")
@@ -51,15 +54,27 @@ class UsageError(Exception):
 # config parsing
 
 
+# a parameter symbol; x1, x2, ... name the state variables
+SYMBOL = re.compile(r"(?!x\d+$)[A-Za-z_][A-Za-z0-9_]*")
+
+
 def parse_param_spec(text: Any, where: str) -> ParamSpec:
     if not isinstance(text, str):
         raise ConfigError(f"{where}: parameter spec must be a string, got {text!r}")
     if text == "generic":
         return ParamSpec.generic()
+    coeff, star, symbol = text.rpartition("*")
     try:
-        return ParamSpec.exact(Fraction(text))
+        if SYMBOL.fullmatch(symbol):
+            return ParamSpec.scaled(symbol, Fraction(coeff) if star else 1)
+        if not star:
+            return ParamSpec.exact(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{where}: expected '0', 'generic' or a rational, got {text!r}") from None
+        pass
+    raise ConfigError(
+        f"{where}: expected '0', 'generic', a rational, a symbol or '<rational>*<symbol>', "
+        f"got {text!r}"
+    )
 
 
 def parse_model_config(doc: Any) -> Glom:
@@ -124,16 +139,18 @@ def parse_model_config(doc: Any) -> Glom:
 def model_to_config(g: Glom) -> dict:
     """Echo a model in the config schema (round-trips through the parser)."""
     gyros = []
-    for gyro in g.gyrostats:
+    for k, gyro in enumerate(g.gyrostats, start=1):
         params = {}
         for letter in ("a", "b", "c", "p", "q"):
             spec = gyro.param(letter)
-            if spec.is_symbolic and spec.coeff == 1:
-                params[letter] = "generic"
-            elif spec.is_symbolic:
-                params[letter] = f"{spec.coeff}*{spec.symbol}"
-            else:
+            if not spec.is_symbolic:
                 params[letter] = format_fraction(spec.coeff)
+            elif spec.coeff != 1:
+                params[letter] = f"{format_fraction(spec.coeff)}*{spec.symbol}"
+            elif spec.symbol == f"{letter}{k}":
+                params[letter] = "generic"
+            else:
+                params[letter] = spec.symbol
         if gyro.r_explicit is not None:
             params["r"] = format_fraction(gyro.r_explicit.coeff)
         gyros.append({"modes": list(gyro.modes), "params": params})
@@ -385,10 +402,14 @@ def _parse_state(text: str, modes: int) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     g = load_model(args.model)
     assignment = _parse_assignments(args.assign or [])
-    needed = set(g.generic_param_names())
-    missing = needed - set(assignment)
+    # values go to symbols, so tied slots take one value
+    symbols = set(g.free_symbols())
+    missing = symbols - set(assignment)
     if missing:
         raise ConfigError(f"unassigned generic parameters: {sorted(missing)}")
+    stray = set(assignment) - symbols
+    if stray:
+        raise ConfigError(f"--assign names no free symbol of the model: {sorted(stray)}")
     for flag, value in (("--t", args.t), ("--dt", args.dt)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{flag} must be positive and finite, got {value}")
@@ -400,7 +421,7 @@ def cmd_simulate(args) -> int:
     )
     tracked: list[QuadraticForm] = []
     names: list[str] = []
-    exact = g.with_params({n: ParamSpec.exact(v) for n, v in assignment.items()})
+    exact = instantiate(g, assignment)
     if args.track in ("energy", "all"):
         tracked.append(QuadraticForm.energy(g.var_table))
         names.append("energy")

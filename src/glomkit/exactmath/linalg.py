@@ -20,10 +20,10 @@ import random
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import ContractViolation
-from .poly import Poly, PolyMatrix, grlex_key
+from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
 
 # Range for random integer substitutions used by generic-rank probing.
 # Large enough that hitting a parameter choice of non-maximal rank is
@@ -35,6 +35,10 @@ GENERIC_HIGH = 1 << 31
 # Mersenne prime for modular rank.  It exceeds GENERIC_HIGH, so every
 # sampled value is a distinct nonzero residue.
 MODULUS = (1 << 61) - 1
+
+# Random points tried by each probabilistic rank (generic_rank and
+# invariants.independent_count); the largest rank found is kept.
+GENERIC_TRIALS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -158,33 +162,21 @@ def nullspace_rational(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[
 # public numeric operations
 
 
-def _fraction_rows(m: PolyMatrix) -> list[list[Fraction]]:
-    zero_mono = (0,) * len(m.table.names)
-    rows = []
-    for row in m.entries:
-        out = []
-        for e in row:
-            if e.total_degree() > 0:
-                raise ContractViolation("matrix entries must be constant")
-            out.append(e.coefficient(zero_mono))
-        rows.append(out)
-    return rows
-
-
 def nullspace_exact(m: PolyMatrix) -> list[list[int]]:
     """Nullspace basis of an all-rational matrix, integer entries, content 1."""
-    return nullspace_rational(_fraction_rows(m), m.cols)
+    return nullspace_rational(evaluate_at(m, {}), m.cols)
 
 
 def rank_exact(m: PolyMatrix) -> int:
-    return rank_rational(_fraction_rows(m))
+    return rank_rational(evaluate_at(m, {}))
 
 
 def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction | int]]:
     """Exact value of every entry with variable i set to the integer values[i].
 
     Entries whose coefficients are all integers come back as ints, the rest
-    as Fractions; both are accepted by the rational routines above.
+    as Fractions; both are accepted by the rational routines above.  A
+    variable that occurs without a value raises ContractViolation.
     """
     out = []
     powers: dict[tuple[int, ...], int] = {}  # value of each monomial met so far
@@ -197,25 +189,25 @@ def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction 
             for mono, coef in e.terms.items():
                 pv = powers.get(mono)
                 if pv is None:
-                    pv = powers[mono] = prod(values[i] ** k for i, k in enumerate(mono) if k)
+                    try:
+                        pv = prod(values[i] ** k for i, k in enumerate(mono) if k)
+                    except KeyError as exc:
+                        name = m.table.names[exc.args[0]]
+                        raise ContractViolation(f"no value for variable {name!r}") from None
+                    powers[mono] = pv
                 total += (coef.numerator if coef.denominator == 1 else coef) * pv
             vals[c] = total
         out.append(vals)
     return out
 
 
-def generic_rank(
-    m: PolyMatrix,
-    generic_params: Iterable[str] | None = None,
-    trials: int = 3,
-    seed: int = 0,
-) -> int:
+def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
     """Rank of a parameter-dependent matrix at random integer parameter values.
 
-    Substitutes independent integers from S = [2^20, 2^31) for each generic
+    Substitutes independent integers from S = [2^20, 2^31) for each
     parameter, scales each evaluated row to coprime integers, ranks the
     result over GF(p) with p = MODULUS = 2^61 - 1, and returns the maximum
-    over `trials` repetitions (stopping early at full rank).
+    over trials = GENERIC_TRIALS repetitions (stopping early at full rank).
 
     The result never exceeds the generic rank r.  Let Delta be a nonzero
     r x r minor of the matrix over Q(params) and D its total degree (at
@@ -228,22 +220,14 @@ def generic_rank(
     whatever the draws, so callers that need the exact rank must check it
     by an exact elimination.  A matrix without parameters is ranked exactly.
     """
-    if trials < 1:
-        raise ContractViolation("trials must be at least 1")
-    present = m.parameter_names()
-    if generic_params is not None:
-        allowed = set(generic_params)
-        stray = present - allowed
-        if stray:
-            raise ContractViolation(f"matrix contains non-generic variables: {sorted(stray)}")
-    names = sorted(present)
+    names = sorted(m.parameter_names())
     if not names:
         return rank_exact(m)
     rng = random.Random(seed)
     table = m.table
     full = min(m.rows, m.cols)
     best = 0
-    for _ in range(trials):
+    for _ in range(GENERIC_TRIALS):
         values = {table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
         best = max(best, rank_mod(_int_rows(evaluate_at(m, values))))
         if best == full:
@@ -369,14 +353,9 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
 
 
 def _strip_content(vec: list[Poly]) -> list[Poly]:
-    """Remove rational content and the common monomial factor of a vector."""
+    """Remove rational content, sign and the common monomial factor of a vector."""
     table = vec[0].table
-    nonzero = [v for v in vec if v]
-    if not nonzero:
-        return vec
-    g = gcd(*(v.content().numerator for v in nonzero))
-    den = lcm(*(v.content().denominator for v in nonzero))
-    vec = [v.scale(Fraction(den, g)) for v in vec]
+    vec = normalized_vector(vec)
     mins = None
     for v in vec:
         if v:
@@ -400,29 +379,19 @@ def _normalize_vector(vec: list[Poly], pivot_polys: list[Poly]) -> list[Poly]:
     # divides (pure-monomial pivots are covered by the content stripping).
     candidates = {}
     for p in pivot_polys:
-        norm = p.scale(Fraction(1) / p.content())
-        if norm.leading_coefficient() < 0:
-            norm = -norm
+        norm = p.normalized()
         if norm.total_degree() > 0 and len(norm.terms) > 1:
             candidates[norm.key()] = norm
-    changed = True
-    while changed:
+    while True:
         vec = _strip_content(vec)
-        changed = False
         for cand in candidates.values():
             try:
-                divided = [divide_exact(v, cand) if v else v for v in vec]
+                vec = [divide_exact(v, cand) if v else v for v in vec]
             except ContractViolation:
                 continue
-            vec = divided
-            changed = True
             break
-    for v in vec:
-        if v:
-            if v.leading_coefficient() < 0:
-                vec = [-u for u in vec]
-            break
-    return vec
+        else:
+            return vec
 
 
 def proportional(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:

@@ -81,9 +81,6 @@ class VarTable:
         except KeyError:
             raise ContractViolation(f"unknown variable {name!r}") from None
 
-    def is_state(self, index: int) -> bool:
-        return index < self.state_count
-
     def param_names(self) -> tuple[str, ...]:
         return self.names[self.state_count:]
 
@@ -333,21 +330,12 @@ class Poly:
                     mins[i] = e
         return tuple(mins)
 
-    def primitive(self) -> "Poly":
-        """Remove rational content and common monomial factor; make the
-        leading coefficient positive."""
+    def normalized(self) -> "Poly":
+        """self divided by its content, with a positive leading coefficient."""
         if not self.terms:
             return self
         g = self.content()
-        shift = self.monomial_content()
-        if any(shift):
-            terms = {tuple(e - s for e, s in zip(m, shift)): c / g for m, c in self.terms.items()}
-        else:
-            terms = {m: c / g for m, c in self.terms.items()}
-        p = Poly(self.table, terms)
-        if p.leading_coefficient() < 0:
-            p = -p
-        return p
+        return self.scale(-1 / g if self.leading_coefficient() < 0 else 1 / g)
 
     def remapped(self, table: VarTable, name_map: Mapping[str, str] | None = None) -> "Poly":
         """Re-express this polynomial over another table, optionally renaming
@@ -394,6 +382,18 @@ class Poly:
         return out
 
 
+def normalized_vector(vec: list[Poly]) -> list[Poly]:
+    """vec divided by its rational content (the gcd of the numerators over
+    the lcm of the denominators of the entries' contents), signed so its
+    first nonzero entry has a positive leading coefficient."""
+    nonzero = [v for v in vec if v]
+    if not nonzero:
+        return vec
+    contents = [v.content() for v in nonzero]
+    g = Fraction(gcd(*(c.numerator for c in contents)), lcm(*(c.denominator for c in contents)))
+    return [v.scale(-1 / g if nonzero[0].leading_coefficient() < 0 else 1 / g) for v in vec]
+
+
 def monomial_str(table: VarTable, mono: Monomial) -> str:
     factors = []
     for i, e in enumerate(mono):
@@ -429,14 +429,8 @@ class PolyMatrix:
     def __iter__(self) -> Iterator[tuple[Poly, ...]]:
         return iter(self.entries)
 
-    def is_constant(self) -> bool:
-        return all(e.total_degree() == 0 for row in self.entries for e in row)
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.table, zip(*self.entries)) if self.entries else self
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":
         return PolyMatrix(

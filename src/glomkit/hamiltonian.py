@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import ContractViolation, EnergyViolation
 from .exactmath import Poly, PolyMatrix, VarTable, nullspace_symbolic
+from .exactmath.poly import normalized_vector
 from .invariants import QuadraticForm
 from .models import Glom, Gyrostat, assemble_field, check_energy
 
@@ -80,17 +80,20 @@ def gyrostat_block(table: VarTable, gyro: Gyrostat, size: int) -> PolyMatrix:
 
 
 def build_J(g: Glom) -> SkewPolyMatrix:
-    """Superpose the per-gyrostat blocks; refuses energy-violating models."""
-    report = check_energy(g)
-    if not report.ok:
-        raise EnergyViolation("; ".join(report.diagnostics))
+    """Superpose the per-gyrostat blocks; refuses energy-violating models.
+
+    A gyrostat adds (p + q + r) x_m1 x_m2 x_m3 to x . f, so once every
+    gyrostat has p + q + r = 0 the field conserves energy as well; the full
+    check_energy runs only to word the refusal.
+    """
     table = g.var_table
+    if not all(gyro.energy_ok(table) for gyro in g.gyrostats):
+        raise EnergyViolation("; ".join(check_energy(g).diagnostics))
     total = PolyMatrix.zero(table, g.modes, g.modes)
     for gyro in g.gyrostats:
         total = total.add(gyrostat_block(table, gyro, g.modes))
     jx = total.mul_vector([table.x(i) for i in range(1, g.modes + 1)])
-    field = assemble_field(g)
-    for got, want in zip(jx, field.components):
+    for got, want in zip(jx, assemble_field(g).components):
         if got != want:
             raise ContractViolation("internal error: J*x does not reproduce the field")
     return SkewPolyMatrix(total)
@@ -140,17 +143,14 @@ def _constraint_polys(poly: Poly) -> tuple[Poly, ...]:
     """State-monomial coefficients, deduplicated up to rational scaling."""
     seen = {}
     for coeff in poly.split_by_state().values():
-        if coeff.is_zero():
-            continue
-        norm = coeff.scale(Fraction(1) / coeff.content())
-        if norm.leading_coefficient() < 0:
-            norm = -norm
-        seen[norm.key()] = norm
+        if coeff:
+            norm = coeff.normalized()
+            seen[norm.key()] = norm
     return tuple(seen[k] for k in sorted(seen))
 
 
-def jacobi(J: SkewPolyMatrix | PolyMatrix) -> JacobiReport:
-    m = J.matrix if isinstance(J, SkewPolyMatrix) else J
+def jacobi(J: SkewPolyMatrix) -> JacobiReport:
+    m = J.matrix
     M = m.rows
     residuals: dict[tuple[int, int, int], Poly] = {}
     aggregate = m.table.zero()
@@ -247,20 +247,7 @@ def _form_from_value(table: VarTable, M: int, value: Poly) -> QuadraticForm:
 
 def _normalize_form(form: QuadraticForm) -> QuadraticForm:
     """Scale a potential to content 1 with a positive leading coefficient."""
-    vec = form.coeff_vector()
-    contents = [c.content() for c in vec if c]
-    if not contents:
-        return form
-    num = 0
-    den = 1
-    for c in contents:
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scaled = [c.scale(Fraction(den, num)) for c in vec]
-    lead = next(c for c in scaled if c)
-    if lead.leading_coefficient() < 0:
-        scaled = [-c for c in scaled]
-    return QuadraticForm.from_coeff_vector(form.table, scaled)
+    return QuadraticForm.from_coeff_vector(form.table, normalized_vector(form.coeff_vector()))
 
 
 def casimirs(g: Glom) -> CasimirSet:

@@ -28,15 +28,7 @@ from typing import Literal
 
 from .errors import ContractViolation
 from .exactmath import Poly, PolyMatrix, poly_proportional, proportional
-from .hamiltonian import (
-    CasimirSet,
-    JacobiReport,
-    build_J,
-    casimirs,
-    gyrostat_block,
-    jacobi,
-    triple_residual,
-)
+from .hamiltonian import CasimirSet, JacobiReport, casimirs, gyrostat_block, triple_residual
 from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
@@ -154,9 +146,6 @@ class IncrementalJacobi:
     triples: dict[tuple[int, int, int], Poly]
     condition: Poly
 
-    def conditions(self) -> list[Poly]:
-        return list(self.triples.values())
-
 
 def _is_extension(g_big: Glom, g_small: Glom) -> bool:
     if g_big.K != g_small.K + 1 or g_big.modes < g_small.modes:
@@ -174,8 +163,8 @@ def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:
     """Jacobi cross terms introduced by the newest gyrostat.
 
     Equals the difference of the full per-triple residuals of the two
-    members (single-gyrostat self terms vanish identically); this identity
-    is checked internally.
+    members, because triple_residual is bilinear and a single gyrostat
+    block's own residual vanishes identically.
     """
     if not _is_extension(g_K, g_K_minus_1):
         raise ContractViolation("second model must be the first minus its last gyrostat")
@@ -186,28 +175,23 @@ def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:
     for b in blocks[:-1]:
         j_prev = j_prev.add(b)
     j_new = blocks[-1]
-    j_full = j_prev.add(j_new)
     cross: dict[tuple[int, int, int], Poly] = {}
     condition = table.zero()
     for triple in itertools.combinations(range(M), 3):
         t = triple_residual(j_prev, j_new, triple) + triple_residual(j_new, j_prev, triple)
-        full = triple_residual(j_full, j_full, triple)
-        prev = triple_residual(j_prev, j_prev, triple)
-        if t != full - prev:
-            raise ContractViolation("internal error: cross terms do not telescope")
         if t:
             cross[tuple(i + 1 for i in triple)] = t
             condition = condition + t
     return IncrementalJacobi(cross, condition)
 
 
-def incremental_condition(family: Family, K: int, constrained: bool = False) -> Poly:
-    """The aggregate incremental condition at step K of a family (K >= 2)."""
+def incremental_condition(family: Family, K: int) -> Poly:
+    """The aggregate incremental condition at step K of the unconstrained
+    family (K >= 2)."""
     if K < 2:
         raise ContractViolation("incremental conditions start at K = 2")
-    return incremental_jacobi(
-        member(family, K, constrained), member(family, K - 1, constrained)
-    ).condition
+    big = member(family, K, constrained=False)
+    return incremental_jacobi(big, member(family, K - 1, constrained=False)).condition
 
 
 def check_recurrence(family: Family, k_max: int) -> bool:
@@ -222,14 +206,13 @@ def check_recurrence(family: Family, k_max: int) -> bool:
     if k_max < 3:
         raise ContractViolation("recurrence checking needs k_max >= 3")
     stride = FAMILY_STRIDE[family]
-    conditions = {K: incremental_condition(family, K) for K in range(2, k_max + 1)}
-    for K in range(3, k_max):
-        cur = conditions[K]
-        nxt = conditions[K + 1]
-        big = member(family, K + 1).var_table
+    gloms = [member(family, K, constrained=False) for K in range(1, k_max + 1)]
+    # conditions[i] is the step to K = i + 2 gyrostats
+    conditions = [incremental_jacobi(big, small).condition for small, big in zip(gloms, gloms[1:])]
+    for cur, nxt, big in zip(conditions[1:], conditions[2:], gloms[3:]):
         name_map = _shift_name_map(cur, stride)
         try:
-            shifted = cur.remapped(big, name_map)
+            shifted = cur.remapped(big.var_table, name_map)
         except ContractViolation:
             return False
         if not poly_proportional(shifted, nxt):
@@ -337,23 +320,20 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
     """
     gloms = generate(spec)
     reports: list[MemberReport] = []
-    last_with_casimirs: MemberReport | None = None
-    last_glom_with_casimirs: Glom | None = None
+    # the latest earlier member owning Casimirs, with its Casimir set
+    last: tuple[Glom, CasimirSet] | None = None
     for K, g in enumerate(gloms, start=1):
-        jac = jacobi(build_J(g))
         cas = casimirs(g)
         inc = incremental_jacobi(g, gloms[K - 2]) if K >= 2 else None
         consistent: bool | None = None
-        if cas.count and last_with_casimirs is not None:
-            small_params = set(last_glom_with_casimirs.var_table.param_names())
-            absent = set(g.var_table.param_names()) - small_params
+        if cas.count and last is not None:
+            small_glom, small_cas = last
+            absent = set(g.var_table.param_names()) - set(small_glom.var_table.param_names())
             consistent = all(
                 any(_projects_onto(list(big), list(small), absent) for big in cas.gradients())
-                for small in last_with_casimirs.casimir_set.gradients()
+                for small in small_cas.gradients()
             )
-        report = MemberReport(K, g.modes, jac, cas, inc, consistent)
-        reports.append(report)
+        reports.append(MemberReport(K, g.modes, cas.jacobi_report, cas, inc, consistent))
         if cas.count:
-            last_with_casimirs = report
-            last_glom_with_casimirs = g
+            last = (g, cas)
     return HierarchyReport(spec, tuple(reports))

@@ -24,6 +24,7 @@ from .exactmath import Poly, PolyMatrix, VarTable, grlex_key, monomial_str
 from .exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
+    GENERIC_TRIALS,
     evaluate_at,
     generic_rank,
     nullspace_rational,
@@ -99,10 +100,6 @@ class QuadraticForm:
                 out.append(self.e[i][j])
         out.extend(self.f)
         return out
-
-    def e_coeff(self, i: int, j: int) -> Poly:
-        """e coefficient for 1-based indices i < j."""
-        return self.e[i - 1][j - 1]
 
     def value_poly(self) -> Poly:
         table = self.table
@@ -280,7 +277,7 @@ class InvariantReport:
     seed: int
 
 
-def count_invariants(g: Glom, seed: int = 0, trials: int = 3) -> InvariantReport:
+def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
     """Count quadratic invariants and reconstruct a basis.
 
     The raw count is cols - generic rank of the system.  Under generic
@@ -289,18 +286,16 @@ def count_invariants(g: Glom, seed: int = 0, trials: int = 3) -> InvariantReport
     integer parameter point whose rank reaches that bound (coefficients are
     instance-specific, counts are generic); fully numeric models are solved
     exactly.  The functionally independent count is the rank of the basis
-    gradients at random state points (best of `trials`).
+    gradients at random state points (best of GENERIC_TRIALS).
     """
     rng = random.Random(seed)
     system = build_system(g)
     table = g.var_table
     n_cols = system.cols
     params = sorted(system.matrix.parameter_names())
-    zero_mono = (0,) * len(table.names)
 
     if not params:
-        rows = [[e.coefficient(zero_mono) for e in row] for row in system.matrix.entries]
-        vectors = nullspace_rational(rows, n_cols)
+        vectors = nullspace_rational(evaluate_at(system.matrix, {}), n_cols)
         param_point = None
         generic = False
     else:
@@ -310,7 +305,7 @@ def count_invariants(g: Glom, seed: int = 0, trials: int = 3) -> InvariantReport
         # the count.  If the modular rank is right, so is the count.  If it
         # falls short, a non-generic point can be accepted, and then the
         # count is too high (chance below D / 2^31, see generic_rank).
-        rank = generic_rank(system.matrix, trials=trials, seed=rng.randrange(1 << 30))
+        rank = generic_rank(system.matrix, seed=rng.randrange(1 << 30))
         for _ in range(8):
             values = {table.index(name): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for name in params}
             vectors = nullspace_rational(evaluate_at(system.matrix, values), n_cols)
@@ -325,27 +320,25 @@ def count_invariants(g: Glom, seed: int = 0, trials: int = 3) -> InvariantReport
     basis = tuple(
         QuadraticForm.from_coeff_vector(table, [Fraction(v) for v in vec]) for vec in vectors
     )
-    independent = independent_count(basis, rng, trials)
+    independent = independent_count(basis, rng)
     energy_included = basis_contains(basis, QuadraticForm.energy(table))
     return InvariantReport(raw, independent, basis, energy_included, generic, param_point, seed)
 
 
-def independent_count(basis: Sequence[QuadraticForm], rng: random.Random, trials: int = 3) -> int:
-    """Rank of the gradient matrix at random generic state points (max of trials)."""
+def independent_count(basis: Sequence[QuadraticForm], rng: random.Random) -> int:
+    """Rank of the gradient matrix at random generic state points (max of
+    GENERIC_TRIALS)."""
     if not basis:
         return 0
     M = basis[0].M
     table = basis[0].table
+    gradients = PolyMatrix(table, [form.gradient() for form in basis])
     best = 0
-    for _ in range(trials):
+    for _ in range(GENERIC_TRIALS):
         values = {
-            table.index(f"x{i}"): Fraction(rng.randrange(GENERIC_LOW, GENERIC_HIGH))
-            for i in range(1, M + 1)
+            table.index(f"x{i}"): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in range(1, M + 1)
         }
-        rows = []
-        for form in basis:
-            rows.append([gi.eval(values) if gi else Fraction(0) for gi in form.gradient()])
-        best = max(best, rank_rational(rows))
+        best = max(best, rank_rational(evaluate_at(gradients, values)))
         if best == len(basis):
             break
     return best

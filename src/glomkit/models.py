@@ -248,10 +248,6 @@ class SignSymmetry:
         if any(s not in (-1, 1) for s in self.signs):
             raise ContractViolation("signs must be +1 or -1")
 
-    @property
-    def is_identity(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
     def compose(self, other: "SignSymmetry") -> "SignSymmetry":
         return SignSymmetry(tuple(a * b for a, b in zip(self.signs, other.signs)))
 

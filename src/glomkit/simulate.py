@@ -29,7 +29,6 @@ class SimConfig:
     param_assignment: Mapping[str, Fraction] = field(default_factory=dict)
     initial_state: tuple[float, ...] | None = None
     seed: int = 0
-    method: str = "rk4"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
@@ -38,8 +37,6 @@ class SimConfig:
             raise ContractViolation("dt must be nonzero")
         if abs(self.t_end) < abs(self.dt):
             raise ContractViolation("t_end must cover at least one step")
-        if self.method != "rk4":
-            raise ContractViolation(f"unsupported method {self.method!r}")
 
 
 @dataclass(frozen=True)

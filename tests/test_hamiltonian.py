@@ -68,8 +68,11 @@ def test_no_gyrostats_gives_zero_J():
 def test_build_J_refuses_energy_violation():
     one = ParamSpec.exact(1)
     g = Glom(3, (Gyrostat((1, 2, 3), a=one, b=one, c=one, p=one, q=one, r_explicit=one),))
-    with pytest.raises(EnergyViolation):
+    with pytest.raises(EnergyViolation) as exc:
         build_J(g)
+    assert str(exc.value) == (
+        "gyrostat 1: p + q + r != 0; d/dt of the energy is not identically zero"
+    )
 
 
 # ---------------------------------------------------------------------------

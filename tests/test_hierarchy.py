@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from glomkit.errors import ContractViolation
@@ -15,7 +17,7 @@ from glomkit.hierarchy import (
 from glomkit.hamiltonian import build_J, jacobi, triple_residual, gyrostat_block
 from glomkit.models import assemble_field
 
-from helpers import parse, parse_vector
+from helpers import FAMILY_TOP_K, parse, parse_vector
 
 # gradients of the single Casimir of the sparse constrained family
 SPARSE_GRADIENTS = {
@@ -173,23 +175,33 @@ def test_incremental_requires_extension():
 
 
 def test_incremental_cross_terms_telescope():
-    for family, K_top in (("sparse", 3), ("dense1", 3)):
-        members = generate(HierarchySpec(family, K_top, constrained=False))
-        g = members[-1]
-        table = g.var_table
-        M = g.modes
-        blocks = [gyrostat_block(table, gy, M) for gy in g.gyrostats]
-        import itertools
-
-        full_J = build_J(g).matrix
-        for triple in itertools.combinations(range(M), 3):
-            total = table.zero()
-            # per-gyrostat self terms vanish; cross terms over pairs telescope
-            for a in range(len(blocks)):
-                for b in range(len(blocks)):
-                    if a != b:
-                        total = total + triple_residual(blocks[a], blocks[b], triple)
-            assert total == triple_residual(full_J, full_J, triple)
+    # incremental_jacobi relies on this identity without checking it: each
+    # step's cross terms are the full residual minus the previous member's
+    for family, K_top in FAMILY_TOP_K.items():
+        for constrained in (False, True):
+            members = generate(HierarchySpec(family, K_top, constrained))
+            for small, g in zip(members, members[1:]):
+                table = g.var_table
+                blocks = [gyrostat_block(table, gy, g.modes) for gy in g.gyrostats]
+                prev_J = blocks[0]
+                for b in blocks[1:-1]:
+                    prev_J = prev_J.add(b)
+                full_J = build_J(g).matrix
+                cross = incremental_jacobi(g, small).triples
+                for triple in itertools.combinations(range(g.modes), 3):
+                    # per-gyrostat self terms vanish
+                    assert not any(triple_residual(b, b, triple) for b in blocks)
+                    want = triple_residual(full_J, full_J, triple) - triple_residual(
+                        prev_J, prev_J, triple
+                    )
+                    assert cross.get(tuple(i + 1 for i in triple), table.zero()) == want
+            # at the largest member, the cross terms over all pairs of blocks
+            # add up to the full residual
+            for triple in itertools.combinations(range(g.modes), 3):
+                total = table.zero()
+                for a, b in itertools.permutations(blocks, 2):
+                    total = total + triple_residual(a, b, triple)
+                assert total == triple_residual(full_J, full_J, triple)
 
 
 def test_recurrence_flags():
@@ -208,7 +220,8 @@ def test_sparse_hierarchy_casimirs():
     rep = hierarchy_report(HierarchySpec("sparse", 4))
     assert rep.casimir_counts() == [1, 1, 1, 1]
     assert rep.all_hamiltonian()
-    for m in rep.members:
+    for m, g in zip(rep.members, generate(HierarchySpec("sparse", 4))):
+        assert m.jacobi == jacobi(build_J(g))
         expected = parse_vector(
             member("sparse", m.K).var_table, SPARSE_GRADIENTS[m.K]
         )

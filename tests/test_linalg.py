@@ -44,6 +44,8 @@ def test_nullspace_single_gyrostat_system_at_euler_values():
     system = build_system(g).restricted([f"d{i}" for i in (1, 2, 3)] + [f"f{i}" for i in (1, 2, 3)])
     values = {name: Fraction(1) for name in ("p1", "q1", "a1", "b1", "c1")}
     table = g.var_table
+    with pytest.raises(ContractViolation):
+        nullspace_exact(system.matrix)  # entries still hold parameters
     rows = [[e.subs(values) for e in row] for row in system.matrix.entries]
     numeric = PolyMatrix(table, rows)
     basis = nullspace_exact(numeric)
@@ -219,12 +221,6 @@ def test_rank_mod_matches_rank_rational_on_random_matrices():
     assert rank_rational([[MODULUS]]) == 1 and rank_mod([[MODULUS]]) == 0
     assert rank_rational([[1, 1], [1, 1 + MODULUS]]) == 2
     assert rank_mod([[1, 1], [1, 1 + MODULUS]]) == 1
-
-
-def test_generic_rank_rejects_bad_trials():
-    table = VarTable.for_model(3, 1)
-    with pytest.raises(ContractViolation):
-        generic_rank(PolyMatrix.zero(table, 1, 1), trials=0)
 
 
 def test_generic_rank_deterministic():

@@ -5,6 +5,7 @@ import pytest
 
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import Poly, VarTable
+from glomkit.exactmath.poly import normalized_vector
 
 from helpers import parse
 
@@ -79,8 +80,10 @@ def test_degrees_and_split(table):
 def test_primitive_and_content(table):
     p = parse(table, "x1*p1").scale(Fraction(4, 6)) + parse(table, "x2*p1").scale(Fraction(2, 3))
     assert p.content() == Fraction(2, 3)
-    prim = p.primitive()
-    assert prim == parse(table, "x1 + x2")  # common p1 and 2/3 removed
+    assert p.normalized() == parse(table, "x1*p1 + x2*p1")  # 2/3 removed, p1 kept
+    assert (-p).normalized() == p.normalized()
+    vec = [table.zero(), parse(table, "-2/3*x1"), parse(table, "4*p1")]
+    assert normalized_vector(vec) == [table.zero(), parse(table, "x1"), parse(table, "-6*p1")]
 
 
 def test_remap_between_tables():
