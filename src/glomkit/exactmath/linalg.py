@@ -1,14 +1,16 @@
 """Fraction-free linear algebra over the rationals and over polynomial entries.
 
-Numeric matrices are reduced by integer Bareiss elimination (one-step,
-divide by the previous pivot), which keeps every intermediate entry equal
-to a minor of the input and therefore bounded.  The pivot rule is fixed
-for reproducibility: scan columns left to right, take the first row with
-a nonzero entry.  Generic ranks of parameter-dependent matrices are taken
-modulo a prime at random integer points instead (`generic_rank`); that
-is a lower bound, which callers check against an exact elimination.
+Numeric matrices go through one sparse, fraction-free row reduction
+(`_pivot_rows`).  Rows are taken one at a time, scaled to coprime
+integers and stored as {column: value} dicts.  An incoming row is reduced
+against the pivot row at its leading column by row <- a*row - b*pivot
+(a, b the two leading entries divided by their gcd) and divided by its
+content, until it vanishes or opens a new pivot column.  The rank is the
+pivot count; nullspaces back-substitute over the sparse pivot rows.
+Generic ranks of parameter-dependent matrices are exact ranks at random
+integer points (`generic_rank`).
 
-Polynomial matrices use the same Bareiss scheme with exact multivariate
+Polynomial matrices use Bareiss elimination with exact multivariate
 division; there the pivot rule is lowest total degree, ties broken by
 column then row order, which keeps degree growth down and reproduces the
 textbook nullspace bases for the matrices this package builds.
@@ -32,129 +34,91 @@ from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
 GENERIC_LOW = 1 << 20
 GENERIC_HIGH = 1 << 31
 
-# Mersenne prime for modular rank.  It exceeds GENERIC_HIGH, so every
-# sampled value is a distinct nonzero residue.
-MODULUS = (1 << 61) - 1
-
 # Random points tried by each probabilistic rank (generic_rank and
 # invariants.independent_count); the largest rank found is kept.
 GENERIC_TRIALS = 3
 
 
 # ---------------------------------------------------------------------------
-# integer core
+# sparse integer row reduction
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    """Scale each row to coprime integers (row scaling preserves nullspace)."""
-    out = []
-    for row in rows:
-        den = lcm(*map(attrgetter("denominator"), row))
-        ints = list(map(int, row)) if den == 1 else [int(c * den) for c in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Forward Bareiss elimination in place; returns (rows, pivot columns).
+def _pivot_rows(rows: Sequence[Sequence[Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Echelon form of the row space: primitive integer rows keyed by their
+    leading column.
 
-    After the call, row i (for i < len(pivots)) has its first nonzero entry
-    in column pivots[i], and all rows below the pivot rows are zero in the
-    pivot columns.
+    The leading columns are those of the reduced row echelon form, whatever
+    the row order.  Growth is bounded: each stored row, and each row met
+    while reducing one, is the primitive integer multiple of the row exact
+    Gaussian elimination would hold (the input row minus the combination of
+    pivot rows that clears its columns left of the leading one), whose
+    entries are ratios of minors of the input scaled to integer rows; so no
+    entry exceeds the largest such minor in absolute value (Edmonds 1967).
     """
-    if not rows:
-        return rows, []
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        for i in range(r, n_rows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            fac = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            rows[i] = [(piv * row_i[j] - fac * row_r[j]) // prev for j in range(n_cols)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
-    ints = _int_rows(rows)
-    _, pivots = echelon_int(ints)
-    return len(pivots)
-
-
-def rank_mod(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(MODULUS) of an integer matrix.
-
-    Never exceeds the rational rank; it is smaller exactly when MODULUS
-    divides every nonzero minor of maximal size (e.g. [[MODULUS]] has rank 0).
-    Each row is reduced against the monic pivot rows found so far (keyed
-    by leading column) until it vanishes or opens a new pivot column.
-    """
-    p = MODULUS
     pivots: dict[int, dict[int, int]] = {}
-    for ints in rows:
-        row = {j: r for j, v in enumerate(ints) if v and (r := v % p)}
+    for values in rows:
+        den = lcm(*map(attrgetter("denominator"), values))
+        row = _primitive({j: int(v * den) for j, v in enumerate(values) if v})
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                pivots[c] = row
                 break
-            f = row[c]
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
             for j, v in prow.items():
-                nv = (row.get(j, 0) - f * v) % p
+                nv = row.get(j, 0) - b * v
                 if nv:
                     row[j] = nv
                 else:
                     del row[j]
-    return len(pivots)
+            row = _primitive(row)
+    return pivots
 
 
-def nullspace_rational(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[int]]:
+def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    return len(_pivot_rows(rows))
+
+
+def nullspace_rational(rows: Sequence[Sequence[Fraction | int]], n_cols: int) -> list[list[int]]:
     """Right nullspace basis with coprime integer entries.
 
     One basis vector per free column, in column order; the free-column
-    entry of each vector is positive.
+    entry of each vector is positive and the other free entries are zero,
+    which makes each vector unique.
     """
-    ints = _int_rows(rows)
-    ech, pivots = echelon_int(ints)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
+    pivots = _pivot_rows(rows)
     basis = []
-    for fc in free:
-        v: list[Fraction] = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = ech[i]
-            s = Fraction(0)
-            for j in range(c + 1, n_cols):
-                if row[j] and v[j]:
-                    s += Fraction(row[j]) * v[j]
-            v[c] = -s / row[c]
-        den = lcm(*(x.denominator for x in v))
-        ints_v = [int(x * den) for x in v]
-        g = gcd(*ints_v)
-        basis.append([x // g for x in ints_v])
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        # an integer multiple of the solution, rescaled whenever a pivot
+        # entry does not divide; rows led right of fc never touch it
+        v = {fc: 1}
+        for c in sorted((c for c in pivots if c < fc), reverse=True):
+            prow = pivots[c]
+            s = sum(w * v[j] for j, w in prow.items() if j in v)
+            if not s:
+                continue
+            g = gcd(prow[c], s)
+            scale = prow[c] // g
+            if scale != 1:
+                v = {j: w * scale for j, w in v.items()}
+            v[c] = -s // g
+        sign = 1 if v[fc] > 0 else -1
+        g = gcd(*v.values()) * sign
+        vec = [0] * n_cols
+        for j, w in v.items():
+            vec[j] = w // g
+        basis.append(vec)
     return basis
 
 
@@ -205,20 +169,16 @@ def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
     """Rank of a parameter-dependent matrix at random integer parameter values.
 
     Substitutes independent integers from S = [2^20, 2^31) for each
-    parameter, scales each evaluated row to coprime integers, ranks the
-    result over GF(p) with p = MODULUS = 2^61 - 1, and returns the maximum
-    over trials = GENERIC_TRIALS repetitions (stopping early at full rank).
+    parameter, ranks the result exactly, and returns the maximum over
+    GENERIC_TRIALS repetitions (stopping early at full rank).
 
     The result never exceeds the generic rank r.  Let Delta be a nonzero
     r x r minor of the matrix over Q(params) and D its total degree (at
-    most r times the largest entry degree).  If Delta mod p is not the zero
-    polynomial, Schwartz-Zippel over GF(p) bounds the chance that one trial
-    misses it by D / |S| < D / 2^31, so all trials miss with probability
-    below (D / 2^31)^trials.  If p divides every such minor of the scaled
-    rows at every point (an exact coefficient that is a multiple of p can
-    cause this: rows p1*[1, 1] and p1*[1, 1 + p]), the result falls short
-    whatever the draws, so callers that need the exact rank must check it
-    by an exact elimination.  A matrix without parameters is ranked exactly.
+    most r times the largest entry degree).  A trial falls short only where
+    Delta vanishes, which by Schwartz-Zippel happens with probability at
+    most D / |S| = D / (2^31 - 2^20); all three trials fall short with
+    probability at most (D / (2^31 - 2^20))^3.  A matrix without parameters
+    is ranked exactly.
     """
     names = sorted(m.parameter_names())
     if not names:
@@ -229,7 +189,7 @@ def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
     best = 0
     for _ in range(GENERIC_TRIALS):
         values = {table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
-        best = max(best, rank_mod(_int_rows(evaluate_at(m, values))))
+        best = max(best, rank_rational(evaluate_at(m, values)))
         if best == full:
             break
     return best

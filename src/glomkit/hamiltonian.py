@@ -226,23 +226,23 @@ def potential_of(vector: list[Poly]) -> QuadraticForm:
 
 
 def _form_from_value(table: VarTable, M: int, value: Poly) -> QuadraticForm:
-    d = [table.zero()] * M
-    e = [[table.zero()] * M for _ in range(M)]
-    f = [table.zero()] * M
+    n = M * (M + 3) // 2
+    vec = [table.zero()] * n  # d_1..d_M, e_12..e_{M-1,M}, f_1..f_M
     for state_mono, coeff in value.split_by_state().items():
         nz = [(i, exp) for i, exp in enumerate(state_mono) if exp]
         if not nz:
             raise ContractViolation("potential has a constant term")
         if len(nz) == 1 and nz[0][1] == 1:
-            f[nz[0][0]] = f[nz[0][0]] + coeff
+            slot = n - M + nz[0][0]
         elif len(nz) == 1 and nz[0][1] == 2:
-            d[nz[0][0]] = d[nz[0][0]] + coeff.scale(2)
+            slot, coeff = nz[0][0], coeff.scale(2)
         elif len(nz) == 2 and nz[0][1] == 1 and nz[1][1] == 1:
             i, j = nz[0][0], nz[1][0]
-            e[i][j] = e[i][j] + coeff
+            slot = M + i * (2 * M - i - 1) // 2 + j - i - 1
         else:
             raise ContractViolation("potential is not quadratic")
-    return QuadraticForm(table, tuple(d), tuple(tuple(r) for r in e), tuple(f))
+        vec[slot] = vec[slot] + coeff
+    return QuadraticForm.from_coeff_vector(table, vec)
 
 
 def _normalize_form(form: QuadraticForm) -> QuadraticForm:

@@ -39,14 +39,14 @@ SUBCLASS_VARY_LIMIT = 20
 class QuadraticForm:
     """C = (1/2) sum d_i x_i^2 + sum_{i<j} e_ij x_i x_j + sum f_i x_i.
 
-    Coefficients are polynomials in the parameters (constants for numeric
-    forms).  There is no constant term.
+    Stored as the coefficient vector d_1..d_M, e_12..e_{M-1,M}, f_1..f_M,
+    the column order of the invariant system.  Coefficients are polynomials
+    in the parameters (constants for numeric forms).  There is no constant
+    term.
     """
 
     table: VarTable
-    d: tuple[Poly, ...]
-    e: tuple[tuple[Poly, ...], ...]  # strictly upper triangular, e[i][j] for i<j (0-based)
-    f: tuple[Poly, ...]
+    coeffs: tuple[Poly, ...]
 
     @classmethod
     def from_numeric(
@@ -58,31 +58,22 @@ class QuadraticForm:
     ) -> "QuadraticForm":
         M = table.state_count
         e = e or {}
-        f = f if f is not None else [Fraction(0)] * M
-        dd = tuple(table.const(v) for v in d)
-        ee = tuple(
-            tuple(table.const(e.get((i + 1, j + 1), 0)) for j in range(M)) for i in range(M)
-        )
-        ff = tuple(table.const(v) for v in f)
-        return cls(table, dd, ee, ff)
+        vec = list(d)
+        vec += [e.get((i, j), 0) for i in range(1, M + 1) for j in range(i + 1, M + 1)]
+        vec += f if f is not None else [0] * M
+        return cls.from_coeff_vector(table, vec)
 
     @classmethod
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
-        """Unpack a vector ordered d_1..d_M, e_12..e_{M-1,M}, f_1..f_M."""
+        """Pack a vector ordered d_1..d_M, e_12..e_{M-1,M}, f_1..f_M."""
         M = table.state_count
         if len(vec) != M * (M + 3) // 2:
             raise ContractViolation("coefficient vector has wrong length")
-        zero = table.zero()  # one shared zero keeps stored bases small
-        as_poly = [v if isinstance(v, Poly) else table.const(v) if v else zero for v in vec]
-        d = tuple(as_poly[:M])
-        e_rows = [[zero] * M for _ in range(M)]
-        idx = M
-        for i in range(M):
-            for j in range(i + 1, M):
-                e_rows[i][j] = as_poly[idx]
-                idx += 1
-        f = tuple(as_poly[idx:])
-        return cls(table, d, tuple(tuple(r) for r in e_rows), f)
+        shared: dict = {}  # equal values share one Poly, which keeps stored bases small
+        return cls(
+            table,
+            tuple(v if isinstance(v, Poly) else shared.setdefault(v, table.const(v)) for v in vec),
+        )
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":
@@ -91,44 +82,55 @@ class QuadraticForm:
 
     @property
     def M(self) -> int:
-        return len(self.d)
+        return self.table.state_count
+
+    @property
+    def d(self) -> tuple[Poly, ...]:
+        return self.coeffs[: self.M]
+
+    @property
+    def e(self) -> tuple[Poly, ...]:
+        """e_12, e_13, ..., e_{M-1,M}."""
+        return self.coeffs[self.M : -self.M]
+
+    @property
+    def f(self) -> tuple[Poly, ...]:
+        return self.coeffs[-self.M :]
 
     def coeff_vector(self) -> list[Poly]:
-        out = list(self.d)
-        for i in range(self.M):
-            for j in range(i + 1, self.M):
-                out.append(self.e[i][j])
-        out.extend(self.f)
-        return out
+        return list(self.coeffs)
 
     def value_poly(self) -> Poly:
         table = self.table
+        M = self.M
         half = Fraction(1, 2)
         acc = table.zero()
-        for i in range(self.M):
+        e = iter(self.e)
+        for i, (di, fi) in enumerate(zip(self.d, self.f)):
             xi = table.x(i + 1)
-            if self.d[i]:
-                acc = acc + (self.d[i] * xi * xi).scale(half)
-            for j in range(i + 1, self.M):
-                if self.e[i][j]:
-                    acc = acc + self.e[i][j] * xi * table.x(j + 1)
-            if self.f[i]:
-                acc = acc + self.f[i] * xi
+            if di:
+                acc = acc + (di * xi * xi).scale(half)
+            for j in range(i + 1, M):
+                eij = next(e)
+                if eij:
+                    acc = acc + eij * xi * table.x(j + 1)
+            if fi:
+                acc = acc + fi * xi
         return acc
 
     def gradient(self) -> list[Poly]:
         table = self.table
-        out = []
-        for i in range(self.M):
-            gi = self.d[i] * table.x(i + 1)
-            for j in range(self.M):
-                if j < i and self.e[j][i]:
-                    gi = gi + self.e[j][i] * table.x(j + 1)
-                elif j > i and self.e[i][j]:
-                    gi = gi + self.e[i][j] * table.x(j + 1)
-            gi = gi + self.f[i]
-            out.append(gi)
-        return out
+        M = self.M
+        x = [table.x(i + 1) for i in range(M)]
+        out = [di * xi for di, xi in zip(self.d, x)]
+        e = iter(self.e)
+        for i in range(M):
+            for j in range(i + 1, M):
+                eij = next(e)
+                if eij:
+                    out[i] = out[i] + eij * x[j]
+                    out[j] = out[j] + eij * x[i]
+        return [gi + fi for gi, fi in zip(out, self.f)]
 
     def time_derivative(self, field: VectorField) -> Poly:
         acc = self.table.zero()
@@ -138,30 +140,28 @@ class QuadraticForm:
         return acc
 
     def is_numeric(self) -> bool:
-        return all(c.total_degree() == 0 for c in self.coeff_vector())
+        return all(c.total_degree() == 0 for c in self.coeffs)
 
     def numeric_coeffs(self) -> list[Fraction]:
         zero_mono = (0,) * len(self.table.names)
         if not self.is_numeric():
             raise ContractViolation("form has symbolic coefficients")
-        return [c.coefficient(zero_mono) for c in self.coeff_vector()]
+        return [c.coefficient(zero_mono) for c in self.coeffs]
 
     def instantiate(self, values: Mapping[str, Fraction]) -> "QuadraticForm":
-        vec = [c.subs(values) for c in self.coeff_vector()]
+        vec = [c.subs(values) for c in self.coeffs]
         return QuadraticForm.from_coeff_vector(self.table, vec)
 
     def map_signs(self, signs: Sequence[int]) -> "QuadraticForm":
         """The form x -> C(Sx) for a diagonal sign transformation S."""
-        d = self.d
-        e = tuple(
-            tuple(self.e[i][j].scale(signs[i] * signs[j]) for j in range(self.M))
-            for i in range(self.M)
-        )
-        f = tuple(self.f[i].scale(signs[i]) for i in range(self.M))
-        return QuadraticForm(self.table, d, e, f)
+        M = self.M
+        factors = [1] * M
+        factors += [signs[i] * signs[j] for i in range(M) for j in range(i + 1, M)]
+        factors += signs
+        return QuadraticForm(self.table, tuple(c.scale(s) for c, s in zip(self.coeffs, factors)))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeff_vector())
+        return all(c.is_zero() for c in self.coeffs)
 
     def __str__(self) -> str:
         return str(self.value_poly())
@@ -281,9 +281,9 @@ def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
     """Count quadratic invariants and reconstruct a basis.
 
     The raw count is cols - generic rank of the system.  Under generic
-    parameters the generic rank is bounded below by `generic_rank` (mod p)
-    and the basis is the exact nullspace at the first recorded random
-    integer parameter point whose rank reaches that bound (coefficients are
+    parameters the generic rank is bounded below by `generic_rank` and the
+    basis is the exact nullspace at the first recorded random integer
+    parameter point whose rank reaches that bound (coefficients are
     instance-specific, counts are generic); fully numeric models are solved
     exactly.  The functionally independent count is the rank of the basis
     gradients at random state points (best of GENERIC_TRIALS).
@@ -299,12 +299,12 @@ def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
         param_point = None
         generic = False
     else:
-        # The modular rank and the exact rank at any point are both lower
-        # bounds on the generic rank.  The first point whose exact rank
-        # reaches the modular bound is accepted; its exact nullspace fixes
-        # the count.  If the modular rank is right, so is the count.  If it
-        # falls short, a non-generic point can be accepted, and then the
-        # count is too high (chance below D / 2^31, see generic_rank).
+        # generic_rank and the exact rank at any point are both lower bounds
+        # on the generic rank.  The first point whose rank reaches the bound
+        # is accepted; its exact nullspace fixes the count.  The count is too
+        # high only if all of generic_rank's trials fall short and then a
+        # non-generic point is accepted: chance at most (D / (2^31 - 2^20))^3,
+        # D the degree of a maximal nonzero minor (see generic_rank).
         rank = generic_rank(system.matrix, seed=rng.randrange(1 << 30))
         for _ in range(8):
             values = {table.index(name): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for name in params}

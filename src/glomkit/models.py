@@ -189,26 +189,41 @@ class Glom:
         return Glom(self.modes, tuple(new_gyros), self.extra_symbols)
 
     def zeroed(self, names: Iterable[str]) -> "Glom":
+        """Set the named slots to zero.
+
+        Tied slots are zeroed together or not at all: a slot whose symbol
+        another slot still uses raises ContractViolation, since zeroing it
+        alone would silently break the tie.
+        """
+        names = list(names)
+        symbols = self._slot_symbols()
+        for name in names:
+            sym = symbols.get(name)
+            tied = [n for n, s in symbols.items() if s == sym]
+            if not set(tied) <= set(names):
+                raise ContractViolation(
+                    f"{name} shares the symbol {sym!r} with other slots;"
+                    f" zero all of {', '.join(tied)} or none"
+                )
         return self.with_params({n: ParamSpec.zero() for n in names})
 
-    def generic_param_names(self) -> list[str]:
-        """Standard names of parameters that are (scaled) symbols."""
-        out = []
+    def _slot_symbols(self) -> dict[str, str]:
+        """Standard slot name -> symbol, for every (scaled) symbolic slot."""
+        out = {}
         for k, g in enumerate(self.gyrostats, start=1):
-            for letter in ("a", "b", "c", "p", "q"):
-                if g.param(letter).is_symbolic:
-                    out.append(f"{letter}{k}")
-        return out
-
-    def free_symbols(self) -> list[str]:
-        """Distinct symbols the coefficients refer to (tied slots share one)."""
-        out = set()
-        for g in self.gyrostats:
             for letter in ("a", "b", "c", "p", "q"):
                 spec = g.param(letter)
                 if spec.is_symbolic:
-                    out.add(spec.symbol)
-        return sorted(out)
+                    out[f"{letter}{k}"] = spec.symbol
+        return out
+
+    def generic_param_names(self) -> list[str]:
+        """Standard names of parameters that are (scaled) symbols."""
+        return list(self._slot_symbols())
+
+    def free_symbols(self) -> list[str]:
+        """Distinct symbols the coefficients refer to (tied slots share one)."""
+        return sorted(set(self._slot_symbols().values()))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from glomkit.exactmath import Poly, VarTable
-from glomkit.exactmath.linalg import rank_rational
 from glomkit.invariants import QuadraticForm
 from glomkit.models import Glom, assemble_field
 
@@ -195,7 +195,83 @@ def oracle_raw_count(g: Glom, n_points: int = 40, seed: int = 0) -> int:
             for i in range(1, M + 1)
         }
         rows.append([col.eval(point) if col else Fraction(0) for col in columns])
-    return len(columns) - rank_rational(rows)
+    return len(columns) - bareiss_rank(rows)
+
+
+# Dense integer Bareiss elimination (one-step, divide by the previous pivot)
+# and Fraction back-substitution: the reference for the sparse reduction in
+# exactmath.linalg.
+
+
+def _int_rows(rows: list[list[Fraction | int]]) -> list[list[int]]:
+    """Scale each row to coprime integers (row scaling preserves nullspace)."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row))
+        ints = [int(v * den) for v in row]
+        g = gcd(*ints)
+        out.append([v // g for v in ints] if g > 1 else ints)
+    return out
+
+
+def bareiss_echelon(rows: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """Forward Bareiss elimination; returns (rows, pivot columns).
+
+    Row i (for i < len(pivots)) has its first nonzero entry in column
+    pivots[i], and all rows below it are zero in that column.
+    """
+    rows = _int_rows(rows)
+    if not rows:
+        return rows, []
+    n_rows = len(rows)
+    n_cols = len(rows[0])
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        for i in range(r, n_rows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, n_rows):
+            fac = rows[i][c]
+            row_i = rows[i]
+            row_r = rows[r]
+            rows[i] = [(piv * row_i[j] - fac * row_r[j]) // prev for j in range(n_cols)]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def bareiss_rank(rows: list[list[Fraction | int]]) -> int:
+    return len(bareiss_echelon(rows)[1])
+
+
+def bareiss_nullspace(rows: list[list[Fraction | int]], n_cols: int) -> list[list[int]]:
+    """One coprime integer vector per free column, free entry positive."""
+    ech, pivots = bareiss_echelon(rows)
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n_cols
+        v[fc] = Fraction(1)
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            row = ech[i]
+            s = sum((Fraction(row[j]) * v[j] for j in range(c + 1, n_cols)), Fraction(0))
+            v[c] = -s / row[c]
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
 
 
 def determinant_by_permutations(rows: list[list[Fraction]]) -> Fraction:

@@ -298,6 +298,41 @@ def test_subclass_assignment_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _tied_model2(tmp_path: Path) -> str:
+    doc = json.loads(fixture_path("model2").read_text())
+    doc["gyrostats"][1]["params"]["c"] = "b2"  # c2 = b2
+    return write(tmp_path, "tied.json", doc)
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ("tied", ["jacobi", "--subclass", "b2"]),
+        ("tied", ["invariants", "--subclass", "a1,c2"]),
+        ("tied", ["enumerate", "--vary", "b2,a1"]),
+        ("model5_numeric", ["casimirs", "--subclass", "a3"]),  # a3, p3, q3 share beta
+        ("model5_numeric", ["enumerate", "--vary", "p3,q3"]),
+    ],
+)
+def test_zeroing_part_of_a_tie_is_one_line_error(tmp_path, capsys, model, argv):
+    if model == "tied":
+        path = _tied_model2(tmp_path)
+    else:
+        path = write(tmp_path, "m5.json", model_to_config(builtin_model("model5_numeric")))
+    out = tmp_path / "report.json"
+    assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "zero all of" in err
+    assert not out.exists()
+
+
+def test_zeroing_a_whole_tie_is_accepted(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["jacobi", _tied_model2(tmp_path), "--subclass", "c2,b2", "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["model"]["gyrostats"][1]["params"]
+    assert (params["b"], params["c"]) == ("0", "0")
+
+
 @pytest.mark.parametrize(
     "flags",
     [

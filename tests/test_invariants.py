@@ -6,7 +6,6 @@ import pytest
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import generic_rank
 from glomkit import invariants
-from glomkit.exactmath.linalg import MODULUS
 from glomkit.invariants import (
     basis_contains,
     build_system,
@@ -156,10 +155,9 @@ def test_raw_count_matches_point_evaluation_oracle():
 
 
 def test_count_survives_a_coefficient_divisible_by_the_modulus():
-    # p1 = 2^61 - 1 vanishes mod p; generic_rank scales every evaluated row
-    # to coprime integers before reducing it, which removes that factor, so
-    # it does not see the p1 = 0 subclass (one invariant more).
-    g = builtin_model("euler").with_params({"p1": ParamSpec.exact(Fraction(MODULUS))})
+    # p1 = 2^61 - 1, a prime: a rank taken modulo it would see the p1 = 0
+    # subclass, which has one invariant more
+    g = builtin_model("euler").with_params({"p1": ParamSpec.exact(Fraction((1 << 61) - 1))})
     system = build_system(g)
     assert system.cols - generic_rank(system.matrix, seed=1) == 2
     for seed in range(4):
@@ -172,9 +170,9 @@ def test_count_survives_a_coefficient_divisible_by_the_modulus():
 
 
 def test_exact_nullspace_overrules_a_modular_rank_shortfall(monkeypatch):
-    # a modular rank one below the generic rank, as when p divides every
-    # maximal minor, lowers the bar a point must reach; the count still
-    # comes from the exact nullspace at the (generic) point drawn
+    # a generic_rank one below the generic rank, as when all its trials
+    # fall short, lowers the bar a point must reach; the count still comes
+    # from the exact nullspace at the (generic) point drawn
     expected = count_invariants(builtin_model("model3"), seed=2)
     real = invariants.generic_rank
     monkeypatch.setattr(invariants, "generic_rank", lambda *a, **k: real(*a, **k) - 1)
@@ -199,7 +197,7 @@ def test_sparse_basis_has_no_linear_or_mixed_terms():
     for K in range(1, 5):
         for form in sparse_invariants(K, seed=4):
             assert all(c.is_zero() for c in form.f)
-            assert all(c.is_zero() for row in form.e for c in row)
+            assert all(c.is_zero() for c in form.e)
 
 
 def test_sparse_normal_forms_lie_in_basis_span():

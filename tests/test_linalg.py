@@ -17,16 +17,18 @@ from glomkit.exactmath import (
 from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
-    MODULUS,
     evaluate_at,
-    rank_mod,
+    nullspace_rational,
     rank_rational,
 )
 from glomkit.hamiltonian import build_J
 from glomkit.invariants import build_system
 from glomkit.models import builtin_model
 
-from helpers import determinant_by_permutations, parse, parse_vector
+from helpers import bareiss_nullspace, bareiss_rank, determinant_by_permutations, parse, parse_vector
+
+# a prime: multiples of it are the inputs a rank taken modulo it gets wrong
+P61 = (1 << 61) - 1
 
 
 def constant_matrix(table, rows):
@@ -145,15 +147,15 @@ def test_generic_rank_matches_exact_on_numeric():
 
 
 def test_generic_rank_matches_exact_rank_at_the_same_points():
-    # generic_rank ranks mod p at the points it draws; the exact ranks at
-    # those points are the former exact algorithm
+    # generic_rank draws its points from random.Random(seed); the reference
+    # ranks at the same points must agree
     for name in ("model1", "model2", "model3", "model4", "model5"):
         m = build_system(builtin_model(name)).matrix
         names = sorted(m.parameter_names())
         for seed in (0, 9):
             rng = random.Random(seed)
             exact = max(
-                rank_rational(
+                bareiss_rank(
                     evaluate_at(
                         m, {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
                     )
@@ -163,51 +165,51 @@ def test_generic_rank_matches_exact_rank_at_the_same_points():
             assert generic_rank(m, seed=seed) == exact
 
 
-def test_generic_rank_is_a_lower_bound_when_a_minor_vanishes_mod_p():
-    # the determinant p * p1^2 is nonzero wherever p1 is, so the generic
-    # rank is 2; every row is scaled to coprime integers first, and then
-    # the rows [1, 1] and [1, 1 + p] coincide mod p
+def test_generic_rank_is_exact_when_a_minor_vanishes_mod_p():
+    # the determinant p * p1^2 (p = 2^61 - 1) is nonzero wherever p1 is, so
+    # the generic rank is 2, though the rows scaled to coprime integers,
+    # [1, 1] and [1, 1 + p], coincide mod p
     table = VarTable.for_model(3, 1)
-    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in [["p1", "p1"], ["p1", f"{MODULUS + 1}*p1"]]])
-    assert rank_rational(evaluate_at(m, {table.index("p1"): GENERIC_LOW})) == 2
-    assert generic_rank(m, seed=0) == 1
+    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in [["p1", "p1"], ["p1", f"{P61 + 1}*p1"]]])
+    assert generic_rank(m, seed=0) == 2
 
 
-def _agree(rows):
-    assert rank_mod(rows) == rank_rational(rows)
+def _matches_bareiss(rows, n_cols):
+    assert rank_rational(rows) == bareiss_rank(rows)
+    assert nullspace_rational(rows, n_cols) == bareiss_nullspace(rows, n_cols)
 
 
-def _bounded_by_rational(rows):
-    assert rank_mod(rows) <= rank_rational(rows)
+def test_elimination_matches_bareiss_on_empty_and_zero_matrices():
+    for n_cols in range(1, 4):
+        _matches_bareiss([], n_cols)
+        for n_rows in range(1, 4):
+            _matches_bareiss([[0] * n_cols for _ in range(n_rows)], n_cols)
+            _matches_bareiss([[Fraction(0)] * n_cols for _ in range(n_rows)], n_cols)
 
 
-# Below the Hadamard bound no nonzero minor is divisible by p: with at most
-# 4 columns and |entries| < 2^12 every minor is below 2^52, so the ranks
-# must agree exactly, rank-deficient matrices included.
-SMALL = 4095
-
-def test_rank_mod_equals_rank_rational_below_hadamard_bound():
+def test_elimination_matches_bareiss_on_small_entries():
     rng = random.Random(2)
     for _ in range(300):
         n_cols, n_rows = rng.randrange(1, 5), rng.randrange(1, 7)
         # draws from a few values give many rank-deficient matrices
-        bound = rng.choice([1, 2, SMALL])
-        _agree([[rng.randint(-bound, bound) for _ in range(n_cols)] for _ in range(n_rows)])
+        bound = rng.choice([1, 2, 4095])
+        rows = [[rng.randint(-bound, bound) for _ in range(n_cols)] for _ in range(n_rows)]
+        _matches_bareiss(rows, n_cols)
 
 
-def test_rank_mod_never_exceeds_rank_rational():
+def test_elimination_matches_bareiss_on_huge_entries():
     rng = random.Random(3)
-    pool = [0, 1, -2, MODULUS, -MODULUS, 3 * MODULUS, MODULUS - 1, MODULUS + 1, 1 << 70]
+    pool = [0, 1, -2, P61, -P61, 3 * P61, P61 - 1, P61 + 1, 1 << 70, Fraction(-5, 3), Fraction(1, 1 << 40)]
     for _ in range(300):
         n_cols, n_rows = rng.randrange(1, 5), rng.randrange(1, 6)
-        _bounded_by_rational([[rng.choice(pool) for _ in range(n_cols)] for _ in range(n_rows)])
+        _matches_bareiss([[rng.choice(pool) for _ in range(n_cols)] for _ in range(n_rows)], n_cols)
+    _matches_bareiss([[P61]], 1)
+    _matches_bareiss([[1, 1], [1, 1 + P61]], 2)
 
 
-def test_rank_mod_matches_rank_rational_on_random_matrices():
-    # Rank-r products of random factors (r >= 1) with one entry replaced by
-    # a multiple of p.  The ranks differ only if p divides every maximal
-    # minor, which these seeded draws do not hit; several multiples of p
-    # that carry rank between them can make it happen, as shown below.
+def test_elimination_matches_bareiss_on_random_rank_r_products():
+    # rank-r products of random 64-bit factors (r >= 1), one entry replaced
+    # by a multiple of a large prime
     rng = random.Random(61)
     for _ in range(120):
         n_rows, n_cols = rng.randrange(2, 9), rng.randrange(2, 9)
@@ -215,12 +217,17 @@ def test_rank_mod_matches_rank_rational_on_random_matrices():
         left = [[rng.randrange(-(1 << 64), 1 << 64) for _ in range(r)] for _ in range(n_rows)]
         right = [[rng.randrange(-(1 << 64), 1 << 64) for _ in range(n_cols)] for _ in range(r)]
         rows = [[sum(lrow[k] * right[k][j] for k in range(r)) for j in range(n_cols)] for lrow in left]
-        rows[rng.randrange(n_rows)][rng.randrange(n_cols)] = rng.randrange(-3, 4) * MODULUS
-        _agree(rows)
-    # the shortfall the docstring describes: p divides every maximal minor
-    assert rank_rational([[MODULUS]]) == 1 and rank_mod([[MODULUS]]) == 0
-    assert rank_rational([[1, 1], [1, 1 + MODULUS]]) == 2
-    assert rank_mod([[1, 1], [1, 1 + MODULUS]]) == 1
+        rows[rng.randrange(n_rows)][rng.randrange(n_cols)] = rng.randrange(-3, 4) * P61
+        _matches_bareiss(rows, n_cols)
+
+
+def test_elimination_matches_bareiss_on_invariant_systems():
+    rng = random.Random(5)
+    for name in ("model1", "model2", "model3", "model4", "model5"):
+        m = build_system(builtin_model(name)).matrix
+        names = sorted(m.parameter_names())
+        point = {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
+        _matches_bareiss(evaluate_at(m, point), m.cols)
 
 
 def test_generic_rank_deterministic():
