@@ -7,13 +7,15 @@ against the pivot row at its leading column by row <- a*row - b*pivot
 (a, b the two leading entries divided by their gcd) and divided by its
 content, until it vanishes or opens a new pivot column.  The rank is the
 pivot count; nullspaces back-substitute over the sparse pivot rows.
-Generic ranks of parameter-dependent matrices are exact ranks at random
-integer points (`generic_rank`).
+Generic ranks of polynomial matrices are exact ranks at random integer
+points (`generic_rank`).
 
-Polynomial matrices use Bareiss elimination with exact multivariate
-division; there the pivot rule is lowest total degree, ties broken by
-column then row order, which keeps degree growth down and reproduces the
-textbook nullspace bases for the matrices this package builds.
+Polynomial nullspaces are empty at once when the rank at integer points
+is full; otherwise they come from Bareiss elimination with exact
+multivariate division.  There the pivot rule is lowest total degree, ties
+broken by column then row order, which keeps degree growth down and
+reproduces the textbook nullspace bases for the matrices this package
+builds.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from typing import Mapping, Sequence
 from ..errors import ContractViolation
 from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
 
-# Range for random integer substitutions used by generic-rank probing.
-# Large enough that hitting a parameter choice of non-maximal rank is
-# vanishingly unlikely (Schwartz-Zippel), small enough to keep the
-# integer arithmetic cheap.
+# Range for the random integer values that generic_rank gives every
+# variable of a matrix (count_invariants, the empty-nullspace shortcut of
+# nullspace_symbolic) and count_invariants its candidate points.  Large
+# enough that hitting a point of non-maximal rank is vanishingly unlikely
+# (Schwartz-Zippel), small enough to keep the integer arithmetic cheap.
 GENERIC_LOW = 1 << 20
 GENERIC_HIGH = 1 << 31
 
@@ -166,25 +169,28 @@ def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction 
 
 
 def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
-    """Rank of a parameter-dependent matrix at random integer parameter values.
+    """Rank of a polynomial matrix at random integer values of its variables.
 
-    Substitutes independent integers from S = [2^20, 2^31) for each
-    parameter, ranks the result exactly, and returns the maximum over
-    GENERIC_TRIALS repetitions (stopping early at full rank).
+    Substitutes independent integers from S = [2^20, 2^31) for every
+    variable that occurs in the matrix, state variables and parameters
+    alike (drawn in the sorted order of their names), ranks the result
+    exactly, and returns the maximum over GENERIC_TRIALS repetitions
+    (stopping early at full rank).
 
-    The result never exceeds the generic rank r.  Let Delta be a nonzero
-    r x r minor of the matrix over Q(params) and D its total degree (at
-    most r times the largest entry degree).  A trial falls short only where
-    Delta vanishes, which by Schwartz-Zippel happens with probability at
-    most D / |S| = D / (2^31 - 2^20); all three trials fall short with
-    probability at most (D / (2^31 - 2^20))^3.  A matrix without parameters
+    The result never exceeds the rank r over the field of rational
+    functions, and equals r whenever it is min(rows, cols).  Let Delta be a
+    nonzero r x r minor of the matrix and D its total degree (at most r
+    times the largest entry degree).  A trial falls short only where Delta
+    vanishes, which by Schwartz-Zippel happens with probability at most
+    D / |S| = D / (2^31 - 2^20); all three trials fall short with
+    probability at most (D / (2^31 - 2^20))^3.  A matrix without variables
     is ranked exactly.
     """
-    names = sorted(m.parameter_names())
+    table = m.table
+    names = sorted(table.names[i] for i in m.variables())
     if not names:
         return rank_exact(m)
     rng = random.Random(seed)
-    table = m.table
     full = min(m.rows, m.cols)
     best = 0
     for _ in range(GENERIC_TRIALS):
@@ -282,6 +288,10 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     pivot-polynomial factors introduced by the clearing, and is sign-fixed
     so its first nonzero component has positive leading coefficient.
     """
+    # full column rank at one point means some maximal minor is a nonzero
+    # polynomial, so the nullspace is {0}: a certificate, not a guess
+    if generic_rank(m) == m.cols:
+        return []
     table = m.table
     rows, pivots = _echelon_poly(m)
     pivot_cols = {c for c, _ in pivots}

@@ -38,7 +38,7 @@ class VarTable:
     extra shared symbols in the order given.
     """
 
-    __slots__ = ("names", "state_count", "_index", "_hash", "_zero_mono")
+    __slots__ = ("names", "state_count", "_index", "_hash", "_zero_mono", "_zero")
 
     def __init__(self, names: Iterable[str], state_count: int):
         self.names = tuple(names)
@@ -48,6 +48,7 @@ class VarTable:
         self._index = {name: i for i, name in enumerate(self.names)}
         self._hash = hash((self.names, self.state_count))
         self._zero_mono = (0,) * len(self.names)  # shared by every constant
+        self._zero = Poly(self, {})  # Poly is immutable, so one zero serves all
 
     @classmethod
     def for_model(cls, modes: int, gyrostats: int, extra: Iterable[str] = ()) -> "VarTable":
@@ -87,12 +88,12 @@ class VarTable:
     # -- polynomial constructors -------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return self._zero
 
     def const(self, value) -> "Poly":
         c = Fraction(value)
         if c == 0:
-            return Poly(self, {})
+            return self._zero
         return Poly(self, {self._zero_mono: c})
 
     def var(self, name: str) -> "Poly":
@@ -156,9 +157,11 @@ class Poly:
                     out[m] = s
                 else:
                     del out[m]
-        return Poly(self.table, out)
+        return Poly(self.table, out) if out else self.table._zero
 
     def __neg__(self) -> "Poly":
+        if not self.terms:
+            return self
         return Poly(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -174,19 +177,19 @@ class Poly:
                     out[m] = s
                 else:
                     del out[m]
-        return Poly(self.table, out)
+        return Poly(self.table, out) if out else self.table._zero
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         if not self.terms or not other.terms:
-            return Poly(self.table, {})
+            return self.table._zero
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = tuple(x + y for x, y in zip(ma, mb))
                 s = out.get(m)
                 out[m] = ca * cb if s is None else s + ca * cb
-        return Poly(self.table, out)
+        return Poly(self.table, out)  # nonzero: Q[x] has no zero divisors
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -198,8 +201,8 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         c = Fraction(value)
-        if c == 0:
-            return Poly(self.table, {})
+        if c == 0 or not self.terms:
+            return self.table._zero
         return Poly(self.table, {m: c * v for m, v in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
@@ -451,10 +454,14 @@ class PolyMatrix:
             out.append(acc)
         return out
 
-    def parameter_names(self) -> set[str]:
+    def variables(self) -> set[int]:
+        """Indices of the variables that occur in some entry."""
         monos: set[Monomial] = set()
         for row in self.entries:
             for e in row:
                 monos.update(e.terms)
+        return {i for mono in monos for i, k in enumerate(mono) if k}
+
+    def parameter_names(self) -> set[str]:
         M = self.table.state_count
-        return {self.table.names[i] for mono in monos for i, k in enumerate(mono) if k and i >= M}
+        return {self.table.names[i] for i in self.variables() if i >= M}

@@ -9,7 +9,8 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from glomkit.exactmath import Poly, VarTable
+from glomkit.exactmath import Poly, PolyMatrix, VarTable
+from glomkit.exactmath.linalg import GENERIC_HIGH, GENERIC_LOW, GENERIC_TRIALS, evaluate_at, rank_rational
 from glomkit.invariants import QuadraticForm
 from glomkit.models import Glom, assemble_field
 
@@ -272,6 +273,23 @@ def bareiss_nullspace(rows: list[list[Fraction | int]], n_cols: int) -> list[lis
         g = gcd(*ints)
         basis.append([x // g for x in ints])
     return basis
+
+
+def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dict[int, int]]]:
+    """generic_rank as it was when it substituted parameters only: the rank
+    and the points it drew, for checking that the draws did not move."""
+    names = sorted(m.parameter_names())
+    rng = random.Random(seed)
+    full = min(m.rows, m.cols)
+    best = 0
+    points = []
+    for _ in range(GENERIC_TRIALS):
+        values = {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
+        points.append(values)
+        best = max(best, rank_rational(evaluate_at(m, values)))
+        if best == full:
+            break
+    return best, points
 
 
 def determinant_by_permutations(rows: list[list[Fraction]]) -> Fraction:

@@ -21,11 +21,21 @@ from glomkit.exactmath.linalg import (
     nullspace_rational,
     rank_rational,
 )
+from glomkit.exactmath import linalg
 from glomkit.hamiltonian import build_J
+from glomkit.hierarchy import member
 from glomkit.invariants import build_system
 from glomkit.models import builtin_model
 
-from helpers import bareiss_nullspace, bareiss_rank, determinant_by_permutations, parse, parse_vector
+from helpers import (
+    FAMILY_TOP_K,
+    bareiss_nullspace,
+    bareiss_rank,
+    determinant_by_permutations,
+    parameter_only_generic_rank,
+    parse,
+    parse_vector,
+)
 
 # a prime: multiples of it are the inputs a rank taken modulo it gets wrong
 P61 = (1 << 61) - 1
@@ -117,6 +127,62 @@ def test_symbolic_vectors_annihilate_matrix():
         J = build_J(g).matrix
         for vec in nullspace_symbolic(J):
             assert all(e.is_zero() for e in J.mul_vector(vec))
+
+
+def _fail(*args):
+    raise AssertionError("symbolic elimination ran")
+
+
+def test_full_rank_nullspace_skips_symbolic_elimination(monkeypatch):
+    monkeypatch.setattr(linalg, "_echelon_poly", _fail)
+    gloms = [builtin_model("model5")]
+    gloms += [
+        member(family, K, constrained)
+        for family in ("dense1", "dense2")
+        for K in (2, 4, 6)  # M = K + 2 modes
+        for constrained in (True, False)
+    ]
+    for g in gloms:
+        assert g.modes % 2 == 0
+        assert nullspace_symbolic(build_J(g).matrix) == []
+
+
+def test_elimination_alone_finds_the_empty_nullspace(monkeypatch):
+    # with the shortcut never firing, elimination still proves J nonsingular
+    real = linalg.generic_rank
+    monkeypatch.setattr(linalg, "generic_rank", lambda m, *a, **k: m.cols - 1)
+    for g in (builtin_model("model1"), member("dense1", 2), member("dense2", 4)):
+        J = build_J(g).matrix
+        assert real(J) == J.cols
+        assert nullspace_symbolic(J) == []
+
+
+def test_symbolic_nullity_matches_generic_rank():
+    # the rank at integer points predicts the dimension of the symbolic nullspace
+    gloms = [builtin_model(name) for name in ("model1", "model2", "model3", "model4", "model5", "euler")]
+    gloms += [member(f, K) for f, k_top in FAMILY_TOP_K.items() for K in range(1, k_top + 1)]
+    for g in gloms:
+        J = build_J(g).matrix
+        assert len(nullspace_symbolic(J)) == J.cols - generic_rank(J)
+
+
+def test_generic_rank_draws_as_when_it_substituted_parameters_only(monkeypatch):
+    # invariant systems hold no state variables, so the sorted names and the
+    # seeded draws are those of the parameter-only loop
+    drawn = []
+    real = linalg.evaluate_at
+
+    def recording(m, values):
+        drawn.append(dict(values))
+        return real(m, values)
+
+    monkeypatch.setattr(linalg, "evaluate_at", recording)
+    for name in ("model1", "model2", "model3", "model4", "model5"):
+        m = build_system(builtin_model(name)).matrix
+        for seed in (0, 7, 20251):
+            drawn.clear()
+            rank = generic_rank(m, seed=seed)
+            assert (rank, drawn) == parameter_only_generic_rank(m, seed)
 
 
 def test_generic_rank_single_gyrostat_system():
