@@ -382,8 +382,11 @@ def _parse_assignments(tokens: list[str]) -> dict[str, Fraction]:
             if "=" not in piece:
                 raise ConfigError(f"--assign expects name=value, got {piece!r}")
             name, _, value = piece.partition("=")
+            name = name.strip()
+            if name in out:
+                raise ConfigError(f"--assign gives {name!r} more than once")
             try:
-                out[name.strip()] = Fraction(value.strip())
+                out[name] = Fraction(value.strip())
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"--assign {piece!r}: not a rational value") from None
     return out
@@ -467,7 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="glomkit",
         description="Exact analysis of coupled Volterra-gyrostat models",
     )
-    default_seed = int(os.environ.get("GLOM_SEED", "0"))
+    seed_text = os.environ.get("GLOM_SEED", "0")
+    try:
+        default_seed = int(seed_text)
+    except ValueError:
+        raise UsageError(f"GLOM_SEED must be an integer, got {seed_text!r}") from None
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p, seed=False, subclass=False):
@@ -513,12 +520,12 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return COMMANDS[args.cmd](args)
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,11 @@ The numeric layer is a falsification harness for the symbolic one: the
 exact claims live in the algebra, and this module only checks that the
 quantities reported as conserved actually stay flat along trajectories.
 Fields and tracked quadratic forms are compiled once to flat term lists
-(coefficient, state-index tuple) and evaluated in plain Python floats.
+(float coefficient, state-index tuple).  Each `integrate` call turns those
+lists into the source of one straight-line Python function that runs every
+step, and executes it.  The generated code performs the same float
+operations in the same order as the textbook stepper kept in the tests, so
+trajectories and drift reports are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,17 @@ class SimConfig:
             raise ContractViolation("dt must be nonzero")
         if abs(self.t_end) < abs(self.dt):
             raise ContractViolation("t_end must cover at least one step")
+        ratio = abs(self.t_end / self.dt)
+        if not math.isfinite(ratio):
+            raise ContractViolation(f"t_end/dt = {ratio} is not a finite step count")
+        if abs(ratio - self.steps) > 1e-9 * self.steps:
+            raise ContractViolation(
+                f"t_end {self.t_end} is not a whole number of steps of {self.dt} ({ratio:.6g})"
+            )
+
+    @property
+    def steps(self) -> int:
+        return round(abs(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -89,29 +104,6 @@ def compile_form(form: QuadraticForm, assignment: Mapping[str, Fraction]) -> lis
     return _compile_poly(form.value_poly(), assignment)
 
 
-def _eval_terms(terms: Sequence[Term], x: Sequence[float]) -> float:
-    total = 0.0
-    for c, idx in terms:
-        v = c
-        for i in idx:
-            v *= x[i]
-        total += v
-    return total
-
-
-def _rk4_step(field: Sequence[Sequence[Term]], x: list[float], dt: float) -> list[float]:
-    n = len(x)
-    k1 = [_eval_terms(field[i], x) for i in range(n)]
-    mid1 = [x[i] + 0.5 * dt * k1[i] for i in range(n)]
-    k2 = [_eval_terms(field[i], mid1) for i in range(n)]
-    mid2 = [x[i] + 0.5 * dt * k2[i] for i in range(n)]
-    k3 = [_eval_terms(field[i], mid2) for i in range(n)]
-    end = [x[i] + dt * k3[i] for i in range(n)]
-    k4 = [_eval_terms(field[i], end) for i in range(n)]
-    scale = dt / 6.0
-    return [x[i] + scale * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)]
-
-
 def initial_state(g: Glom, cfg: SimConfig) -> tuple[float, ...]:
     if cfg.initial_state is not None:
         if len(cfg.initial_state) != g.modes:
@@ -119,6 +111,61 @@ def initial_state(g: Glom, cfg: SimConfig) -> tuple[float, ...]:
         return tuple(float(v) for v in cfg.initial_state)
     rng = random.Random(cfg.seed)
     return tuple(rng.uniform(-1.0, 1.0) for _ in range(g.modes))
+
+
+def _sum_src(terms: Sequence[Term], var: str) -> str:
+    """Source of the term sum at the point named `var`: 0.0 + c*x_i*x_j + ..."""
+    parts = ["0.0"]
+    for c, idx in terms:
+        parts.append("*".join([repr(c)] + [f"{var}{i}" for i in idx]))
+    return " + ".join(parts)
+
+
+def _tuple_src(names: Sequence[str]) -> str:
+    return "(" + "".join(f"{v}, " for v in names) + ")"
+
+
+def _stepper_src(field: Sequence[Sequence[Term]], forms: Sequence[Sequence[Term]]) -> str:
+    """Source of `run(state, steps, dt) -> (final state, initial values, max deviations)`.
+
+    Component i of the state is the local `x{i}`, of stage s `k{s}_{i}`, of
+    the current stage point `y{i}`.  The float operations are those of the
+    textbook stepper, in its order: sums accumulated from 0.0 in term order,
+    midpoints x + (0.5*dt)*k, end point x + dt*k3, update
+    x + (dt/6)*(k1 + 2.0*(k2 + k3) + k4); repr round-trips each coefficient.
+    """
+    n = len(field)
+    xs = [f"x{i}" for i in range(n)]
+    init = [f"i{q}" for q in range(len(forms))]
+    dev = [f"m{q}" for q in range(len(forms))]
+    lines = [
+        "def run(state, steps, dt):",
+        f"    {_tuple_src(xs)} = state",
+        "    h2 = 0.5 * dt",
+        "    scale = dt / 6.0",
+    ]
+    lines += [f"    i{q} = {_sum_src(t, 'x')}" for q, t in enumerate(forms)]
+    lines += [f"    m{q} = 0.0" for q in range(len(forms))]
+    lines.append("    for step in range(1, steps + 1):")
+    for stage, point, factor in ((1, "x", "h2"), (2, "y", "h2"), (3, "y", "dt"), (4, "y", None)):
+        lines += [f"        k{stage}_{i} = {_sum_src(t, point)}" for i, t in enumerate(field)]
+        if factor:
+            lines += [f"        y{i} = x{i} + {factor}*k{stage}_{i}" for i in range(n)]
+    lines += [
+        f"        x{i} = x{i} + scale*(k1_{i} + 2.0*(k2_{i} + k3_{i}) + k4_{i})" for i in range(n)
+    ]
+    lines += [
+        "        if not (" + " and ".join(f"isfinite({v})" for v in xs) + "):",
+        "            raise IntegrationError(f'non-finite state at step {step}')",
+    ]
+    for q, t in enumerate(forms):
+        lines += [
+            f"        d = abs({_sum_src(t, 'x')} - i{q})",
+            f"        if d > m{q}:",
+            f"            m{q} = d",
+        ]
+    lines.append(f"    return {_tuple_src(xs)}, {_tuple_src(init)}, {_tuple_src(dev)}")
+    return "\n".join(lines) + "\n"
 
 
 def integrate(
@@ -133,19 +180,10 @@ def integrate(
     names = list(names) if names is not None else [f"C{i+1}" for i in range(len(tracked))]
     if len(names) != len(tracked):
         raise ContractViolation("one name per tracked quantity")
-    x = list(initial_state(g, cfg))
-    x0 = tuple(x)
-    steps = round(abs(cfg.t_end / cfg.dt))
-    initial = [_eval_terms(t, x) for t in form_terms]
-    max_dev = [0.0] * len(tracked)
-    for step in range(1, steps + 1):
-        x = _rk4_step(field_terms, x, cfg.dt)
-        if not all(math.isfinite(v) for v in x):
-            raise IntegrationError(f"non-finite state at step {step}")
-        for qi, terms in enumerate(form_terms):
-            dev = abs(_eval_terms(terms, x) - initial[qi])
-            if dev > max_dev[qi]:
-                max_dev[qi] = dev
+    x0 = initial_state(g, cfg)
+    namespace = {"isfinite": math.isfinite, "IntegrationError": IntegrationError}
+    exec(compile(_stepper_src(field_terms, form_terms), "<rk4>", "exec"), namespace)
+    final, initial, max_dev = namespace["run"](x0, cfg.steps, cfg.dt)
     quantities = tuple(
         QuantityDrift(
             name=names[qi],
@@ -155,7 +193,7 @@ def integrate(
         )
         for qi in range(len(tracked))
     )
-    return DriftReport(steps, cfg.dt, cfg.t_end, x0, quantities, tuple(x))
+    return DriftReport(cfg.steps, cfg.dt, cfg.t_end, x0, quantities, final)
 
 
 def dimension_probe(g: Glom, cfg: SimConfig, basis: Sequence[QuadraticForm]) -> int:

@@ -1,18 +1,24 @@
 """Shared test utilities: a small polynomial expression parser, the
-closed-form invariants of the sparse feedback-free family, and independent
-brute-force oracles."""
+closed-form invariants of the sparse feedback-free family, the
+criterion-11 conservation fixtures, and independent brute-force oracles
+(among them the interpreted RK4 stepper that generated code must match)."""
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
+from glomkit.errors import IntegrationError
 from glomkit.exactmath import Poly, PolyMatrix, VarTable
 from glomkit.exactmath.linalg import GENERIC_HIGH, GENERIC_LOW, GENERIC_TRIALS, evaluate_at, rank_rational
-from glomkit.invariants import QuadraticForm
-from glomkit.models import Glom, assemble_field
+from glomkit.hamiltonian import build_J, casimirs, jacobi
+from glomkit.hierarchy import member
+from glomkit.invariants import QuadraticForm, count_invariants, verify_conserved
+from glomkit.models import Glom, assemble_field, builtin_model, instantiate
+from glomkit.simulate import SimConfig, compile_field, compile_form, initial_state
 
 # the largest member of each hierarchy family in the benchmark and the
 # golden reports
@@ -310,3 +316,80 @@ def determinant_by_permutations(rows: list[list[Fraction]]) -> Fraction:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def _conservation_fixture(tag, g, seed):
+    """Exact instantiation plus everything symbolically verified for it."""
+    rng = random.Random(seed)
+    values = {name: Fraction(rng.randrange(1, 6)) for name in g.free_symbols()}
+    exact = instantiate(g, values)
+    tracked = list(count_invariants(exact, seed=seed).basis)
+    if jacobi(build_J(exact)).is_hamiltonian:
+        tracked.extend(casimirs(exact).casimirs)
+    for form in tracked:
+        assert verify_conserved(exact, form), tag
+    return tag, g, values, tracked
+
+
+def criterion_11_fixtures():
+    """(tag, model, parameter values, verified forms) for the ten instantiations."""
+    return [
+        _conservation_fixture("single", builtin_model("sparse", 1), 1),
+        _conservation_fixture("euler", builtin_model("euler"), 2),
+        _conservation_fixture("model1", builtin_model("model1"), 3),
+        _conservation_fixture(
+            "model1-degenerate", builtin_model("model1").zeroed(["b1", "c1", "a2", "b2"]), 4
+        ),
+        _conservation_fixture(
+            "model1-branch", builtin_model("model1").zeroed(["p2", "c1", "b2"]), 5
+        ),
+        _conservation_fixture("model2", builtin_model("model2"), 6),
+        _conservation_fixture("model2-constrained", builtin_model("model2").zeroed(["q2"]), 7),
+        _conservation_fixture("model3", builtin_model("model3"), 8),
+        _conservation_fixture("sparse-K2", member("sparse", 2), 9),
+        _conservation_fixture("dense1-K3", member("dense1", 3), 10),
+    ]
+
+
+def _eval_terms(terms, x) -> float:
+    total = 0.0
+    for c, idx in terms:
+        v = c
+        for i in idx:
+            v *= x[i]
+        total += v
+    return total
+
+
+def _rk4_step(field, x: list[float], dt: float) -> list[float]:
+    n = len(x)
+    k1 = [_eval_terms(field[i], x) for i in range(n)]
+    mid1 = [x[i] + 0.5 * dt * k1[i] for i in range(n)]
+    k2 = [_eval_terms(field[i], mid1) for i in range(n)]
+    mid2 = [x[i] + 0.5 * dt * k2[i] for i in range(n)]
+    k3 = [_eval_terms(field[i], mid2) for i in range(n)]
+    end = [x[i] + dt * k3[i] for i in range(n)]
+    k4 = [_eval_terms(field[i], end) for i in range(n)]
+    scale = dt / 6.0
+    return [x[i] + scale * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)]
+
+
+def reference_integrate(g: Glom, cfg: SimConfig, tracked):
+    """Textbook RK4 interpreting the compiled term lists: (final state,
+    initial form values, max abs deviations).  `simulate.integrate` runs
+    generated straight-line code that must match this bit for bit, and
+    raises IntegrationError at the same step with the same message."""
+    field_terms = compile_field(g, cfg.param_assignment)
+    form_terms = [compile_form(f, cfg.param_assignment) for f in tracked]
+    x = list(initial_state(g, cfg))
+    initial = [_eval_terms(t, x) for t in form_terms]
+    max_dev = [0.0] * len(tracked)
+    for step in range(1, round(abs(cfg.t_end / cfg.dt)) + 1):
+        x = _rk4_step(field_terms, x, cfg.dt)
+        if not all(math.isfinite(v) for v in x):
+            raise IntegrationError(f"non-finite state at step {step}")
+        for qi, terms in enumerate(form_terms):
+            dev = abs(_eval_terms(terms, x) - initial[qi])
+            if dev > max_dev[qi]:
+                max_dev[qi] = dev
+    return tuple(x), tuple(initial), tuple(max_dev)

@@ -35,7 +35,13 @@ from glomkit.models import (
 )
 from glomkit.simulate import SimConfig, integrate
 
-from helpers import parse, parse_vector, sparse_normal_form_numeric, sparse_normal_form_scaled
+from helpers import (
+    criterion_11_fixtures,
+    parse,
+    parse_vector,
+    sparse_normal_form_numeric,
+    sparse_normal_form_scaled,
+)
 
 # Numerical conservation tolerance, frozen after a calibration run of the
 # reference orbit (observed drift ~1e-11 at t_end=50, dt=1e-3).
@@ -289,35 +295,8 @@ def test_criterion_10_symmetry_suite():
     ok(10, "sign symmetries: counts 3 and 7, invariant span closed")
 
 
-def _conservation_fixture(tag, g, seed):
-    """Exact instantiation plus everything symbolically verified for it."""
-    values = exact_values(g, seed, lo=1, hi=6)
-    exact = instantiate(g, values)
-    tracked = list(count_invariants(exact, seed=seed).basis)
-    if jacobi(build_J(exact)).is_hamiltonian:
-        tracked.extend(casimirs(exact).casimirs)
-    for form in tracked:
-        assert verify_conserved(exact, form), tag
-    return tag, g, values, tracked
-
-
 def test_criterion_11_numerical_conservation():
-    fixtures = [
-        _conservation_fixture("single", builtin_model("sparse", 1), 1),
-        _conservation_fixture("euler", builtin_model("euler"), 2),
-        _conservation_fixture("model1", builtin_model("model1"), 3),
-        _conservation_fixture(
-            "model1-degenerate", builtin_model("model1").zeroed(["b1", "c1", "a2", "b2"]), 4
-        ),
-        _conservation_fixture(
-            "model1-branch", builtin_model("model1").zeroed(["p2", "c1", "b2"]), 5
-        ),
-        _conservation_fixture("model2", builtin_model("model2"), 6),
-        _conservation_fixture("model2-constrained", builtin_model("model2").zeroed(["q2"]), 7),
-        _conservation_fixture("model3", builtin_model("model3"), 8),
-        _conservation_fixture("sparse-K2", member("sparse", 2), 9),
-        _conservation_fixture("dense1-K3", member("dense1", 3), 10),
-    ]
+    fixtures = criterion_11_fixtures()
     assert len(fixtures) == 10
     for i, (tag, g, values, tracked) in enumerate(fixtures):
         assert tracked, tag

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -239,6 +242,34 @@ def test_env_var_provides_default_seed(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 424242
 
 
+def test_bad_env_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("GLOM_SEED", "xyz")
+    assert main(["invariants", "model1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "GLOM_SEED" in err
+
+
+@pytest.mark.parametrize("assign", [["p1=1,q1=1,p1=2"], ["p1=1,q1=1", "p1=1"]])
+def test_repeated_assignment_names_the_symbol(capsys, assign):
+    argv = ["simulate", "euler", "--t", "1", "--dt", "0.1"]
+    for values in assign:
+        argv += ["--assign", values]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'p1'" in err
+
+
+def test_runs_as_module():
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glomkit", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: glomkit")
+
+
 def test_reports_are_byte_stable(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -345,6 +376,8 @@ def test_zeroing_a_whole_tie_is_accepted(tmp_path):
         ["--dt", "0"],
         ["--t", "inf"],
         ["--t", "-1"],
+        ["--dt", "0.4"],  # 2.5 steps
+        ["--t", "1e300", "--dt", "1e-300"],  # step count overflows
     ],
 )
 def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):

@@ -1,12 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from glomkit.errors import ConsistencyError, ContractViolation, IntegrationError
+from glomkit.hamiltonian import casimirs
+from glomkit.hierarchy import member
 from glomkit.invariants import QuadraticForm, count_invariants
-from glomkit.models import Glom, Gyrostat, ParamSpec, builtin_model
+from glomkit.models import Glom, Gyrostat, ParamSpec, builtin_model, instantiate
 from glomkit.simulate import SimConfig, dimension_probe, initial_state, integrate
+
+from helpers import criterion_11_fixtures, reference_integrate
 
 EULER_ASSIGN = {"p1": Fraction(1), "q1": Fraction(1)}  # r = -2
 EULER_X0 = (0.3, 0.4, 0.5)
@@ -108,8 +113,13 @@ def test_nonfinite_state_raises_integration_error():
         ),
     )
     cfg = SimConfig(t_end=100.0, dt=0.5, initial_state=(3.0, 3.0, 3.0))
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError) as got:
         integrate(g, cfg, [])
+    # the generated stepper stops at the reference's step
+    with pytest.raises(IntegrationError) as want:
+        reference_integrate(g, cfg, [])
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("non-finite state at step ")
 
 
 def test_bad_config_rejected():
@@ -118,6 +128,84 @@ def test_bad_config_rejected():
     for t_end, dt in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1)):
         with pytest.raises(ContractViolation):
             SimConfig(t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(1.0, 0.4), (1.0, 0.3), (1.0, -0.4), (1.0, 0.8), (1e300, 1e-300)],
+)
+def test_horizon_must_be_whole_steps(t_end, dt):
+    with pytest.raises(ContractViolation):
+        SimConfig(t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, steps",
+    [(50.0, 1e-3, 50000), (10.0, 0.04, 250), (10.0, 0.0005, 20000), (1.0, 5e-4, 2000),
+     (0.1, 5e-4, 200), (1.0, 0.1, 10), (0.5, 0.01, 50), (50.0, -1e-3, 50000)],
+)
+def test_whole_horizons_accepted(t_end, dt, steps):
+    assert SimConfig(t_end=t_end, dt=dt).steps == steps
+
+
+# ---------------------------------------------------------------------------
+# the generated stepper against the interpreted reference
+
+
+def assert_same_floats(got, want):
+    assert tuple(got) == tuple(want)
+    # == does not see the sign of zero
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def assert_matches_reference(g, cfg, tracked):
+    rep = integrate(g, cfg, tracked)
+    final, initial, max_dev = reference_integrate(g, cfg, tracked)
+    assert rep.steps == cfg.steps
+    assert_same_floats(rep.final_state, final)
+    assert_same_floats([q.initial for q in rep.quantities], initial)
+    assert_same_floats([q.max_abs_deviation for q in rep.quantities], max_dev)
+    assert_same_floats(
+        [q.max_relative_drift for q in rep.quantities],
+        [d / max(1.0, abs(v)) for d, v in zip(max_dev, initial)],
+    )
+    return rep
+
+
+def test_generated_stepper_matches_reference_on_criterion_11_fixtures():
+    for i, (tag, g, values, tracked) in enumerate(criterion_11_fixtures()):
+        cfg = SimConfig(t_end=1.0, dt=1e-3, param_assignment=values, seed=100 + i)
+        assert_matches_reference(g, cfg, tracked)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generated_stepper_matches_reference_on_benchmark_models(seed):
+    # the conservation workload's four models, instantiated at values in 1..5
+    rng = random.Random(seed)
+    for g in (builtin_model("euler"), builtin_model("model3"), member("sparse", 3), member("dense1", 4)):
+        values = {s: Fraction(rng.randrange(1, 6)) for s in g.free_symbols()}
+        exact = instantiate(g, values)
+        tracked = list(count_invariants(exact, seed=rng.randrange(1 << 30)).basis)
+        tracked += casimirs(exact).casimirs
+        cfg = SimConfig(t_end=1.0, dt=5e-4, param_assignment=values, seed=rng.randrange(1 << 30))
+        rep = assert_matches_reference(g, cfg, tracked)
+        assert len(rep.quantities) == len(tracked) > 0
+
+
+def test_generated_stepper_matches_reference_backwards_and_untracked():
+    g, energy = euler_energy()
+    for dt in (1e-3, -1e-3):
+        cfg = SimConfig(t_end=1.0, dt=dt, param_assignment=EULER_ASSIGN, initial_state=EULER_X0)
+        assert_matches_reference(g, cfg, [energy])
+        assert_matches_reference(g, cfg, [])
+
+
+def test_generated_stepper_matches_reference_on_zero_field():
+    zero = ParamSpec.zero()
+    g = Glom(3, (Gyrostat((1, 2, 3), a=zero, b=zero, c=zero, p=zero, q=zero),))
+    cfg = SimConfig(t_end=0.1, dt=0.01, initial_state=(0.5, -0.0, 1.0))
+    rep = assert_matches_reference(g, cfg, [QuadraticForm.energy(g.var_table)])
+    assert rep.final_state[1].hex() == "0x0.0p+0"  # -0.0 + scale*0.0 is +0.0
 
 
 # ---------------------------------------------------------------------------
