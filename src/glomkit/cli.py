@@ -77,6 +77,10 @@ def parse_param_spec(text: Any, where: str) -> ParamSpec:
     )
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no index
+
+
 def parse_model_config(doc: Any) -> Glom:
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
@@ -84,7 +88,7 @@ def parse_model_config(doc: Any) -> Glom:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     modes = doc.get("modes")
-    if not isinstance(modes, int) or modes < 3:
+    if not _is_int(modes) or modes < 3:
         raise ConfigError("'modes' must be an integer >= 3")
     raw_gyros = doc.get("gyrostats")
     if not isinstance(raw_gyros, list) or not raw_gyros:
@@ -101,7 +105,7 @@ def parse_model_config(doc: Any) -> Glom:
         if (
             not isinstance(triple, list)
             or len(triple) != 3
-            or not all(isinstance(m, int) for m in triple)
+            or not all(map(_is_int, triple))
         ):
             raise ConfigError(f"{where}: 'modes' must be three integers")
         if any(m < 1 or m > modes for m in triple):

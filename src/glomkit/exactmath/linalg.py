@@ -7,8 +7,8 @@ against the pivot row at its leading column by row <- a*row - b*pivot
 (a, b the two leading entries divided by their gcd) and divided by its
 content, until it vanishes or opens a new pivot column.  The rank is the
 pivot count; nullspaces back-substitute over the sparse pivot rows.
-Generic ranks of polynomial matrices are exact ranks at random integer
-points (`generic_rank`).
+Generic ranks of polynomial matrices are exact ranks at the best of a few
+random integer points (`generic_point`).
 
 Polynomial nullspaces are empty at once when the rank at integer points
 is full; otherwise they come from Bareiss elimination with exact
@@ -29,16 +29,15 @@ from typing import Mapping, Sequence
 from ..errors import ContractViolation
 from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
 
-# Range for the random integer values that generic_rank gives every
-# variable of a matrix (count_invariants, the empty-nullspace shortcut of
-# nullspace_symbolic) and count_invariants its candidate points.  Large
+# Range for the random integer values that generic_point gives every
+# variable of a matrix (count_invariants, independent_count, the
+# empty-nullspace shortcut of nullspace_symbolic).  Large
 # enough that hitting a point of non-maximal rank is vanishingly unlikely
 # (Schwartz-Zippel), small enough to keep the integer arithmetic cheap.
 GENERIC_LOW = 1 << 20
 GENERIC_HIGH = 1 << 31
 
-# Random points tried by each probabilistic rank (generic_rank and
-# invariants.independent_count); the largest rank found is kept.
+# Random points tried by generic_point; the largest rank found is kept.
 GENERIC_TRIALS = 3
 
 
@@ -92,13 +91,17 @@ def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
 
 
 def nullspace_rational(rows: Sequence[Sequence[Fraction | int]], n_cols: int) -> list[list[int]]:
-    """Right nullspace basis with coprime integer entries.
+    """Right nullspace basis with coprime integer entries (see back_substitute)."""
+    return back_substitute(_pivot_rows(rows), n_cols)
 
-    One basis vector per free column, in column order; the free-column
-    entry of each vector is positive and the other free entries are zero,
-    which makes each vector unique.
+
+def back_substitute(pivots: Mapping[int, Mapping[int, int]], n_cols: int) -> list[list[int]]:
+    """Nullspace basis of the rows that `_pivot_rows` reduced to `pivots`.
+
+    One coprime integer vector per free column, in column order; the
+    free-column entry of each vector is positive and the other free entries
+    are zero, which makes each vector unique.
     """
-    pivots = _pivot_rows(rows)
     basis = []
     for fc in range(n_cols):
         if fc in pivots:
@@ -168,37 +171,47 @@ def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction 
     return out
 
 
-def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
-    """Rank of a polynomial matrix at random integer values of its variables.
+def generic_point(
+    m: PolyMatrix, rng: random.Random
+) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """The best of GENERIC_TRIALS random integer points of a polynomial matrix.
 
-    Substitutes independent integers from S = [2^20, 2^31) for every
-    variable that occurs in the matrix, state variables and parameters
-    alike (drawn in the sorted order of their names), ranks the result
-    exactly, and returns the maximum over GENERIC_TRIALS repetitions
-    (stopping early at full rank).
+    Each trial gives every variable that occurs in the matrix, state
+    variables and parameters alike, an independent integer from
+    S = [2^20, 2^31), drawn from `rng` in the sorted order of the names, and
+    reduces the matrix there exactly.  Returns the values (variable index ->
+    integer) and the `_pivot_rows` of the trial of largest rank, the first
+    one on a tie, stopping early at full rank.  A matrix without variables
+    is reduced once, at the empty point.
 
-    The result never exceeds the rank r over the field of rational
+    The rank found never exceeds the rank r over the field of rational
     functions, and equals r whenever it is min(rows, cols).  Let Delta be a
     nonzero r x r minor of the matrix and D its total degree (at most r
     times the largest entry degree).  A trial falls short only where Delta
     vanishes, which by Schwartz-Zippel happens with probability at most
     D / |S| = D / (2^31 - 2^20); all three trials fall short with
-    probability at most (D / (2^31 - 2^20))^3.  A matrix without variables
-    is ranked exactly.
+    probability at most (D / (2^31 - 2^20))^3.
     """
-    table = m.table
-    names = sorted(table.names[i] for i in m.variables())
-    if not names:
-        return rank_exact(m)
-    rng = random.Random(seed)
+    indices = sorted(m.variables(), key=m.table.names.__getitem__)
+    if not indices:
+        return {}, _pivot_rows(evaluate_at(m, {}))
     full = min(m.rows, m.cols)
-    best = 0
+    best: tuple[dict[int, int], dict[int, dict[int, int]]] | None = None
     for _ in range(GENERIC_TRIALS):
-        values = {table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
-        best = max(best, rank_rational(evaluate_at(m, values)))
-        if best == full:
-            break
+        values = {i: rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in indices}
+        pivots = _pivot_rows(evaluate_at(m, values))
+        if best is None or len(pivots) > len(best[1]):
+            best = values, pivots
+            if len(pivots) == full:
+                break
     return best
+
+
+def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
+    """Generic rank of a polynomial matrix: the rank at the point that
+    `generic_point` picks with random.Random(seed), exact when the matrix
+    has no variables, with the failure bound stated there."""
+    return len(generic_point(m, random.Random(seed))[1])
 
 
 # ---------------------------------------------------------------------------

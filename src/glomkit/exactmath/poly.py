@@ -220,35 +220,26 @@ class Poly:
                 out[nm] = v if s is None else s + v
         return Poly(self.table, out)
 
-    def subs(self, values: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
-        """Replace the named variables by rational values or polynomials."""
-        idx_vals: dict[int, Poly | Fraction] = {}
-        for name, v in values.items():
-            i = self.table.index(name)
-            if isinstance(v, Poly):
-                self._check(v)
-                idx_vals[i] = v
-            else:
-                idx_vals[i] = Fraction(v)
-        result = self.table.zero()
+    def subs(self, values: Mapping[str, Fraction | int]) -> "Poly":
+        """Replace the named variables by rational values."""
+        idx_vals = {self.table.index(name): Fraction(v) for name, v in values.items()}
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            piece = None  # lazily built Poly factor for substituted variables
-            coeff = c
             rest = list(m)
             for i, v in idx_vals.items():
                 e = m[i]
-                if not e:
-                    continue
-                rest[i] = 0
-                if isinstance(v, Fraction):
-                    coeff *= v ** e
-                else:
-                    piece = v ** e if piece is None else piece * (v ** e)
-            term = Poly(self.table, {tuple(rest): coeff}) if coeff else self.table.zero()
-            if piece is not None and coeff:
-                term = term * piece
-            result = result + term
-        return result
+                if e:
+                    rest[i] = 0
+                    c *= v ** e
+            if not c:
+                continue
+            mono = tuple(rest)
+            s = out.get(mono, 0) + c  # c != 0, so only a stored key can cancel
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        return Poly(self.table, out) if out else self.table._zero
 
     def eval(self, values: Mapping[int, Fraction]) -> Fraction:
         """Exact evaluation; every variable that occurs must be assigned."""

@@ -21,15 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
 from .exactmath import Poly, PolyMatrix, VarTable, grlex_key, monomial_str
-from .exactmath.linalg import (
-    GENERIC_HIGH,
-    GENERIC_LOW,
-    GENERIC_TRIALS,
-    evaluate_at,
-    generic_rank,
-    nullspace_rational,
-    rank_rational,
-)
+from .exactmath.linalg import back_substitute, generic_point, rank_rational
 from .models import Glom, VectorField, assemble_field
 
 SUBCLASS_VARY_LIMIT = 20
@@ -280,68 +272,42 @@ class InvariantReport:
 def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
     """Count quadratic invariants and reconstruct a basis.
 
-    The raw count is cols - generic rank of the system.  Under generic
-    parameters the generic rank is bounded below by `generic_rank` and the
-    basis is the exact nullspace at the first recorded random integer
-    parameter point whose rank reaches that bound (coefficients are
-    instance-specific, counts are generic); fully numeric models are solved
-    exactly.  The functionally independent count is the rank of the basis
-    gradients at random state points (best of GENERIC_TRIALS).
+    The raw count is cols - generic rank of the system.  The basis is the
+    exact nullspace at `generic_point`'s best random integer parameter
+    point, which is also reported (coefficients are instance-specific,
+    counts are generic); the count is too high only if all its trials fall
+    short, chance at most (D / (2^31 - 2^20))^3 with D the degree of a
+    maximal nonzero minor.  A fully numeric model is solved exactly.  The
+    functionally independent count is `independent_count` of the basis.
     """
     rng = random.Random(seed)
     system = build_system(g)
     table = g.var_table
-    n_cols = system.cols
-    params = sorted(system.matrix.parameter_names())
-
-    if not params:
-        vectors = nullspace_rational(evaluate_at(system.matrix, {}), n_cols)
-        param_point = None
-        generic = False
-    else:
-        # generic_rank and the exact rank at any point are both lower bounds
-        # on the generic rank.  The first point whose rank reaches the bound
-        # is accepted; its exact nullspace fixes the count.  The count is too
-        # high only if all of generic_rank's trials fall short and then a
-        # non-generic point is accepted: chance at most (D / (2^31 - 2^20))^3,
-        # D the degree of a maximal nonzero minor (see generic_rank).
-        rank = generic_rank(system.matrix, seed=rng.randrange(1 << 30))
-        for _ in range(8):
-            values = {table.index(name): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for name in params}
-            vectors = nullspace_rational(evaluate_at(system.matrix, values), n_cols)
-            if n_cols - len(vectors) >= rank:
-                break
-        else:
-            raise ContractViolation("could not find a parameter point of generic rank")
-        param_point = {name: Fraction(values[table.index(name)]) for name in params}
-        generic = True
-    raw = len(vectors)
+    # this word used to seed a separate rank estimate; it is still drawn so
+    # that the first trial lands on the point every seeded report was taken
+    # at, which keeps those reports byte-identical
+    rng.randrange(1 << 30)
+    values, pivots = generic_point(system.matrix, rng)
+    vectors = back_substitute(pivots, system.cols)
+    param_point = {table.names[i]: Fraction(v) for i, v in values.items()} or None
 
     basis = tuple(
         QuadraticForm.from_coeff_vector(table, [Fraction(v) for v in vec]) for vec in vectors
     )
     independent = independent_count(basis, rng)
     energy_included = basis_contains(basis, QuadraticForm.energy(table))
-    return InvariantReport(raw, independent, basis, energy_included, generic, param_point, seed)
+    return InvariantReport(
+        len(vectors), independent, basis, energy_included, param_point is not None, param_point, seed
+    )
 
 
 def independent_count(basis: Sequence[QuadraticForm], rng: random.Random) -> int:
-    """Rank of the gradient matrix at random generic state points (max of
-    GENERIC_TRIALS)."""
+    """Rank of the basis gradients at `generic_point` (random state values,
+    best of GENERIC_TRIALS)."""
     if not basis:
         return 0
-    M = basis[0].M
-    table = basis[0].table
-    gradients = PolyMatrix(table, [form.gradient() for form in basis])
-    best = 0
-    for _ in range(GENERIC_TRIALS):
-        values = {
-            table.index(f"x{i}"): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in range(1, M + 1)
-        }
-        best = max(best, rank_rational(evaluate_at(gradients, values)))
-        if best == len(basis):
-            break
-    return best
+    gradients = PolyMatrix(basis[0].table, [form.gradient() for form in basis])
+    return len(generic_point(gradients, rng)[1])
 
 
 def basis_contains(basis: Sequence[QuadraticForm], candidate: QuadraticForm) -> bool:
@@ -397,9 +363,11 @@ def enumerate_subclasses(g: Glom, vary: Sequence[str], seed: int = 0) -> Subclas
     if len(vary) > SUBCLASS_VARY_LIMIT:
         raise ContractViolation(f"at most {SUBCLASS_VARY_LIMIT} parameters can vary")
     name_map = g.param_name_map()
-    for name in vary:
+    for i, name in enumerate(vary):
         if name not in name_map:
             raise ContractViolation(f"unknown parameter {name!r}")
+        if name in vary[:i]:
+            raise ContractViolation(f"parameter {name!r} is varied more than once")
     rows = []
     n = len(vary)
     for mask in range(1 << n):

@@ -74,6 +74,18 @@ def test_mode_indices_validated(tmp_path):
         parse_model_config(doc)
 
 
+@pytest.mark.parametrize("key", ["top", "triple"])
+def test_boolean_mode_index_is_one_line_error(tmp_path, capsys, key):
+    doc = json.loads(fixture_path("model1").read_text())
+    if key == "top":
+        doc["modes"] = True
+    else:
+        doc["gyrostats"][0]["modes"] = [True, 2, 3]
+    assert main(["check", write(tmp_path, "bad.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'modes' must be" in err
+
+
 def test_duplicate_triples_allowed():
     doc = {
         "modes": 3,
@@ -181,6 +193,14 @@ def test_enumerate_command(tmp_path):
     rows = {row["mask"]: row["independent_count"] for row in report["subclasses"]}
     assert rows["0000"] == 3 and rows["1111"] == 1
     assert len(rows) == 16
+
+
+def test_repeated_vary_name_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["enumerate", "model1", "--vary", "b1,b1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'b1'" in err
+    assert not out.exists()
 
 
 def test_hierarchy_command(tmp_path):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import generic_rank
-from glomkit import invariants
+from glomkit.exactmath import generic_rank, linalg
+from glomkit.exactmath.linalg import GENERIC_TRIALS
 from glomkit.invariants import (
     basis_contains,
     build_system,
@@ -169,19 +169,32 @@ def test_count_survives_a_coefficient_divisible_by_the_modulus():
             assert verify_conserved(exact, form)
 
 
-def test_exact_nullspace_overrules_a_modular_rank_shortfall(monkeypatch):
-    # a generic_rank one below the generic rank, as when all its trials
-    # fall short, lowers the bar a point must reach; the count still comes
-    # from the exact nullspace at the (generic) point drawn
-    expected = count_invariants(builtin_model("model3"), seed=2)
-    real = invariants.generic_rank
-    monkeypatch.setattr(invariants, "generic_rank", lambda *a, **k: real(*a, **k) - 1)
-    report = count_invariants(builtin_model("model3"), seed=2)
-    assert (report.raw_count, report.param_point, report.basis) == (
-        expected.raw_count,
-        expected.param_point,
-        expected.basis,
+def test_one_elimination_of_the_system_per_trial(monkeypatch):
+    # the basis comes from the best trial of generic_point, not from one more
+    # elimination: model1's system is never of full column rank, so all
+    # GENERIC_TRIALS points are tried; a numeric system is reduced once
+    shapes = []
+    real = linalg._pivot_rows
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_pivot_rows", recording)
+    model1 = builtin_model("model1")
+    numeric = model1.with_params(
+        {n: ParamSpec.exact(Fraction(k + 2)) for k, n in enumerate(model1.generic_param_names())}
     )
+    for g, eliminations in ((model1, GENERIC_TRIALS), (numeric, 1)):
+        system = build_system(g)
+        shapes.clear()
+        count_invariants(g, seed=3)
+        assert shapes.count((system.rows, system.cols)) == eliminations
+
+
+def test_enumerate_rejects_a_repeated_name():
+    with pytest.raises(ContractViolation, match="'b1'"):
+        enumerate_subclasses(builtin_model("model1"), ["b1", "c1", "b1"], seed=0)
 
 
 # ---------------------------------------------------------------------------

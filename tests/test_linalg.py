@@ -18,6 +18,7 @@ from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
     evaluate_at,
+    generic_point,
     nullspace_rational,
     rank_rational,
 )
@@ -238,6 +239,46 @@ def test_generic_rank_is_exact_when_a_minor_vanishes_mod_p():
     table = VarTable.for_model(3, 1)
     m = PolyMatrix(table, [[parse(table, e) for e in row] for row in [["p1", "p1"], ["p1", f"{P61 + 1}*p1"]]])
     assert generic_rank(m, seed=0) == 2
+
+
+class ScriptedRng:
+    """Stands in for random.Random: randrange hands out the scripted values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randrange(self, lo, hi):
+        assert (lo, hi) == (GENERIC_LOW, GENERIC_HIGH)
+        return self.values.pop(0)
+
+
+def test_generic_point_keeps_the_first_best_trial():
+    # rank 2 of 3 where a1 != b1; trial 1 draws a1 = b1, trials 2 and 3
+    # reach rank 2, and the earlier of the two is returned
+    table = VarTable.for_model(3, 1)
+    rows = [["a1 - b1", "0", "0"], ["0", "b1", "0"], ["a1 - b1", "b1", "0"]]
+    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in rows])
+    a1, b1 = table.index("a1"), table.index("b1")
+    low = GENERIC_LOW
+    rng = ScriptedRng([low, low, low + 1, low, low + 2, low])  # a1, b1 per trial
+    assert rank_rational(evaluate_at(m, {a1: low, b1: low})) == 1
+    values, pivots = generic_point(m, rng)
+    assert values == {a1: low + 1, b1: low}
+    assert len(pivots) == 2 and rng.values == []
+
+
+def test_generic_point_stops_at_full_rank():
+    table = VarTable.for_model(3, 1)
+    m = PolyMatrix(table, [[parse(table, "a1 - b1"), table.zero()], [table.zero(), parse(table, "b1")]])
+    a1, b1 = table.index("a1"), table.index("b1")
+    low = GENERIC_LOW
+    rng = ScriptedRng([low, low, low + 1, low, low + 2, low])
+    values, pivots = generic_point(m, rng)
+    assert values == {a1: low + 1, b1: low}
+    assert len(pivots) == 2 and rng.values == [low + 2, low]
+    # without variables: one exact elimination and no draw
+    values, pivots = generic_point(constant_matrix(table, [[1, 2], [2, 4]]), ScriptedRng([]))
+    assert values == {} and len(pivots) == 1
 
 
 def _matches_bareiss(rows, n_cols):

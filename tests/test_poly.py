@@ -34,12 +34,6 @@ def test_substitute_hand_evaluated(table):
     assert result == table.x(3)
 
 
-def test_substitute_by_polynomial(table):
-    poly = parse(table, "x1^2 + x2")
-    result = poly.subs({"x1": parse(table, "x2 + 1")})
-    assert result == parse(table, "x2^2 + 3*x2 + 1")
-
-
 def test_zero_coefficients_never_stored(table):
     p = parse(table, "x1 + x2") - parse(table, "x1")
     assert set(p.terms) == {(0, 1, 0) + (0,) * 6}
