@@ -172,9 +172,17 @@ def load_model(path_or_name: str) -> Glom:
     if not path.exists():
         raise FileNotFoundError(f"no such model file: {path_or_name}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read model file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     return parse_model_config(doc)
 
 
@@ -207,7 +215,10 @@ def vector_to_json(vec: Sequence[Poly]) -> list[dict[str, str]]:
 def dump_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -428,19 +439,14 @@ def cmd_simulate(args) -> int:
     )
     tracked: list[QuadraticForm] = []
     names: list[str] = []
-    exact = instantiate(g, assignment)
     if args.track in ("energy", "all"):
         tracked.append(QuadraticForm.energy(g.var_table))
         names.append("energy")
     if args.track in ("casimirs", "all"):
-        cs = casimirs(exact)
-        for i, c in enumerate(cs.casimirs, start=1):
-            tracked.append(
-                QuadraticForm.from_coeff_vector(
-                    g.var_table, [x.remapped(g.var_table) for x in c.coeff_vector()]
-                )
-            )
-            names.append(f"casimir{i}")
+        # instantiating keeps the model's VarTable, so the forms track as they are
+        forms = casimirs(instantiate(g, assignment)).casimirs
+        tracked.extend(forms)
+        names.extend(f"casimir{i}" for i in range(1, len(forms) + 1))
     rep = integrate(g, cfg, tracked, names=names)
     report = base_report("simulate", args.seed, g)
     report["t_end"] = args.t

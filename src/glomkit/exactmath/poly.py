@@ -299,10 +299,6 @@ class Poly:
             groups.setdefault(state, {})[rest] = c
         return {s: Poly(self.table, t) for s, t in groups.items()}
 
-    def state_homogeneous_part(self, degree: int) -> "Poly":
-        M = self.table.state_count
-        return Poly(self.table, {m: c for m, c in self.terms.items() if sum(m[:M]) == degree})
-
     # -- normalization ---------------------------------------------------------
 
     def content(self) -> Fraction:
@@ -425,12 +421,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            self.table,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
 
     def mul_vector(self, vec: Iterable[Poly]) -> list[Poly]:
         v = list(vec)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 from .errors import ContractViolation, EnergyViolation
 from .exactmath import Poly, PolyMatrix, VarTable, nullspace_symbolic
@@ -50,33 +50,20 @@ class SkewPolyMatrix:
                 if m[i, j].state_degree() > 1:
                     raise ContractViolation("J entries must be affine in the state")
 
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
 
-    @property
-    def table(self) -> VarTable:
-        return self.matrix.table
-
-
-def gyrostat_block(table: VarTable, gyro: Gyrostat, size: int) -> PolyMatrix:
-    """The single-gyrostat contribution to J, embedded at its mode triple."""
-    m1, m2, m3 = gyro.modes
-    a = gyro.a.to_poly(table)
-    b = gyro.b.to_poly(table)
-    c = gyro.c.to_poly(table)
-    p = gyro.p.to_poly(table)
-    q = gyro.q.to_poly(table)
-    upper = p * table.x(m2) + b
-    lower = q * table.x(m1) - a
-    entries = [[table.zero() for _ in range(size)] for _ in range(size)]
-    entries[m1 - 1][m2 - 1] = -c
-    entries[m2 - 1][m1 - 1] = c
-    entries[m1 - 1][m3 - 1] = upper
-    entries[m3 - 1][m1 - 1] = -upper
-    entries[m2 - 1][m3 - 1] = lower
-    entries[m3 - 1][m2 - 1] = -lower
-    return PolyMatrix(table, entries)
+def _superpose(table: VarTable, modes: int, gyrostats: Sequence[Gyrostat]) -> PolyMatrix:
+    """Add the six J entries of each gyrostat, in order, into one M x M grid."""
+    zero = table.zero()
+    grid = [[zero] * modes for _ in range(modes)]
+    for gyro in gyrostats:
+        m1, m2, m3 = (m - 1 for m in gyro.modes)
+        c = gyro.c.to_poly(table)
+        upper = gyro.p.to_poly(table) * table.x(m2 + 1) + gyro.b.to_poly(table)
+        lower = gyro.q.to_poly(table) * table.x(m1 + 1) - gyro.a.to_poly(table)
+        for r, s, entry in ((m1, m2, -c), (m1, m3, upper), (m2, m3, lower)):
+            grid[r][s] = grid[r][s] + entry
+            grid[s][r] = grid[s][r] - entry
+    return PolyMatrix(table, grid)
 
 
 def build_J(g: Glom) -> SkewPolyMatrix:
@@ -89,9 +76,7 @@ def build_J(g: Glom) -> SkewPolyMatrix:
     table = g.var_table
     if not all(gyro.energy_ok(table) for gyro in g.gyrostats):
         raise EnergyViolation("; ".join(check_energy(g).diagnostics))
-    total = PolyMatrix.zero(table, g.modes, g.modes)
-    for gyro in g.gyrostats:
-        total = total.add(gyrostat_block(table, gyro, g.modes))
+    total = _superpose(table, g.modes, g.gyrostats)
     jx = total.mul_vector([table.x(i) for i in range(1, g.modes + 1)])
     for got, want in zip(jx, assemble_field(g).components):
         if got != want:
@@ -207,57 +192,19 @@ def is_gradient(vector: list[Poly]) -> bool:
     return True
 
 
-def potential_of(vector: list[Poly]) -> QuadraticForm:
-    """Potential C with grad C = vector, via the homogeneous-degree formula
-    C = sum_d 1/(d+1) sum_i x_i v_i^(d)."""
-    table = vector[0].table
-    M = len(vector)
-    acc = table.zero()
-    max_deg = max((v.state_degree() for v in vector), default=0)
-    for d in range(max_deg + 1):
-        part = table.zero()
-        for i, v in enumerate(vector, start=1):
-            h = v.state_homogeneous_part(d)
-            if h:
-                part = part + table.x(i) * h
-        if part:
-            acc = acc + part.scale(Fraction(1, d + 1))
-    return _form_from_value(table, M, acc)
-
-
-def _form_from_value(table: VarTable, M: int, value: Poly) -> QuadraticForm:
-    n = M * (M + 3) // 2
-    vec = [table.zero()] * n  # d_1..d_M, e_12..e_{M-1,M}, f_1..f_M
-    for state_mono, coeff in value.split_by_state().items():
-        nz = [(i, exp) for i, exp in enumerate(state_mono) if exp]
-        if not nz:
-            raise ContractViolation("potential has a constant term")
-        if len(nz) == 1 and nz[0][1] == 1:
-            slot = n - M + nz[0][0]
-        elif len(nz) == 1 and nz[0][1] == 2:
-            slot, coeff = nz[0][0], coeff.scale(2)
-        elif len(nz) == 2 and nz[0][1] == 1 and nz[1][1] == 1:
-            i, j = nz[0][0], nz[1][0]
-            slot = M + i * (2 * M - i - 1) // 2 + j - i - 1
-        else:
-            raise ContractViolation("potential is not quadratic")
-        vec[slot] = vec[slot] + coeff
-    return QuadraticForm.from_coeff_vector(table, vec)
-
-
-def _normalize_form(form: QuadraticForm) -> QuadraticForm:
-    """Scale a potential to content 1 with a positive leading coefficient."""
-    return QuadraticForm.from_coeff_vector(form.table, normalized_vector(form.coeff_vector()))
-
-
 def casimirs(g: Glom) -> CasimirSet:
-    """Extract Casimirs from NULL(J): gradient vectors integrate to potentials."""
+    """Extract Casimirs from NULL(J): gradient vectors give potentials, scaled to
+    content 1 with a positive leading coefficient."""
     J = build_J(g)
     report = jacobi(J)
     basis = nullspace_symbolic(J.matrix)
     flags = tuple(is_gradient(v) for v in basis)
     potentials = tuple(
-        _normalize_form(potential_of(v)) for v, ok in zip(basis, flags) if ok
+        QuadraticForm.from_coeff_vector(
+            g.var_table, normalized_vector(QuadraticForm.from_gradient(v).coeff_vector())
+        )
+        for v, ok in zip(basis, flags)
+        if ok
     )
     return CasimirSet(
         nullspace_basis=tuple(tuple(v) for v in basis),

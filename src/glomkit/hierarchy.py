@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import ContractViolation
-from .exactmath import Poly, PolyMatrix, poly_proportional, proportional
-from .hamiltonian import CasimirSet, JacobiReport, casimirs, gyrostat_block, triple_residual
+from .exactmath import Poly, poly_proportional, proportional
+from .hamiltonian import CasimirSet, JacobiReport, _superpose, casimirs, triple_residual
 from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
@@ -170,11 +170,8 @@ def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:
         raise ContractViolation("second model must be the first minus its last gyrostat")
     table = g_K.var_table
     M = g_K.modes
-    blocks = [gyrostat_block(table, gyro, M) for gyro in g_K.gyrostats]
-    j_prev = PolyMatrix.zero(table, M, M)
-    for b in blocks[:-1]:
-        j_prev = j_prev.add(b)
-    j_new = blocks[-1]
+    j_prev = _superpose(table, M, g_K.gyrostats[:-1])
+    j_new = _superpose(table, M, g_K.gyrostats[-1:])
     cross: dict[tuple[int, int, int], Poly] = {}
     condition = table.zero()
     for triple in itertools.combinations(range(M), 3):
@@ -250,9 +247,8 @@ def projection_consistency(
     zeros = {name: 0 for name in absent_params}
     big_table = casimir_big[0].table
     restricted = [v.subs(zeros) if zeros else v for v in casimir_big[:m_small]]
-    for v in restricted:
-        if any(i < big_table.state_count and big_table.names[i] not in
-               {f"x{j}" for j in range(1, m_small + 1)} for i in v.variables()):
+    for v in restricted:  # x_j is variable j - 1, so x1..x_m_small are 0..m_small - 1
+        if any(m_small <= i < big_table.state_count for i in v.variables()):
             return False
     lifted = [v.remapped(big_table) for v in casimir_small]
     return proportional(restricted, lifted)

@@ -68,6 +68,37 @@ class QuadraticForm:
         )
 
     @classmethod
+    def from_gradient(cls, vector: Sequence[Poly]) -> "QuadraticForm":
+        """The form whose gradient is `vector`, read off its coefficients.
+
+        d_i, e_ij (i < j) and f_i are the x_i, x_j and state-free
+        coefficients of v_i, each keeping v_i's term order; v_j's x_i
+        coefficient equals e_ij for a gradient and is not read.  A state
+        degree above 1 raises.
+        """
+        table = vector[0].table
+        M = table.state_count
+        pad = (0,) * M
+        f_start = M * (M + 1) // 2
+        slots: list[dict] = [{} for _ in range(f_start + M)]
+        for i, v in enumerate(vector):
+            e_row = M + i * (2 * M - i - 1) // 2 - i - 1  # e_ij is slot e_row + j
+            for mono, c in v.terms.items():
+                state = mono[:M]
+                degree = sum(state)
+                if degree > 1:
+                    raise ContractViolation("potential is not quadratic")
+                if not degree:
+                    slot = f_start + i
+                else:
+                    j = state.index(1)
+                    if j < i:
+                        continue
+                    slot = i if j == i else e_row + j
+                slots[slot][pad + mono[M:]] = c
+        return cls.from_coeff_vector(table, [Poly(table, t) if t else 0 for t in slots])
+
+    @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":
         M = table.state_count
         return cls.from_numeric(table, [Fraction(1)] * M)

@@ -151,6 +151,35 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/nowhere.json"]) == 2
 
 
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_directory_as_model_is_usage_error(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert "cannot read model file" in one_line_error(capsys)
+
+
+def test_model_file_not_utf8_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"modes": 3, "note": "é"}'.encode("latin-1"))
+    assert main(["check", str(path)]) == 1
+    assert "not UTF-8" in one_line_error(capsys)
+
+
+def test_deeply_nested_json_is_one_line_error(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main(["check", path]) == 1
+    assert "nested too deeply" in one_line_error(capsys)
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["check", "model2", "--out", str(tmp_path)]) == 2
+    assert "cannot write report" in one_line_error(capsys)
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

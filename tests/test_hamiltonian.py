@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from glomkit.errors import EnergyViolation
+from glomkit.errors import ContractViolation, EnergyViolation
 from glomkit.exactmath import poly_proportional, proportional
-from glomkit.hamiltonian import build_J, casimirs, is_gradient, jacobi, potential_of
-from glomkit.invariants import basis_contains, count_invariants, verify_conserved
+from glomkit.hamiltonian import build_J, casimirs, is_gradient, jacobi
+from glomkit.invariants import QuadraticForm, basis_contains, count_invariants, verify_conserved
 from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field, builtin_model
 
 from helpers import parse, parse_matrix, parse_vector
@@ -195,13 +195,28 @@ def test_advisory_casimirs_still_conserved():
         assert form.time_derivative(field).is_zero()
 
 
-def test_potential_of_recovers_gradient():
+def test_from_gradient_recovers_gradient():
     g = builtin_model("model2").zeroed(["q2"])
     cs = casimirs(g)
     vec = list(cs.nullspace_basis[0])
     assert is_gradient(vec)
-    form = potential_of(vec)
-    assert proportional(form.gradient(), vec)
+    form = QuadraticForm.from_gradient(vec)
+    assert form.gradient() == vec
+    # every form is read back from its own gradient, coefficient by coefficient
+    table = g.var_table
+    vec = [
+        parse(table, f"{k}*a1 - 1/{k}*b2*c1 + 3") if k % 3 else table.zero()
+        for k in range(1, g.modes * (g.modes + 3) // 2 + 1)
+    ]
+    form = QuadraticForm.from_coeff_vector(table, vec)
+    assert QuadraticForm.from_gradient(form.gradient()) == form
+
+
+def test_from_gradient_refuses_state_degree_two():
+    table = builtin_model("model2").var_table
+    vec = parse_vector(table, ["x1*x2", "0", "0"])
+    with pytest.raises(ContractViolation, match="not quadratic"):
+        QuadraticForm.from_gradient(vec)
 
 
 def test_odd_mode_models_have_nullspace_of_matching_parity():

@@ -14,7 +14,7 @@ from glomkit.hierarchy import (
     member,
     projection_consistency,
 )
-from glomkit.hamiltonian import build_J, jacobi, triple_residual, gyrostat_block
+from glomkit.hamiltonian import _superpose, build_J, jacobi, triple_residual
 from glomkit.models import assemble_field
 
 from helpers import FAMILY_TOP_K, parse, parse_vector
@@ -182,11 +182,15 @@ def test_incremental_cross_terms_telescope():
             members = generate(HierarchySpec(family, K_top, constrained))
             for small, g in zip(members, members[1:]):
                 table = g.var_table
-                blocks = [gyrostat_block(table, gy, g.modes) for gy in g.gyrostats]
-                prev_J = blocks[0]
-                for b in blocks[1:-1]:
-                    prev_J = prev_J.add(b)
+                blocks = [_superpose(table, g.modes, [gy]) for gy in g.gyrostats]
+                prev_J = _superpose(table, g.modes, g.gyrostats[:-1])
                 full_J = build_J(g).matrix
+                for r, s in itertools.product(range(g.modes), repeat=2):
+                    # J is the entrywise sum of the single-gyrostat blocks
+                    total = table.zero()
+                    for b in blocks:
+                        total = total + b[r, s]
+                    assert total == full_J[r, s]
                 cross = incremental_jacobi(g, small).triples
                 for triple in itertools.combinations(range(g.modes), 3):
                     # per-gyrostat self terms vanish
