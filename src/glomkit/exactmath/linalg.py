@@ -12,22 +12,26 @@ random integer points (`generic_point`).
 
 Polynomial nullspaces are empty at once when the rank at integer points
 is full; otherwise they come from Bareiss elimination with exact
-multivariate division.  There the pivot rule is lowest total degree, ties
-broken by column then row order, which keeps degree growth down and
-reproduces the textbook nullspace bases for the matrices this package
-builds.
+multivariate division (pivot rule: lowest total degree, ties broken by
+column then row order, which keeps degree growth down).  Each basis vector
+is the Cramer solution for one free column, whose back-substitution
+divisions are exact, divided by the gcd of its entries (`poly_gcd`): the
+primitive kernel vector, content 1, its first nonzero entry with a
+positive leading coefficient.
 """
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import attrgetter
-from typing import Mapping, Sequence
+from operator import add, attrgetter, neg, sub
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
-from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
+from .poly import Poly, PolyMatrix, normalized_vector
 
 # Range for the random integer values that generic_point gives every
 # variable of a matrix (count_invariants, independent_count, the
@@ -229,16 +233,22 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     b_coeff = b.terms[b_lead]
     quotient: dict[tuple[int, ...], Fraction] = {}
     rest = dict(a.terms)
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rest]  # largest monomial first
+    heapq.heapify(heap)
     while rest:
-        lead = max(rest, key=grlex_key)
-        q_mono = tuple(e - f for e, f in zip(lead, b_lead))
-        if any(e < 0 for e in q_mono):
+        lead = heapq.heappop(heap)[2]
+        if lead not in rest:  # cancelled after it was pushed
+            continue
+        q_mono = tuple(map(sub, lead, b_lead))
+        if min(q_mono) < 0:
             raise ContractViolation("polynomial division is not exact")
         q_coeff = rest[lead] / b_coeff
         quotient[q_mono] = q_coeff
         for m, c in b.terms.items():
-            t = tuple(x + y for x, y in zip(q_mono, m))
-            s = rest.get(t, Fraction(0)) - q_coeff * c
+            t = tuple(map(add, q_mono, m))
+            if t not in rest:
+                heapq.heappush(heap, (-sum(t), tuple(map(neg, t)), t))
+            s = rest.get(t, 0) - q_coeff * c
             if s:
                 rest[t] = s
             else:
@@ -294,12 +304,11 @@ def _echelon_poly(m: PolyMatrix) -> tuple[list[list[Poly]], list[tuple[int, Poly
 
 
 def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
-    """Nullspace basis over the fraction field, returned as polynomial vectors.
-
-    Denominators are cleared during back substitution; each vector is then
-    stripped of rational content, common monomial factors, and any leftover
-    pivot-polynomial factors introduced by the clearing, and is sign-fixed
-    so its first nonzero component has positive leading coefficient.
+    """Nullspace basis over the fraction field: for each free column of the
+    Bareiss echelon form, in column order, the primitive kernel vector that
+    is zero in the other free columns.  Primitive: the gcd of its entries is
+    1, their rational content is 1 and the first nonzero entry has a
+    positive leading coefficient.
     """
     # full column rank at one point means some maximal minor is a nonzero
     # polynomial, so the nullspace is {0}: a certificate, not a guess
@@ -309,25 +318,20 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     rows, pivots = _echelon_poly(m)
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(m.cols) if c not in pivot_cols]
-    one = table.const(1)
-    # factors that denominator clearing can smuggle into a vector: pivot
-    # values and the matrix entries themselves
-    factor_pool = [p for _, p in pivots]
-    factor_pool.extend(e for row in m.entries for e in row if e)
+    det = pivots[-1][1] if pivots else table.const(1)
     basis: list[list[Poly]] = []
     for fc in free:
+        # Cramer: with the last pivot (the r x r minor on the pivot rows and
+        # columns) at fc, every entry is an r x r minor: each division is exact
         w = [table.zero()] * m.cols
-        w[fc] = one
-        for i in range(len(pivots) - 1, -1, -1):
-            c, piv = pivots[i]
-            row = rows[i]
+        w[fc] = det
+        for row, (c, piv) in zip(reversed(rows), reversed(pivots)):
             s = table.zero()
-            for j in range(m.cols):
-                if j != c and row[j] and w[j]:
-                    s = s + row[j] * w[j]
-            w = [piv * w[j] if j != c else w[j] for j in range(m.cols)]
-            w[c] = -s
-        basis.append(_normalize_vector(w, factor_pool))
+            for e, x in zip(row, w):  # w[c] is still zero
+                if e and x:
+                    s = s + e * x
+            w[c] = -divide_exact(s, piv)
+        basis.append(normalized_vector(_divide_by_gcd(w)))
     for v in basis:
         check = m.mul_vector(v)
         if any(not e.is_zero() for e in check):
@@ -335,46 +339,93 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     return basis
 
 
-def _strip_content(vec: list[Poly]) -> list[Poly]:
-    """Remove rational content, sign and the common monomial factor of a vector."""
-    table = vec[0].table
-    vec = normalized_vector(vec)
-    mins = None
-    for v in vec:
-        if v:
-            mc = v.monomial_content()
-            mins = mc if mins is None else tuple(min(a, b) for a, b in zip(mins, mc))
-    if mins and any(mins):
-        vec = [
-            Poly(table, {tuple(e - s for e, s in zip(m, mins)): c for m, c in v.terms.items()})
-            if v
-            else v
-            for v in vec
-        ]
-    return vec
+def _divide_by_gcd(vec: list[Poly]) -> list[Poly]:
+    """vec divided by the gcd of its entries.
 
-
-def _normalize_vector(vec: list[Poly], pivot_polys: list[Poly]) -> list[Poly]:
-    if all(v.is_zero() for v in vec):
+    g = gcd(smallest entry, seeded random combination of the others) is a
+    multiple of the gcd, so g dividing every entry certifies it as the gcd;
+    otherwise the gcd is folded over the entries.
+    """
+    small, *rest = sorted((v for v in vec if v), key=lambda p: len(p.terms))
+    rng = random.Random(0)
+    mix = sum((v.scale(rng.randrange(1, 1 << 16)) for v in rest), small.table.zero())
+    g = poly_gcd(small, mix) if mix else small.normalized()
+    if not g.total_degree():
         return vec
-    # Denominator clearing can leave a pivot polynomial as a common factor;
-    # try dividing the whole vector by each multi-term pivot until nothing
-    # divides (pure-monomial pivots are covered by the content stripping).
-    candidates = {}
-    for p in pivot_polys:
-        norm = p.normalized()
-        if norm.total_degree() > 0 and len(norm.terms) > 1:
-            candidates[norm.key()] = norm
-    while True:
-        vec = _strip_content(vec)
-        for cand in candidates.values():
-            try:
-                vec = [divide_exact(v, cand) if v else v for v in vec]
-            except ContractViolation:
-                continue
+    try:
+        return [divide_exact(v, g) for v in vec]
+    except ContractViolation:
+        g = _gcd_all([g, *rest])
+        return [divide_exact(v, g) for v in vec]
+
+
+def _gcd_all(polys: Iterable[Poly]) -> Poly:
+    """gcd of nonzero polynomials, folded from the smallest."""
+    first, *rest = sorted(polys, key=lambda p: len(p.terms))
+    g = first.normalized()
+    for p in rest:
+        if not g.total_degree():
             break
-        else:
-            return vec
+        g = poly_gcd(g, p)
+    return g
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of two nonzero polynomials, content 1, positive leading coefficient.
+
+    The smaller one is the gcd if it divides the other.  A variable in only
+    one of them is dropped: the gcd divides each coefficient in it.  Else,
+    in the variable of lowest degree: the gcd of the contents times the last
+    member of the primitive pseudo-remainder sequence of the primitive parts.
+    """
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    if not a.total_degree():
+        return a.table.const(1)
+    with contextlib.suppress(ContractViolation):
+        divide_exact(b, a)
+        return a.normalized()
+    da, db = ({i: max(mono[i] for mono in p.terms) for i in p.variables()} for p in (a, b))
+    if lone := da.keys() ^ db.keys():
+        i = min(lone)
+        p, q = (a, b) if i in da else (b, a)
+        return _gcd_all([q, *_in_var(p, i).values()])
+    i = min(da, key=lambda i: (max(da[i], db[i]), i))
+    pa, pb = _in_var(a, i), _in_var(b, i)
+    g = poly_gcd(_gcd_all(pa.values()), _gcd_all(pb.values()))
+    pa, pb = sorted((_primitive_in_var(pa), _primitive_in_var(pb)), key=max, reverse=True)
+    while max(pb) and (r := _prem(pa, pb)):
+        pa, pb = pb, _primitive_in_var(r)
+    xi = a.table.var(a.table.names[i])
+    return (g * sum((c * xi**k for k, c in pb.items()), a.table.zero())).normalized()
+
+
+def _in_var(p: Poly, i: int) -> dict[int, Poly]:
+    """p as a polynomial in variable i: degree -> coefficient free of it."""
+    parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for mono, c in p.terms.items():
+        parts.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1:]] = c
+    return {k: Poly(p.table, t) for k, t in parts.items()}
+
+
+def _primitive_in_var(parts: dict[int, Poly]) -> dict[int, Poly]:
+    """A polynomial in one variable over its content, rational content 1."""
+    g = _gcd_all(parts.values())
+    coeffs = [divide_exact(c, g) if g.total_degree() else c for c in parts.values()]
+    return dict(zip(parts, normalized_vector(coeffs)))
+
+
+def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
+    """Pseudo-remainder of a by b, both polynomials in one variable."""
+    db = max(b)
+    while a and (da := max(a)) >= db:
+        la = a[da]
+        a = {k: b[db] * c for k, c in a.items() if k != da}
+        for k, c in b.items():
+            if k != db:
+                a[k + da - db] = a.get(k + da - db, c.table.zero()) - la * c
+        a = {k: c for k, c in a.items() if c}
+    return a
 
 
 def proportional(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import ContractViolation
@@ -30,6 +31,10 @@ def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
+# VarTable.for_model's tables; a table is never changed, so models share them
+_MODEL_TABLES: dict[tuple[int, int, tuple[str, ...]], "VarTable"] = {}
+
+
 class VarTable:
     """Ordered registry of state variables and parameter symbols.
 
@@ -38,7 +43,7 @@ class VarTable:
     extra shared symbols in the order given.
     """
 
-    __slots__ = ("names", "state_count", "_index", "_hash", "_zero_mono", "_zero")
+    __slots__ = ("names", "state_count", "_index", "_hash", "_monos", "_zero_mono", "_zero")
 
     def __init__(self, names: Iterable[str], state_count: int):
         self.names = tuple(names)
@@ -47,18 +52,24 @@ class VarTable:
             raise ContractViolation("variable names must be unique")
         self._index = {name: i for i, name in enumerate(self.names)}
         self._hash = hash((self.names, self.state_count))
+        self._monos: dict[Monomial, Monomial] = {}  # equal monomials share one tuple: kept results stay small
         self._zero_mono = (0,) * len(self.names)  # shared by every constant
         self._zero = Poly(self, {})  # Poly is immutable, so one zero serves all
 
     @classmethod
     def for_model(cls, modes: int, gyrostats: int, extra: Iterable[str] = ()) -> "VarTable":
-        names = [f"x{i}" for i in range(1, modes + 1)]
-        for k in range(1, gyrostats + 1):
-            names.extend(f"{letter}{k}" for letter in GYROSTAT_PARAM_LETTERS)
-        for name in extra:
-            if name not in names:
-                names.append(name)
-        return cls(names, modes)
+        """The one shared table of models with these sizes and extra symbols."""
+        key = (modes, gyrostats, tuple(extra))
+        table = _MODEL_TABLES.get(key)
+        if table is None:
+            names = [f"x{i}" for i in range(1, modes + 1)]
+            for k in range(1, gyrostats + 1):
+                names.extend(f"{letter}{k}" for letter in GYROSTAT_PARAM_LETTERS)
+            for name in key[2]:
+                if name not in names:
+                    names.append(name)
+            table = _MODEL_TABLES[key] = cls(names, modes)
+        return table
 
     def __len__(self) -> int:
         return len(self.names)
@@ -116,7 +127,8 @@ class Poly:
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction]):
         self.table = table
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        monos = table._monos
+        self.terms = {monos.setdefault(m, m): c for m, c in terms.items() if c != 0}
 
     # -- basic structure ----------------------------------------------------
 
@@ -186,7 +198,7 @@ class Poly:
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 s = out.get(m)
                 out[m] = ca * cb if s is None else s + ca * cb
         return Poly(self.table, out)  # nonzero: Q[x] has no zero divisors
@@ -308,17 +320,6 @@ class Poly:
         num = gcd(*(c.numerator for c in self.terms.values()))
         den = lcm(*(c.denominator for c in self.terms.values()))
         return Fraction(num, den)
-
-    def monomial_content(self) -> Monomial:
-        """Componentwise minimum exponent over all terms."""
-        it = iter(self.terms)
-        first = next(it)
-        mins = list(first)
-        for m in it:
-            for i, e in enumerate(m):
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
 
     def normalized(self) -> "Poly":
         """self divided by its content, with a positive leading coefficient."""

@@ -54,14 +54,13 @@ class HierarchySpec:
     def __post_init__(self):
         if self.k_max < 1:
             raise ContractViolation("k_max must be at least 1")
-        cap = FAMILY_MAX_K.get(self.family)
-        if cap is not None and self.k_max > cap:
-            raise ContractViolation(f"family {self.family} has at most {cap} gyrostats")
-        if self.family not in FAMILY_STRIDE:
-            raise ContractViolation(f"unknown family {self.family!r}")
+        family_triples(self.family, self.k_max)  # refuses an unknown family or a K past its cap
 
 
 def family_triples(family: Family, K: int) -> tuple[tuple[int, int, int], ...]:
+    cap = FAMILY_MAX_K.get(family)
+    if cap is not None and K > cap:
+        raise ContractViolation(f"family {family} has at most {cap} gyrostats")
     if family == "sparse":
         return sparse_triples(K)
     if family in ("dense1", "dense2"):
@@ -202,8 +201,8 @@ def check_recurrence(family: Family, k_max: int) -> bool:
     """
     if k_max < 3:
         raise ContractViolation("recurrence checking needs k_max >= 3")
-    stride = FAMILY_STRIDE[family]
     gloms = [member(family, K, constrained=False) for K in range(1, k_max + 1)]
+    stride = FAMILY_STRIDE[family]
     # conditions[i] is the step to K = i + 2 gyrostats
     conditions = [incremental_jacobi(big, small).condition for small, big in zip(gloms, gloms[1:])]
     for cur, nxt, big in zip(conditions[1:], conditions[2:], gloms[3:]):

@@ -1,7 +1,9 @@
 """Shared test utilities: a small polynomial expression parser, the
 closed-form invariants of the sparse feedback-free family, the
-criterion-11 conservation fixtures, and independent brute-force oracles
-(among them the interpreted RK4 stepper that generated code must match)."""
+criterion-11 conservation fixtures, the Hamiltonian test models, and
+independent brute-force oracles (among them the interpreted RK4 stepper
+that generated code must match and the symbolic nullspace by denominator
+clearing)."""
 
 from __future__ import annotations
 
@@ -11,13 +13,22 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from glomkit.errors import IntegrationError
-from glomkit.exactmath import Poly, PolyMatrix, VarTable
-from glomkit.exactmath.linalg import GENERIC_HIGH, GENERIC_LOW, GENERIC_TRIALS, evaluate_at, rank_rational
+from glomkit.errors import ContractViolation, IntegrationError
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg
+from glomkit.exactmath.linalg import (
+    GENERIC_HIGH,
+    GENERIC_LOW,
+    GENERIC_TRIALS,
+    divide_exact,
+    evaluate_at,
+    generic_rank,
+    rank_rational,
+)
+from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.hierarchy import member
 from glomkit.invariants import QuadraticForm, count_invariants, verify_conserved
-from glomkit.models import Glom, assemble_field, builtin_model, instantiate
+from glomkit.models import Glom, ParamSpec, assemble_field, builtin_model, instantiate
 from glomkit.simulate import SimConfig, compile_field, compile_form, initial_state
 
 # the largest member of each hierarchy family in the benchmark and the
@@ -298,6 +309,75 @@ def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dic
     return best, points
 
 
+# The symbolic nullspace by denominator clearing: the back-substitution
+# multiplies the whole vector by every pivot, then each multi-term pivot
+# (normalized) is divided out until none divides, with rational and
+# monomial content stripped in between.  The reference for the Cramer
+# back-substitution and exact gcd in exactmath.linalg.
+
+
+def _strip_content_reference(vec: list[Poly]) -> list[Poly]:
+    table = vec[0].table
+    vec = normalized_vector(vec)
+    monos = [m for v in vec for m in v.terms]
+    mins = tuple(map(min, zip(*monos))) if monos else None
+    if mins and any(mins):
+        vec = [
+            Poly(table, {tuple(e - s for e, s in zip(m, mins)): c for m, c in v.terms.items()})
+            if v
+            else v
+            for v in vec
+        ]
+    return vec
+
+
+def _normalize_vector_reference(vec: list[Poly], pivot_polys: list[Poly]) -> list[Poly]:
+    if all(v.is_zero() for v in vec):
+        return vec
+    candidates = {}
+    for p in pivot_polys:
+        norm = p.normalized()
+        if norm.total_degree() > 0 and len(norm.terms) > 1:
+            candidates[norm.key()] = norm
+    while True:
+        vec = _strip_content_reference(vec)
+        for cand in candidates.values():
+            try:
+                vec = [divide_exact(v, cand) if v else v for v in vec]
+            except ContractViolation:
+                continue
+            break
+        else:
+            return vec
+
+
+def nullspace_symbolic_reference(m: PolyMatrix) -> list[list[Poly]]:
+    if generic_rank(m) == m.cols:
+        return []
+    table = m.table
+    rows, pivots = linalg._echelon_poly(m)  # looked up per call, so tests can share it
+    pivot_cols = {c for c, _ in pivots}
+    free = [c for c in range(m.cols) if c not in pivot_cols]
+    one = table.const(1)
+    factor_pool = [p for _, p in pivots]
+    factor_pool.extend(e for row in m.entries for e in row if e)
+    basis: list[list[Poly]] = []
+    for fc in free:
+        w = [table.zero()] * m.cols
+        w[fc] = one
+        for i in range(len(pivots) - 1, -1, -1):
+            c, piv = pivots[i]
+            row = rows[i]
+            s = table.zero()
+            for j in range(m.cols):
+                if j != c and row[j] and w[j]:
+                    s = s + row[j] * w[j]
+            w = [piv * w[j] if j != c else w[j] for j in range(m.cols)]
+            w[c] = -s
+        basis.append(_normalize_vector_reference(w, factor_pool))
+    return basis
+
+
 def determinant_by_permutations(rows: list[list[Fraction]]) -> Fraction:
     """Leibniz-formula determinant; an elimination-free oracle."""
     import itertools
@@ -316,6 +396,28 @@ def determinant_by_permutations(rows: list[list[Fraction]]) -> Fraction:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def hamiltonian_models():
+    """model1-5, euler and the subclasses of acceptance criteria 5 and 6."""
+    models = {
+        name: builtin_model(name)
+        for name in ("model1", "model2", "model3", "model4", "model5", "euler")
+    }
+    models["model2_q2"] = builtin_model("model2").zeroed(["q2"])
+    for names in (["p1", "b1", "c1"], ["p2", "c1", "b2"]):
+        models["model1_" + "".join(names)] = builtin_model("model1").zeroed(names)
+    models["model3_branch"] = builtin_model("model3").with_params(
+        {
+            "p2": ParamSpec.scaled("p1", 1),
+            "q1": ParamSpec.scaled("p1", 1),
+            "p3": ParamSpec.scaled("q2", -1),
+            "q3": ParamSpec.scaled("q2", -1),
+        }
+    )
+    for K in range(1, 5):
+        models[f"sparse{K}"] = member("sparse", K)
+    return models
 
 
 def _conservation_fixture(tag, g, seed):

@@ -339,9 +339,8 @@ def test_invariants_reports_match_golden_bytes(tmp_path, model, seed):
 
 
 # Reports of the other commands, byte-compared like the invariants reports.
-# casimirs model4 --subclass c1,c2,c3 (about 40 s: odd M, so J is singular
-# and the symbolic elimination runs in full) is left out to keep the suite
-# fast.
+# The odd-M casimirs subclasses run the symbolic elimination in full (J is
+# singular), and their Cramer kernel vectors share a polynomial factor.
 FIXTURES = ("model1", "model2", "model3", "model4", "model5", "euler")
 GOLDEN_REPORTS = {
     **{f"jacobi_{m}": ["jacobi", m] for m in FIXTURES},
@@ -350,6 +349,10 @@ GOLDEN_REPORTS = {
         f"{cmd}_{m}_{sub.replace(',', '')}": [cmd, m, "--subclass", sub]
         for cmd in ("jacobi", "casimirs")
         for m, sub in (("model2", "q2"), ("model1", "p1,b1,c1"), ("model1", "p2,c1,b2"))
+    },
+    **{
+        f"casimirs_{m}_{sub.replace(',', '')}": ["casimirs", m, "--subclass", sub]
+        for m, sub in (("model4", "c1,c2,c3"), ("model3", "p3,q3"))
     },
     **{
         f"hierarchy_{f}_k{k}": ["hierarchy", "--family", f, "--k", str(k)]

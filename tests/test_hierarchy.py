@@ -120,6 +120,14 @@ def test_generate_caps_coupled_families():
         generate(HierarchySpec("model5", 6))
 
 
+@pytest.mark.parametrize("family, cap", [("model4", 3), ("model5", 5)])
+def test_member_refuses_k_past_the_cap(family, cap):
+    assert member(family, cap).K == cap
+    for constrained in (True, False):
+        with pytest.raises(ContractViolation, match=f"^family {family} has at most {cap} gyrostats$"):
+            member(family, cap + 1, constrained)
+
+
 def test_sparse_constrained_member_matches_printed_model():
     g = member("sparse", 2)
     field = assemble_field(g)
@@ -213,7 +221,13 @@ def test_recurrence_flags():
     assert check_recurrence("dense1", 4)
     assert check_recurrence("dense2", 4)
     assert not check_recurrence("model5", 5)
-    assert not check_recurrence("model4", 3) or True  # vacuous at k_max=3
+    # k_max=3 gives the steps to K=2 and K=3 only, and the first pair
+    # compared is K=3 against K=4: nothing is compared
+    assert check_recurrence("model4", 3) is True
+    with pytest.raises(ContractViolation, match="^family model4 has at most 3 gyrostats$"):
+        check_recurrence("model4", 4)
+    with pytest.raises(ContractViolation, match="^unknown family 'bogus'$"):
+        check_recurrence("bogus", 3)
 
 
 # ---------------------------------------------------------------------------

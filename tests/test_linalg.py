@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from glomkit.exactmath.linalg import (
     evaluate_at,
     generic_point,
     nullspace_rational,
+    poly_gcd,
     rank_rational,
 )
 from glomkit.exactmath import linalg
@@ -33,6 +36,8 @@ from helpers import (
     bareiss_nullspace,
     bareiss_rank,
     determinant_by_permutations,
+    hamiltonian_models,
+    nullspace_symbolic_reference,
     parameter_only_generic_rank,
     parse,
     parse_vector,
@@ -165,6 +170,37 @@ def test_symbolic_nullity_matches_generic_rank():
     for g in gloms:
         J = build_J(g).matrix
         assert len(nullspace_symbolic(J)) == J.cols - generic_rank(J)
+
+
+def reference_models():
+    """model1-5, euler, the criterion-5/6 subclasses, sparse K=1..4 and
+    every 1- and 2-slot subclass of model3."""
+    models = hamiltonian_models()
+    g = builtin_model("model3")
+    for k in (1, 2):
+        for zeros in itertools.combinations(g.generic_param_names(), k):
+            models["model3_" + "".join(zeros)] = g.zeroed(zeros)
+    return models
+
+
+def test_nullspace_symbolic_matches_reference(monkeypatch):
+    # one forward elimination per matrix serves both sides, which differ in
+    # the back-substitution and the normalization only
+    monkeypatch.setattr(linalg, "_echelon_poly", functools.cache(linalg._echelon_poly))
+    for name, g in reference_models().items():
+        J = build_J(g).matrix
+        assert nullspace_symbolic(J) == nullspace_symbolic_reference(J), name
+
+
+def test_poly_gcd_finds_a_common_factor():
+    table = VarTable.for_model(3, 2)
+    common = parse(table, "a1*x1 + b2*p1 - 2")
+    a = parse(table, "x2^2*c1 + q2") * common
+    b = parse(table, "p1*x3 - a2*c1 + 1/3") * parse(table, "x1") * common
+    assert poly_gcd(a, b) == common.normalized()
+    assert poly_gcd(a * b, b) == b.normalized()
+    assert poly_gcd(a, parse(table, "x2 + a1")) == table.const(1)
+    assert poly_gcd(parse(table, "-3*x1*x2^2"), parse(table, "6*x1^2*c1")) == parse(table, "x1")
 
 
 def test_generic_rank_draws_as_when_it_substituted_parameters_only(monkeypatch):

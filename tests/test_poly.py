@@ -62,6 +62,18 @@ def test_mixed_tables_rejected():
         t1.x(1) + t2.x(1)
 
 
+def test_model_tables_are_shared():
+    t = VarTable.for_model(3, 1)
+    assert VarTable.for_model(3, 1) is t
+    assert VarTable.for_model(3, 1, ["s"]) is VarTable.for_model(3, 1, ("s",))
+    assert VarTable.for_model(3, 1, ["s"]) is not t
+    built = VarTable(t.names, t.state_count)  # equality and hash still go by value
+    assert built is not t and built == t and hash(built) == hash(t)
+    # equal monomials of a table's polynomials are one tuple
+    p, q = parse(t, "p1*x2 + b1"), parse(t, "x2*p1")
+    assert [m for m in p.terms if m in q.terms][0] is next(iter(q.terms))
+
+
 def test_degrees_and_split(table):
     p = parse(table, "p1*x2*x3 + b1*x3 - c1*x2")
     assert p.total_degree() == 3

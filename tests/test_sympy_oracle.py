@@ -1,17 +1,21 @@
-"""Invariant counts and bases, J, its Jacobi residuals and nullspace, and
-the Casimir gradients checked against sympy."""
+"""Invariant counts and bases, J, its Jacobi residuals and nullspace, the
+Casimir gradients and the polynomial gcd checked against sympy."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from glomkit.exactmath import VarTable
+from glomkit.exactmath.linalg import poly_gcd
 from glomkit.hamiltonian import build_J, casimirs, jacobi
-from glomkit.hierarchy import member
 from glomkit.invariants import build_system, count_invariants
-from glomkit.models import ParamSpec, assemble_field, builtin_model, no_linear_feedback
+from glomkit.models import assemble_field, builtin_model, no_linear_feedback
+
+from helpers import hamiltonian_models
 
 MODELS = ("model1", "model2", "model3", "model4", "model5", "euler")
 
@@ -59,25 +63,6 @@ def test_invariant_count_and_basis_match_sympy(name, feedback_free):
 
 # ---------------------------------------------------------------------------
 # J, Jacobi residuals, NULL(J) and Casimirs
-
-
-def hamiltonian_models():
-    """model1-5, euler and the subclasses of acceptance criteria 5 and 6."""
-    models = {name: builtin_model(name) for name in MODELS}
-    models["model2_q2"] = builtin_model("model2").zeroed(["q2"])
-    for names in (["p1", "b1", "c1"], ["p2", "c1", "b2"]):
-        models["model1_" + "".join(names)] = builtin_model("model1").zeroed(names)
-    models["model3_branch"] = builtin_model("model3").with_params(
-        {
-            "p2": ParamSpec.scaled("p1", 1),
-            "q1": ParamSpec.scaled("p1", 1),
-            "p3": ParamSpec.scaled("q2", -1),
-            "q3": ParamSpec.scaled("q2", -1),
-        }
-    )
-    for K in range(1, 5):
-        models[f"sparse{K}"] = member("sparse", K)
-    return models
 
 
 HAMILTONIAN_MODELS = hamiltonian_models()
@@ -142,9 +127,30 @@ def test_J_and_jacobi_residuals_match_sympy(name):
     assert is_zero(aggregate - to_sympy(report.aggregate))
 
 
-@pytest.mark.parametrize("name", HAMILTONIAN_MODELS)
+# plus the two subclasses pinned as golden reports, whose Cramer kernel
+# vectors share a polynomial factor
+NULLSPACE_MODELS = {
+    **HAMILTONIAN_MODELS,
+    "model4_c1c2c3": builtin_model("model4").zeroed(["c1", "c2", "c3"]),
+    "model3_p3q3": builtin_model("model3").zeroed(["p3", "q3"]),
+}
+
+
+def is_primitive(entries) -> bool:
+    """Is the gcd of the nonzero entries over the integers 1?"""
+    gens = sorted(set().union(*(e.free_symbols for e in entries)), key=str) or [sympy.Dummy()]
+    polys = sorted((sympy.Poly(e, *gens) for e in entries if e != 0), key=lambda p: len(p.terms()))
+    g = polys[0]
+    for p in polys[1:]:  # folded from the smallest
+        if g.is_ground:
+            break
+        g = g.gcd(p)
+    return g.is_ground and abs(g.LC()) == 1
+
+
+@pytest.mark.parametrize("name", NULLSPACE_MODELS)
 def test_nullspace_and_casimirs_match_sympy(name):
-    g = HAMILTONIAN_MODELS[name]
+    g = NULLSPACE_MODELS[name]
     J, x = sympy_J(g)
     cs = casimirs(g)
     rng = random.Random(20251)
@@ -156,6 +162,7 @@ def test_nullspace_and_casimirs_match_sympy(name):
     vectors = [sympy.Matrix([to_sympy(v) for v in vec]) for vec in cs.nullspace_basis]
     for v in vectors:
         assert all(is_zero(e) for e in J * v)
+        assert is_primitive(v)
     for form in cs.casimirs:
         value = to_sympy(form.value_poly())
         grad = [sympy.diff(value, xi) for xi in x]
@@ -163,3 +170,30 @@ def test_nullspace_and_casimirs_match_sympy(name):
             all(is_zero(grad[i] * v[j] - grad[j] * v[i]) for i in range(g.modes) for j in range(i))
             for v in vectors
         ), form
+
+
+def test_poly_gcd_matches_sympy_on_products_with_a_common_factor():
+    table = VarTable.for_model(3, 2)
+    names = ("x1", "x2", "x3", "a1", "b1", "c2", "p2")
+    rng = random.Random(11)
+
+    def random_poly(terms):
+        p = table.zero()
+        for _ in range(terms):
+            term = table.const(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+            for _ in range(rng.randrange(3)):
+                term = term * table.var(rng.choice(names))
+            p = p + term
+        return p
+
+    checked = 0
+    for _ in range(40):
+        common = random_poly(rng.randrange(1, 4))
+        a = random_poly(rng.randrange(1, 5)) * common
+        b = random_poly(rng.randrange(1, 5)) * common
+        if not (a and b):
+            continue
+        got, want = to_sympy(poly_gcd(a, b)), sympy.gcd(to_sympy(a), to_sympy(b))
+        assert sympy.cancel(got / want).is_Rational, (str(a), str(b))
+        checked += 1
+    assert checked >= 30
