@@ -23,7 +23,7 @@ from .exactmath import (
     nullspace_symbolic,
     proportional,
 )
-from .hamiltonian import CasimirSet, JacobiReport, SkewPolyMatrix, build_J, casimirs, jacobi
+from .hamiltonian import CasimirSet, JacobiReport, build_J, casimirs, jacobi
 from .hierarchy import (
     HierarchyReport,
     HierarchySpec,
@@ -82,7 +82,6 @@ __all__ = [
     "QuadraticForm",
     "SignSymmetry",
     "SimConfig",
-    "SkewPolyMatrix",
     "VarTable",
     "VectorField",
     "assemble_field",

@@ -249,10 +249,15 @@ def print_table(rows: list[Sequence[str]], header: Sequence[str] | None = None) 
 # commands
 
 
-def _apply_subclass(g: Glom, subclass: str | None) -> Glom:
-    if not subclass:
+def _split_names(pieces: list[str] | None) -> list[str]:
+    """The comma-separated items of a repeatable option, all pieces joined."""
+    return [tok.strip() for piece in pieces or () for tok in piece.split(",") if tok.strip()]
+
+
+def _apply_subclass(g: Glom, subclass: list[str] | None) -> Glom:
+    names = _split_names(subclass)
+    if not names:
         return g
-    names = [tok.strip() for tok in subclass.split(",") if tok.strip()]
     for name in names:
         if "=" in name:
             raise UsageError(f"--subclass takes names of parameters to set to zero, got {name!r}")
@@ -328,7 +333,7 @@ def cmd_casimirs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     g = load_model(args.model)
-    vary = [tok.strip() for tok in args.vary.split(",") if tok.strip()]
+    vary = _split_names(args.vary)
     if not vary:
         raise ConfigError("--vary needs at least one parameter name")
     table = enumerate_subclasses(g, vary, seed=args.seed)
@@ -387,23 +392,19 @@ def cmd_hierarchy(args) -> int:
     return EXIT_OK
 
 
-def _parse_assignments(tokens: list[str]) -> dict[str, Fraction]:
+def _parse_assignments(tokens: list[str] | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
-    for token in tokens:
-        for piece in token.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if "=" not in piece:
-                raise ConfigError(f"--assign expects name=value, got {piece!r}")
-            name, _, value = piece.partition("=")
-            name = name.strip()
-            if name in out:
-                raise ConfigError(f"--assign gives {name!r} more than once")
-            try:
-                out[name] = Fraction(value.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"--assign {piece!r}: not a rational value") from None
+    for piece in _split_names(tokens):
+        if "=" not in piece:
+            raise ConfigError(f"--assign expects name=value, got {piece!r}")
+        name, _, value = piece.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ConfigError(f"--assign gives {name!r} more than once")
+        try:
+            out[name] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"--assign {piece!r}: not a rational value") from None
     return out
 
 
@@ -419,7 +420,7 @@ def _parse_state(text: str, modes: int) -> tuple[float, ...]:
 
 def cmd_simulate(args) -> int:
     g = load_model(args.model)
-    assignment = _parse_assignments(args.assign or [])
+    assignment = _parse_assignments(args.assign)
     # values go to symbols, so tied slots take one value
     symbols = set(g.free_symbols())
     missing = symbols - set(assignment)
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=default_seed)
         if subclass:
             p.add_argument(
-                "--subclass", help="comma-separated parameter names to set to zero"
+                "--subclass", action="append", help="comma-separated parameter names to set to zero"
             )
 
     common(sub.add_parser("check", help="validate the energy constraint"))
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("casimirs", help="extract Casimirs from NULL(J)"), subclass=True)
     p = sub.add_parser("enumerate", help="invariant counts over parameter subclasses")
     common(p, seed=True)
-    p.add_argument("--vary", required=True, help="comma-separated parameter names")
+    p.add_argument("--vary", action="append", required=True, help="comma-separated parameter names")
     p = sub.add_parser("hierarchy", help="analyze a model hierarchy")
     p.add_argument("--family", required=True, choices=["sparse", "dense1", "dense2", "model4", "model5"])
     p.add_argument("--k", type=int, required=True, help="largest member size")

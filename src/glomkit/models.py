@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ContractViolation
 from .exactmath import Poly, VarTable
 
-SIGN_SYMMETRY_MODE_LIMIT = 24
+SIGN_SYMMETRY_GENERATOR_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -267,19 +267,6 @@ class SignSymmetry:
         return SignSymmetry(tuple(a * b for a, b in zip(self.signs, other.signs)))
 
 
-def apply_signs(poly: Poly, signs: Sequence[int]) -> Poly:
-    """Substitute x_i -> s_i * x_i for the state variables."""
-    M = poly.table.state_count
-    out = {}
-    for m, c in poly.terms.items():
-        flip = 1
-        for i in range(M):
-            if m[i] % 2 and signs[i] < 0:
-                flip = -flip
-        out[m] = c if flip > 0 else -c
-    return Poly(poly.table, out)
-
-
 def assemble_field(g: Glom) -> VectorField:
     """Superpose the gyrostat rows into the M mode equations."""
     table = g.var_table
@@ -321,20 +308,16 @@ def check_energy(g: Glom) -> EnergyReport:
 def find_sign_symmetries(g: Glom) -> list[SignSymmetry]:
     """All nontrivial sign vectors s with f(Sx) = S f(x) as polynomial identities.
 
-    The condition is linear over GF(2) in the exponent parities, so the 2^M
-    search space is cut down by solving that system first; every candidate is
-    then verified against the field directly.
+    Monomial by monomial, the condition is one linear equation over GF(2)
+    in the sign bits, so the symmetries are exactly the nonzero vectors of
+    that system's nullspace: 2^k - 1 of them for k basis vectors, which is
+    refused past SIGN_SYMMETRY_GENERATOR_LIMIT.
     """
-    if g.modes > SIGN_SYMMETRY_MODE_LIMIT:
-        raise ContractViolation(
-            f"sign-symmetry enumeration is limited to {SIGN_SYMMETRY_MODE_LIMIT} modes"
-        )
     M = g.modes
-    field = assemble_field(g)
     # Each monomial in component i yields the GF(2) equation
     # sum_j exp_j * sigma_j + sigma_i = 0 over sign bits sigma.
     equations: set[int] = set()
-    for i, comp in enumerate(field.components):
+    for i, comp in enumerate(assemble_field(g).components):
         for mono in comp.terms:
             bits = 1 << i
             for j in range(M):
@@ -343,28 +326,19 @@ def find_sign_symmetries(g: Glom) -> list[SignSymmetry]:
             if bits:
                 equations.add(bits)
     basis = _gf2_nullspace(sorted(equations), M)
+    if len(basis) > SIGN_SYMMETRY_GENERATOR_LIMIT:
+        raise ContractViolation(
+            f"{2 ** len(basis) - 1} sign symmetries from {len(basis)} generators: "
+            f"enumeration is limited to {SIGN_SYMMETRY_GENERATOR_LIMIT} generators"
+        )
     symmetries = []
+    vec = 0
     for combo in range(1, 1 << len(basis)):
-        vec = 0
-        for t, b in enumerate(basis):
-            if combo >> t & 1:
-                vec ^= b
-        if vec == 0:
-            continue
-        signs = tuple(-1 if vec >> j & 1 else 1 for j in range(M))
-        if _is_symmetry(field, signs):
-            symmetries.append(SignSymmetry(signs))
+        # Gray-code order: each step flips the generator at combo's lowest set bit
+        vec ^= basis[(combo & -combo).bit_length() - 1]
+        symmetries.append(SignSymmetry(tuple(-1 if vec >> j & 1 else 1 for j in range(M))))
     symmetries.sort(key=lambda s: s.signs)
     return symmetries
-
-
-def _is_symmetry(field: VectorField, signs: Sequence[int]) -> bool:
-    for i, comp in enumerate(field.components):
-        lhs = apply_signs(comp, signs)
-        rhs = comp if signs[i] > 0 else -comp
-        if lhs != rhs:
-            return False
-    return True
 
 
 def _gf2_nullspace(equations: list[int], n_bits: int) -> list[int]:

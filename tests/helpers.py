@@ -2,16 +2,18 @@
 closed-form invariants of the sparse feedback-free family, the
 criterion-11 conservation fixtures, the Hamiltonian test models, and
 independent brute-force oracles (among them the interpreted RK4 stepper
-that generated code must match and the symbolic nullspace by denominator
-clearing)."""
+that generated code must match, the symbolic nullspace by denominator
+clearing and the sign-symmetry identity checked by substitution)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 from glomkit.errors import ContractViolation, IntegrationError
 from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg
@@ -28,7 +30,14 @@ from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.hierarchy import member
 from glomkit.invariants import QuadraticForm, count_invariants, verify_conserved
-from glomkit.models import Glom, ParamSpec, assemble_field, builtin_model, instantiate
+from glomkit.models import (
+    Glom,
+    ParamSpec,
+    VectorField,
+    assemble_field,
+    builtin_model,
+    instantiate,
+)
 from glomkit.simulate import SimConfig, compile_field, compile_form, initial_state
 
 # the largest member of each hierarchy family in the benchmark and the
@@ -418,6 +427,39 @@ def hamiltonian_models():
     for K in range(1, 5):
         models[f"sparse{K}"] = member("sparse", K)
     return models
+
+
+def reference_models():
+    """model1-5, euler, the criterion-5/6 subclasses, sparse K=1..4 and
+    every 1- and 2-slot subclass of model3."""
+    models = hamiltonian_models()
+    g = builtin_model("model3")
+    for k in (1, 2):
+        for zeros in itertools.combinations(g.generic_param_names(), k):
+            models["model3_" + "".join(zeros)] = g.zeroed(zeros)
+    return models
+
+
+def apply_signs(poly: Poly, signs: Sequence[int]) -> Poly:
+    """Substitute x_i -> s_i * x_i for the state variables."""
+    M = poly.table.state_count
+    out = {}
+    for m, c in poly.terms.items():
+        flip = 1
+        for i in range(M):
+            if m[i] % 2 and signs[i] < 0:
+                flip = -flip
+        out[m] = c if flip > 0 else -c
+    return Poly(poly.table, out)
+
+
+def is_sign_symmetry(field: VectorField, signs: Sequence[int]) -> bool:
+    """f(Sx) == S f(x), compared as polynomials: the brute-force oracle for
+    find_sign_symmetries."""
+    return all(
+        apply_signs(comp, signs) == (comp if signs[i] > 0 else -comp)
+        for i, comp in enumerate(field.components)
+    )
 
 
 def _conservation_fixture(tag, g, seed):

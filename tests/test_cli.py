@@ -232,6 +232,27 @@ def test_repeated_vary_name_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "joined, repeated",
+    [
+        (["invariants", "model1", "--subclass", "a1,b1"], ["--subclass", "a1", "--subclass", "b1"]),
+        (["casimirs", "model2", "--subclass", "q2,c1"], ["--subclass", "q2", "--subclass", " c1,"]),
+        (["enumerate", "model1", "--vary", "a1,b1"], ["--vary", "a1", "--vary", "b1"]),
+    ],
+)
+def test_repeated_flag_joins_its_pieces(tmp_path, joined, repeated):
+    a, b = tmp_path / "joined.json", tmp_path / "repeated.json"
+    assert main(joined + ["--out", str(a)]) == 0
+    assert main(joined[:2] + repeated + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_vary_name_repeated_across_flags_is_one_line_error(capsys):
+    assert main(["enumerate", "model1", "--vary", "b1,c1", "--vary", "b1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'b1'" in err
+
+
 def test_hierarchy_command(tmp_path):
     out = tmp_path / "report.json"
     assert main(["hierarchy", "--family", "sparse", "--k", "3", "--out", str(out)]) == 0

@@ -6,10 +6,11 @@ import pytest
 from glomkit.errors import ContractViolation, EnergyViolation
 from glomkit.exactmath import poly_proportional, proportional
 from glomkit.hamiltonian import build_J, casimirs, is_gradient, jacobi
+from glomkit.hierarchy import member
 from glomkit.invariants import QuadraticForm, basis_contains, count_invariants, verify_conserved
 from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field, builtin_model
 
-from helpers import parse, parse_matrix, parse_vector
+from helpers import FAMILY_TOP_K, parse, parse_matrix, parse_vector, reference_models
 
 SINGLE_J = [
     ["0", "-c1", "p1*x2 + b1"],
@@ -39,30 +40,51 @@ def model3_hamiltonian_branch() -> Glom:
 def test_single_gyrostat_J_matches_printed_matrix():
     g = builtin_model("sparse", 1)
     J = build_J(g)
-    assert [list(r) for r in J.matrix.entries] == parse_matrix(g.var_table, SINGLE_J)
+    assert [list(r) for r in J.entries] == parse_matrix(g.var_table, SINGLE_J)
 
 
 def test_model1_J_matches_printed_superposition():
     g = builtin_model("model1")
     J = build_J(g)
-    assert [list(r) for r in J.matrix.entries] == parse_matrix(g.var_table, MODEL1_J)
+    assert [list(r) for r in J.entries] == parse_matrix(g.var_table, MODEL1_J)
 
 
 def test_J_times_x_recovers_field_and_skewness():
-    for name in ("model1", "model2", "model3", "model4", "model5"):
-        g = builtin_model(name)
-        J = build_J(g).matrix
+    # build_J does not re-check these identities, so they are proven here on
+    # every kind of model the analysis runs on
+    ex, gen = ParamSpec.exact, ParamSpec.generic
+    exact_r = Glom(
+        4,
+        (
+            Gyrostat((1, 2, 3), a=gen(), b=ex("1/2"), c=gen(), p=ex(1), q=ex(2), r_explicit=ex(-3)),
+            Gyrostat((2, 3, 4), a=gen(), b=gen(), c=ex(0), p=ex("-1/3"), q=ex(0), r_explicit=ex("1/3")),
+        ),
+    )
+    tied = builtin_model("model2").with_params(
+        {"c2": ParamSpec.scaled("b2", 1), "a1": ParamSpec.scaled("q1", -2)}
+    )
+    models = [*reference_models().values(), builtin_model("model5_numeric"), exact_r, tied]
+    models += [
+        member(family, K, constrained)
+        for family, k_top in FAMILY_TOP_K.items()
+        for K in range(1, k_top + 1)
+        for constrained in (True, False)
+    ]
+    for g in models:
+        J = build_J(g)
+        assert (J.rows, J.cols) == (g.modes, g.modes)
         jx = J.mul_vector([g.var_table.x(i) for i in range(1, g.modes + 1)])
         assert jx == list(assemble_field(g).components)
         for i in range(g.modes):
             for j in range(g.modes):
                 assert (J[i, j] + J[j, i]).is_zero()
+                assert J[i, j].state_degree() <= 1
 
 
 def test_no_gyrostats_gives_zero_J():
     zero = ParamSpec.zero()
     g = Glom(3, (Gyrostat((1, 2, 3), a=zero, b=zero, c=zero, p=zero, q=zero),))
-    assert build_J(g).matrix.is_zero()
+    assert build_J(g).is_zero()
 
 
 def test_build_J_refuses_energy_violation():
@@ -174,7 +196,7 @@ def test_casimirs_conserved_and_annihilated():
         builtin_model("model2").zeroed(["q2"]),
         builtin_model("model1").zeroed(["p2", "c1", "b2"]),
     ):
-        J = build_J(g).matrix
+        J = build_J(g)
         field = assemble_field(g)
         cs = casimirs(g)
         for form in cs.casimirs:
@@ -188,7 +210,7 @@ def test_advisory_casimirs_still_conserved():
     cs = casimirs(g)
     assert cs.advisory
     field = assemble_field(g)
-    J = build_J(g).matrix
+    J = build_J(g)
     for vec in cs.nullspace_basis:
         assert all(e.is_zero() for e in J.mul_vector(list(vec)))
     for form in cs.casimirs:
@@ -226,7 +248,7 @@ def test_odd_mode_models_have_nullspace_of_matching_parity():
     for name in ("model2", "model3", "model4"):
         g = builtin_model(name)
         assert g.modes % 2 == 1
-        basis = nullspace_symbolic(build_J(g).matrix)
+        basis = nullspace_symbolic(build_J(g))
         assert len(basis) >= 1
         assert (g.modes - len(basis)) % 2 == 0
 

@@ -192,7 +192,7 @@ def test_incremental_cross_terms_telescope():
                 table = g.var_table
                 blocks = [_superpose(table, g.modes, [gy]) for gy in g.gyrostats]
                 prev_J = _superpose(table, g.modes, g.gyrostats[:-1])
-                full_J = build_J(g).matrix
+                full_J = build_J(g)
                 for r, s in itertools.product(range(g.modes), repeat=2):
                     # J is the entrywise sum of the single-gyrostat blocks
                     total = table.zero()

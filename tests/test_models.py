@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
+from glomkit import models
 from glomkit.errors import ContractViolation
+from glomkit.hierarchy import FAMILY_MAX_K, member
 from glomkit.models import (
     Glom,
     Gyrostat,
     ParamSpec,
-    apply_signs,
     assemble_field,
     builtin_model,
     check_energy,
@@ -13,7 +16,7 @@ from glomkit.models import (
     no_linear_feedback,
 )
 
-from helpers import parse_vector
+from helpers import is_sign_symmetry, parse_vector
 
 MODEL1_COMPONENTS = [
     "p1*x2*x3 + b1*x3 - c1*x2",
@@ -177,19 +180,53 @@ def test_model1_generic_has_no_symmetries():
     assert find_sign_symmetries(builtin_model("model1")) == []
 
 
+def symmetry_models():
+    """Every fixture and every hierarchy member with at most 10 modes, each
+    with and without linear feedback."""
+    gloms = [builtin_model(name) for name in ("model1", "model2", "model3", "model4", "model5", "euler")]
+    for family in ("sparse", "dense1", "dense2", "model4", "model5"):
+        for K in range(1, FAMILY_MAX_K.get(family, 8) + 1):  # M >= K + 2
+            if member(family, K).modes <= 10:
+                gloms += [member(family, K, constrained) for constrained in (True, False)]
+    return gloms + [no_linear_feedback(g) for g in gloms]
+
+
 def test_symmetries_match_brute_force():
-    g = no_linear_feedback(builtin_model("model1"))
+    for g in symmetry_models():
+        field = assemble_field(g)
+        brute = []
+        for mask in range(1, 1 << g.modes):
+            signs = tuple(-1 if mask >> i & 1 else 1 for i in range(g.modes))
+            if is_sign_symmetry(field, signs):
+                brute.append(signs)
+        assert sorted(brute) == [s.signs for s in find_sign_symmetries(g)]
+
+
+def test_feedback_free_sparse_K12_has_8191_symmetries():
+    # 25 modes, 13 generators: the limit bounds the enumeration, not M
+    g = no_linear_feedback(member("sparse", 12))
+    syms = find_sign_symmetries(g)
+    assert len(syms) == 2**13 - 1
     field = assemble_field(g)
-    brute = []
-    for mask in range(1, 1 << 4):
-        signs = tuple(-1 if mask >> i & 1 else 1 for i in range(4))
-        ok = all(
-            apply_signs(comp, signs) == (comp if signs[i] > 0 else -comp)
-            for i, comp in enumerate(field.components)
-        )
-        if ok:
-            brute.append(signs)
-    assert sorted(brute) == sorted(s.signs for s in find_sign_symmetries(g))
+    for s in random.Random(12).sample(syms, 40):
+        assert is_sign_symmetry(field, s.signs)
+
+
+def _refuse(*args):
+    raise AssertionError("a candidate was enumerated")
+
+
+def test_sign_symmetry_generator_limit(monkeypatch):
+    # a zero field on M modes has M generators and 2^M - 1 symmetries
+    zero = ParamSpec.zero()
+
+    def zero_field(modes):
+        return Glom(modes, (Gyrostat((1, 2, 3), zero, zero, zero, zero, zero),))
+
+    assert len(find_sign_symmetries(zero_field(16))) == 2**16 - 1
+    monkeypatch.setattr(models, "SignSymmetry", _refuse)
+    with pytest.raises(ContractViolation, match="limited to 16 generators"):
+        find_sign_symmetries(zero_field(17))
 
 
 def test_symmetries_form_a_group():
