@@ -11,13 +11,19 @@ Generic ranks of polynomial matrices are exact ranks at the best of a few
 random integer points (`generic_point`).
 
 Polynomial nullspaces are empty at once when the rank at integer points
-is full; otherwise they come from Bareiss elimination with exact
+is full.  A skew matrix of odd order M has rank at most M - 1, so rank
+M - 1 at an integer point makes its nullity exactly 1; its kernel is then
+spanned by the signed (M-1)-sub-Pfaffians, computed by expansion along the
+first row and memoized on the index bitmask (at most 2^(M-1) masks for a
+fully dense matrix, far fewer for the sparse J of the gyrostat models).
+Every other singular matrix goes through Bareiss elimination with exact
 multivariate division (pivot rule: lowest total degree, ties broken by
-column then row order, which keeps degree growth down).  Each basis vector
-is the Cramer solution for one free column, whose back-substitution
-divisions are exact, divided by the gcd of its entries (`poly_gcd`): the
-primitive kernel vector, content 1, its first nonzero entry with a
-positive leading coefficient.
+column then row order, which keeps degree growth down), and each basis
+vector is the Cramer solution for one free column, whose back-substitution
+divisions are exact.  Either way a vector is divided by the gcd of its
+entries (`poly_gcd`): the primitive kernel vector, content 1, its first
+nonzero entry with a positive leading coefficient, each entry's terms in
+descending grlex order.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from operator import add, attrgetter, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
-from .poly import Poly, PolyMatrix, normalized_vector
+from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
 
 # Range for the random integer values that generic_point gives every
 # variable of a matrix (count_invariants, independent_count, the
@@ -242,7 +248,9 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
         q_mono = tuple(map(sub, lead, b_lead))
         if min(q_mono) < 0:
             raise ContractViolation("polynomial division is not exact")
-        q_coeff = rest[lead] / b_coeff
+        q_coeff, r = divmod(rest[lead], b_coeff)  # an int whenever it is integral
+        if r:
+            q_coeff = Fraction(rest[lead], b_coeff)
         quotient[q_mono] = q_coeff
         for m, c in b.terms.items():
             t = tuple(map(add, q_mono, m))
@@ -308,12 +316,29 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     Bareiss echelon form, in column order, the primitive kernel vector that
     is zero in the other free columns.  Primitive: the gcd of its entries is
     1, their rational content is 1 and the first nonzero entry has a
-    positive leading coefficient.
+    positive leading coefficient.  Each entry's terms are in descending
+    grlex order.
+
+    A square skew matrix of odd order M whose rank at an integer point is
+    M - 1 skips the elimination: its one kernel vector is made from the
+    signed (M-1)-sub-Pfaffians (`_sub_pfaffians`), whose cost is the
+    number of index sets the first-row expansion meets, 2^(M-1) at worst
+    for a fully dense matrix.  Nullity 2 or more, even order, a non-skew
+    or non-square matrix, and an all-zero sub-Pfaffian vector (possible
+    only if the rank at the point were wrong) go through the elimination.
     """
     # full column rank at one point means some maximal minor is a nonzero
     # polynomial, so the nullspace is {0}: a certificate, not a guess
-    if generic_rank(m) == m.cols:
+    rank = generic_rank(m)
+    if rank == m.cols:
         return []
+    # an odd skew matrix has rank at most cols - 1, so rank cols - 1 at one
+    # point makes the nullity exactly 1, and the signed sub-Pfaffians (a
+    # kernel vector of every odd skew matrix) span the kernel if nonzero
+    if rank == m.cols - 1 and m.cols % 2 and _is_skew(m):
+        vec = _sub_pfaffians(m)
+        if any(vec):
+            return [[_grlex_ordered(p) for p in normalized_vector(_divide_by_gcd(vec))]]
     table = m.table
     rows, pivots = _echelon_poly(m)
     pivot_cols = {c for c, _ in pivots}
@@ -333,6 +358,47 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
             w[c] = -divide_exact(s, piv)
         basis.append(normalized_vector(_divide_by_gcd(w)))
     return basis
+
+
+def _is_skew(m: PolyMatrix) -> bool:
+    return m.rows == m.cols and not any(
+        m[i, j] + m[j, i] for i in range(m.rows) for j in range(i, m.cols)
+    )
+
+
+def _sub_pfaffians(m: PolyMatrix) -> list[Poly]:
+    """(-1)^i Pf(m without row and column i) for each i, m skew of odd order.
+
+    Pf of an index set S expands along its first index s:
+    Pf(S) = sum over t in S of (-1)^(k+1) m[s, t] Pf(S - {s, t}), t the
+    k-th member of S counted from 0; zero entries are skipped, and each
+    index set (a bitmask) is expanded once.
+    """
+    n = m.cols
+    memo = {0: m.table.const(1)}
+
+    def pf(mask: int) -> Poly:
+        p = memo.get(mask)
+        if p is None:
+            first, *rest = (i for i in range(n) if mask >> i & 1)
+            p = m.table.zero()
+            for k, j in enumerate(rest):
+                if (e := m[first, j]) and (sub := pf(mask ^ (1 << first | 1 << j))):
+                    p = p - e * sub if k % 2 else p + e * sub
+            memo[mask] = p
+        return p
+
+    full = (1 << n) - 1
+    return [-pf(full ^ 1 << i) if i % 2 else pf(full ^ 1 << i) for i in range(n)]
+
+
+def _grlex_ordered(p: Poly) -> Poly:
+    """p with its terms in descending grlex order, the order divide_exact
+    writes a quotient in (report bytes follow term order)."""
+    if not p:
+        return p
+    order = sorted(p.terms, key=grlex_key, reverse=True)
+    return Poly(p.table, {mono: p.terms[mono] for mono in order})
 
 
 def _divide_by_gcd(vec: list[Poly]) -> list[Poly]:

@@ -1,6 +1,7 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to Fraction coefficients.
+A polynomial is a map from exponent tuples to rational coefficients, each
+stored as an int when it is integral and as a Fraction otherwise.
 Exponent tuples run over the variables of a VarTable, which fixes the
 variable ordering once per model: state variables first (x1..xM), then
 the parameter symbols of each gyrostat in a, b, c, p, q, r order, then
@@ -111,7 +112,7 @@ class VarTable:
         i = self.index(name)
         exp = [0] * len(self.names)
         exp[i] = 1
-        return Poly(self, {tuple(exp): Fraction(1)})
+        return Poly(self, {tuple(exp): 1})
 
     def x(self, i: int) -> "Poly":
         """State variable x_i (1-based)."""
@@ -121,14 +122,19 @@ class VarTable:
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients: an
+    integral coefficient is stored as an int, any other as a Fraction."""
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction | int]):
         self.table = table
         monos = table._monos
-        self.terms = {monos.setdefault(m, m): c for m, c in terms.items() if c != 0}
+        self.terms = {
+            monos.setdefault(m, m): c if c.denominator != 1 else c.numerator
+            for m, c in terms.items()
+            if c
+        }
 
     # -- basic structure ----------------------------------------------------
 
@@ -215,6 +221,10 @@ class Poly:
         c = Fraction(value)
         if c == 0 or not self.terms:
             return self.table._zero
+        if c == 1:
+            return self  # Poly is immutable
+        if c.denominator == 1:
+            c = c.numerator
         return Poly(self.table, {m: c * v for m, v in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
@@ -422,19 +432,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def mul_vector(self, vec: Iterable[Poly]) -> list[Poly]:
-        v = list(vec)
-        if len(v) != self.cols:
-            raise ContractViolation("vector length does not match column count")
-        out = []
-        for row in self.entries:
-            acc = self.table.zero()
-            for e, x in zip(row, v):
-                if e and x:
-                    acc = acc + e * x
-            out.append(acc)
-        return out
 
     def variables(self) -> set[int]:
         """Indices of the variables that occur in some entry."""

@@ -86,7 +86,7 @@ def triple_residual(a: PolyMatrix, b: PolyMatrix, triple: tuple[int, int, int]) 
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JacobiReport:
     """Per-triple residuals plus the aggregate criterion.
 
@@ -137,7 +137,7 @@ def jacobi(J: PolyMatrix) -> JacobiReport:
 # Casimirs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CasimirSet:
     """Nullspace vectors of J, their gradient status, and the potentials.
 
@@ -151,7 +151,6 @@ class CasimirSet:
     gradient_flags: tuple[bool, ...]
     casimirs: tuple[QuadraticForm, ...]
     advisory: bool
-    jacobi_report: JacobiReport
 
     @property
     def count(self) -> int:
@@ -173,15 +172,19 @@ def is_gradient(vector: list[Poly]) -> bool:
 
 
 def casimirs(g: Glom) -> CasimirSet:
-    """Extract Casimirs from NULL(J): gradient vectors give potentials, scaled to
-    content 1 with a positive leading coefficient."""
+    """Extract Casimirs from NULL(J) of the model (see casimir_set)."""
     J = build_J(g)
-    report = jacobi(J)
+    return casimir_set(J, jacobi(J))
+
+
+def casimir_set(J: PolyMatrix, report: JacobiReport) -> CasimirSet:
+    """Casimirs from NULL(J), `report` being jacobi(J): gradient vectors give
+    potentials, scaled to content 1 with a positive leading coefficient."""
     basis = nullspace_symbolic(J)
     flags = tuple(is_gradient(v) for v in basis)
     potentials = tuple(
         QuadraticForm.from_coeff_vector(
-            g.var_table, normalized_vector(QuadraticForm.from_gradient(v).coeff_vector())
+            J.table, normalized_vector(QuadraticForm.from_gradient(v).coeff_vector())
         )
         for v, ok in zip(basis, flags)
         if ok
@@ -191,5 +194,4 @@ def casimirs(g: Glom) -> CasimirSet:
         gradient_flags=flags,
         casimirs=potentials,
         advisory=not report.is_hamiltonian,
-        jacobi_report=report,
     )

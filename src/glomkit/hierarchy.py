@@ -28,7 +28,15 @@ from typing import Literal
 
 from .errors import ContractViolation
 from .exactmath import Poly, poly_proportional, proportional
-from .hamiltonian import CasimirSet, JacobiReport, _superpose, casimirs, triple_residual
+from .hamiltonian import (
+    CasimirSet,
+    JacobiReport,
+    _superpose,
+    build_J,
+    casimir_set,
+    jacobi,
+    triple_residual,
+)
 from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
@@ -133,7 +141,7 @@ def generate(spec: HierarchySpec) -> list[Glom]:
 # incremental Jacobi conditions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncrementalJacobi:
     """Cross terms of the newest gyrostat against the earlier ones.
 
@@ -253,7 +261,7 @@ def projection_consistency(
     return proportional(restricted, lifted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberReport:
     K: int
     modes: int
@@ -267,7 +275,7 @@ class MemberReport:
         return self.casimir_set.count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HierarchyReport:
     spec: HierarchySpec
     members: tuple[MemberReport, ...]
@@ -318,7 +326,9 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
     # the latest earlier member owning Casimirs, with its Casimir set
     last: tuple[Glom, CasimirSet] | None = None
     for K, g in enumerate(gloms, start=1):
-        cas = casimirs(g)
+        J = build_J(g)
+        report = jacobi(J)
+        cas = casimir_set(J, report)
         inc = incremental_jacobi(g, gloms[K - 2]) if K >= 2 else None
         consistent: bool | None = None
         if cas.count and last is not None:
@@ -328,7 +338,7 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
                 any(_projects_onto(list(big), list(small), absent) for big in cas.gradients())
                 for small in small_cas.gradients()
             )
-        reports.append(MemberReport(K, g.modes, cas.jacobi_report, cas, inc, consistent))
+        reports.append(MemberReport(K, g.modes, report, cas, inc, consistent))
         if cas.count:
             last = (g, cas)
     return HierarchyReport(spec, tuple(reports))

@@ -27,7 +27,7 @@ from .models import Glom, VectorField, assemble_field
 SUBCLASS_VARY_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadraticForm:
     """C = (1/2) sum d_i x_i^2 + sum_{i<j} e_ij x_i x_j + sum f_i x_i.
 
@@ -96,7 +96,11 @@ class QuadraticForm:
                         continue
                     slot = i if j == i else e_row + j
                 slots[slot][pad + mono[M:]] = c
-        return cls.from_coeff_vector(table, [Poly(table, t) if t else 0 for t in slots])
+        coeffs = [Poly(table, t) if t else 0 for t in slots]
+        for i, v in enumerate(vector):
+            if v and len(slots[f_start + i]) == len(v.terms):  # v_i is state-free: f_i is v_i
+                coeffs[f_start + i] = v
+        return cls.from_coeff_vector(table, coeffs)
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":

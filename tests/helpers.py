@@ -1,7 +1,8 @@
 """Shared test utilities: a small polynomial expression parser, the
 closed-form invariants of the sparse feedback-free family, the
 criterion-11 conservation fixtures, the Hamiltonian test models, and
-independent brute-force oracles (among them the interpreted RK4 stepper
+independent brute-force oracles (among them the matrix-vector product
+behind J x = f and J v = 0, the interpreted RK4 stepper
 that generated code must match, the symbolic nullspace by denominator
 clearing and the sign-symmetry identity checked by substitution)."""
 
@@ -114,6 +115,20 @@ def parse(table: VarTable, text: str) -> Poly:
     if pos != len(tokens):
         raise ValueError(f"trailing tokens: {tokens[pos:]}")
     return result
+
+
+def mul_vector(m: PolyMatrix, vec: Sequence[Poly]) -> list[Poly]:
+    """The product m * vec; the oracle for J x = f and J v = 0."""
+    if len(vec) != m.cols:
+        raise ContractViolation("vector length does not match column count")
+    out = []
+    for row in m.entries:
+        acc = m.table.zero()
+        for e, x in zip(row, vec):
+            if e and x:
+                acc = acc + e * x
+        out.append(acc)
+    return out
 
 
 def parse_vector(table: VarTable, exprs: list[str]) -> list[Poly]:

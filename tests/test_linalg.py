@@ -24,7 +24,7 @@ from glomkit.exactmath.linalg import (
     poly_gcd,
     rank_rational,
 )
-from glomkit.exactmath import linalg
+from glomkit.exactmath import grlex_key, linalg
 from glomkit.hamiltonian import build_J
 from glomkit.hierarchy import member
 from glomkit.invariants import build_system
@@ -35,6 +35,7 @@ from helpers import (
     bareiss_nullspace,
     bareiss_rank,
     determinant_by_permutations,
+    mul_vector,
     nullspace_symbolic_reference,
     parameter_only_generic_rank,
     parse,
@@ -125,14 +126,6 @@ def test_nullspace_symbolic_nonsingular_constant():
     assert nullspace_symbolic(m) == []
 
 
-def test_symbolic_vectors_annihilate_matrix():
-    for name in ("model2", "model3"):
-        g = builtin_model(name).zeroed(["q2"])
-        J = build_J(g)
-        for vec in nullspace_symbolic(J):
-            assert all(e.is_zero() for e in J.mul_vector(vec))
-
-
 def _fail(*args):
     raise AssertionError("symbolic elimination ran")
 
@@ -170,19 +163,74 @@ def test_symbolic_nullity_matches_generic_rank():
         basis = nullspace_symbolic(J)
         assert len(basis) == J.cols - generic_rank(J)
         for vec in basis:
-            assert all(e.is_zero() for e in J.mul_vector(vec))
+            assert all(e.is_zero() for e in mul_vector(J, vec))
 
 
 def test_nullspace_symbolic_matches_reference(monkeypatch):
-    # one forward elimination per matrix serves both sides, which differ in
-    # the back-substitution and the normalization only
+    # the reference eliminates and multiplies every vector up; where J is
+    # odd of corank 1 the sub-Pfaffians answer, elsewhere one forward
+    # elimination per matrix serves both sides, which then differ in the
+    # back-substitution and the normalization only
     monkeypatch.setattr(linalg, "_echelon_poly", functools.cache(linalg._echelon_poly))
     for name, g in reference_models().items():
         J = build_J(g)
         basis = nullspace_symbolic(J)
         assert basis == nullspace_symbolic_reference(J), name
         for vec in basis:
-            assert all(e.is_zero() for e in J.mul_vector(vec)), name
+            assert all(e.is_zero() for e in mul_vector(J, vec)), name
+
+
+def _terms(basis):
+    return [[list(p.terms.items()) for p in vec] for vec in basis]
+
+
+def _odd_corank_one_members():
+    """Odd members of every family whose J has nullity 1, by name."""
+    out = {}
+    for family, k_top in FAMILY_TOP_K.items():
+        for K in range(1, k_top + 1):
+            for constrained in (True, False):
+                g = member(family, K, constrained)
+                J = build_J(g)
+                if g.modes % 2 and generic_rank(J) == g.modes - 1:
+                    out[f"{family}_K{K}{'' if constrained else '_free'}"] = J
+    return out
+
+
+def test_odd_corank_one_kernel_skips_elimination(monkeypatch):
+    # the sub-Pfaffians give the kernel without Bareiss, also at M = 9
+    monkeypatch.setattr(linalg, "_echelon_poly", _fail)
+    members = _odd_corank_one_members()
+    members["dense1_K7_free"] = build_J(member("dense1", 7, False))
+    for name, J in members.items():
+        (vec,) = nullspace_symbolic(J)
+        assert all(e.is_zero() for e in mul_vector(J, vec)), name
+        for p in vec:  # the order divide_exact writes, as the elimination path does
+            assert list(p.terms) == sorted(p.terms, key=grlex_key, reverse=True), name
+
+
+def test_sub_pfaffian_kernel_equals_the_elimination_kernel_term_by_term(monkeypatch):
+    # report bytes follow term order: on every odd corank-1 member (the
+    # unconstrained ones have a constant gcd, so the order is the Pfaffian
+    # path's own) both paths give the same terms in the same order.  An
+    # all-zero sub-Pfaffian vector sends a matrix to the elimination.
+    members = _odd_corank_one_members()
+    assert {"sparse_K5_free", "dense1_K3_free", "dense1_K5_free"} <= members.keys()
+    pfaffian = {name: nullspace_symbolic(J) for name, J in members.items()}
+    monkeypatch.setattr(linalg, "_sub_pfaffians", lambda m: [m.table.zero()] * m.cols)
+    for name, J in members.items():
+        assert _terms(pfaffian[name]) == _terms(nullspace_symbolic(J)), name
+
+
+def test_odd_non_skew_corank_one_matrix_is_eliminated():
+    # 3 x 3, rank 2 (row 3 = row 1 + row 2), not skew: the elimination path
+    table = VarTable.for_model(3, 1)
+    rows = [["a1", "b1", "0"], ["0", "c1", "a1*x1"], ["a1", "b1 + c1", "a1*x1"]]
+    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in rows])
+    assert generic_rank(m) == 2
+    (vec,) = nullspace_symbolic(m)
+    assert all(e.is_zero() for e in mul_vector(m, vec))
+    assert vec == parse_vector(table, ["b1*x1", "-a1*x1", "c1"])
 
 
 def test_poly_gcd_finds_a_common_factor():

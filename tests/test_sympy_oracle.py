@@ -12,6 +12,7 @@ sympy = pytest.importorskip("sympy")
 from glomkit.exactmath import VarTable
 from glomkit.exactmath.linalg import poly_gcd
 from glomkit.hamiltonian import build_J, casimirs, jacobi
+from glomkit.hierarchy import member
 from glomkit.invariants import build_system, count_invariants
 from glomkit.models import assemble_field, builtin_model, no_linear_feedback
 
@@ -128,11 +129,15 @@ def test_J_and_jacobi_residuals_match_sympy(name):
 
 
 # plus the two subclasses pinned as golden reports, whose Cramer kernel
-# vectors share a polynomial factor
+# vectors share a polynomial factor, and unconstrained odd members, whose
+# kernel comes from the sub-Pfaffians of J (unconstrained, dense1 and
+# dense2 are one model)
 NULLSPACE_MODELS = {
     **HAMILTONIAN_MODELS,
     "model4_c1c2c3": builtin_model("model4").zeroed(["c1", "c2", "c3"]),
     "model3_p3q3": builtin_model("model3").zeroed(["p3", "q3"]),
+    **{f"sparse{K}_free": member("sparse", K, False) for K in (2, 3)},
+    **{f"dense{K}_free": member("dense1", K, False) for K in (3, 5)},
 }
 
 
