@@ -22,8 +22,9 @@ column then row order, which keeps degree growth down), and each basis
 vector is the Cramer solution for one free column, whose back-substitution
 divisions are exact.  Either way a vector is divided by the gcd of its
 entries (`poly_gcd`): the primitive kernel vector, content 1, its first
-nonzero entry with a positive leading coefficient, each entry's terms in
-descending grlex order.
+nonzero entry with a positive leading coefficient.  The order of an
+entry's terms is not part of the result: polynomials compare as term
+dicts, and printing and the JSON reports sort the terms.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from operator import add, attrgetter, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
-from .poly import Poly, PolyMatrix, grlex_key, normalized_vector
+from .poly import Poly, PolyMatrix, normalized_vector
 
 # Range for the random integer values that generic_point gives every
 # variable of a matrix (count_invariants, independent_count, the
@@ -316,8 +317,7 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     Bareiss echelon form, in column order, the primitive kernel vector that
     is zero in the other free columns.  Primitive: the gcd of its entries is
     1, their rational content is 1 and the first nonzero entry has a
-    positive leading coefficient.  Each entry's terms are in descending
-    grlex order.
+    positive leading coefficient.
 
     A square skew matrix of odd order M whose rank at an integer point is
     M - 1 skips the elimination: its one kernel vector is made from the
@@ -338,7 +338,7 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     if rank == m.cols - 1 and m.cols % 2 and _is_skew(m):
         vec = _sub_pfaffians(m)
         if any(vec):
-            return [[_grlex_ordered(p) for p in normalized_vector(_divide_by_gcd(vec))]]
+            return [normalized_vector(_divide_by_gcd(vec))]
     table = m.table
     rows, pivots = _echelon_poly(m)
     pivot_cols = {c for c, _ in pivots}
@@ -390,15 +390,6 @@ def _sub_pfaffians(m: PolyMatrix) -> list[Poly]:
 
     full = (1 << n) - 1
     return [-pf(full ^ 1 << i) if i % 2 else pf(full ^ 1 << i) for i in range(n)]
-
-
-def _grlex_ordered(p: Poly) -> Poly:
-    """p with its terms in descending grlex order, the order divide_exact
-    writes a quotient in (report bytes follow term order)."""
-    if not p:
-        return p
-    order = sorted(p.terms, key=grlex_key, reverse=True)
-    return Poly(p.table, {mono: p.terms[mono] for mono in order})
 
 
 def _divide_by_gcd(vec: list[Poly]) -> list[Poly]:

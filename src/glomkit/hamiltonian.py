@@ -66,23 +66,19 @@ def build_J(g: Glom) -> PolyMatrix:
     return _superpose(table, g.modes, g.gyrostats)
 
 
-def triple_residual(a: PolyMatrix, b: PolyMatrix, triple: tuple[int, int, int]) -> Poly:
-    """sum_m of A against the state-gradient of B, cyclically over the triple.
+def triple_residual(J: PolyMatrix, triple: tuple[int, int, int]) -> Poly:
+    """The Jacobi residual R_ijk of J at one (0-based) index triple.
 
-    For A = B = J this is the per-triple Jacobi residual.
+    An entry is differentiated only by the state variables it holds.
     """
-    table = a.table
-    M = a.rows
+    M = J.rows
     i, j, k = triple
-    acc = table.zero()
+    acc = J.table.zero()
     for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
-        entry = b[second, third]
-        if entry.is_zero():
-            continue
-        for m in range(M):
-            d = entry.diff(m)
-            if d and a[first, m]:
-                acc = acc + a[first, m] * d
+        entry = J[second, third]
+        for m in sorted(entry.variables()):
+            if m < M and J[first, m]:
+                acc = acc + J[first, m] * entry.diff(m)
     return acc
 
 
@@ -99,28 +95,28 @@ class JacobiReport:
     aggregate: Poly
     is_hamiltonian: bool
     strict_jacobi: bool
-    constraint_polys: tuple[Poly, ...]
 
     @property
     def strict_divergence(self) -> bool:
         return self.is_hamiltonian and not self.strict_jacobi
 
-
-def _constraint_polys(poly: Poly) -> tuple[Poly, ...]:
-    """State-monomial coefficients, deduplicated up to rational scaling."""
-    seen = {}
-    for coeff in poly.split_by_state().values():
-        if coeff:
-            norm = coeff.normalized()
-            seen[norm.key()] = norm
-    return tuple(seen[k] for k in sorted(seen))
+    @property
+    def constraint_polys(self) -> tuple[Poly, ...]:
+        """The aggregate's state-monomial coefficients, deduplicated up to
+        rational scaling."""
+        seen = {}
+        for coeff in self.aggregate.split_by_state().values():
+            if coeff:
+                norm = coeff.normalized()
+                seen[norm.key()] = norm
+        return tuple(seen[k] for k in sorted(seen))
 
 
 def jacobi(J: PolyMatrix) -> JacobiReport:
     residuals: dict[tuple[int, int, int], Poly] = {}
     aggregate = J.table.zero()
     for triple in itertools.combinations(range(1, J.rows + 1), 3):
-        r = triple_residual(J, J, tuple(t - 1 for t in triple))
+        r = triple_residual(J, tuple(t - 1 for t in triple))
         if r:
             residuals[triple] = r
             aggregate = aggregate + r
@@ -129,7 +125,6 @@ def jacobi(J: PolyMatrix) -> JacobiReport:
         aggregate=aggregate,
         is_hamiltonian=aggregate.is_zero(),
         strict_jacobi=not residuals,
-        constraint_polys=_constraint_polys(aggregate),
     )
 
 

@@ -22,21 +22,12 @@ project consistently down the hierarchy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal
 
 from .errors import ContractViolation
 from .exactmath import Poly, poly_proportional, proportional
-from .hamiltonian import (
-    CasimirSet,
-    JacobiReport,
-    _superpose,
-    build_J,
-    casimir_set,
-    jacobi,
-    triple_residual,
-)
+from .hamiltonian import CasimirSet, JacobiReport, build_J, casimir_set, jacobi
 from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
@@ -143,15 +134,28 @@ def generate(spec: HierarchySpec) -> list[Glom]:
 
 @dataclass(frozen=True, slots=True)
 class IncrementalJacobi:
-    """Cross terms of the newest gyrostat against the earlier ones.
+    """What the newest gyrostat adds to the aggregate Jacobi condition.
 
-    `triples` maps each index triple to its nonzero cross-term cyclic sum;
-    `condition` is their signed total, the quantity whose vanishing is the
-    printed incremental requirement at each hierarchy step.
+    `condition` is the signed total of its cross terms against the earlier
+    gyrostats, the quantity whose vanishing is the printed incremental
+    requirement at each hierarchy step.
     """
 
-    triples: dict[tuple[int, int, int], Poly]
     condition: Poly
+
+
+def _increment(aggregate: Poly, previous: Poly) -> Poly:
+    """Member K's aggregate condition minus member K-1's.
+
+    The residual is bilinear in J and a lone gyrostat's block has none, so
+    the difference is exactly the cross terms of the newest gyrostat
+    against the earlier ones.
+    """
+    return aggregate - previous.remapped(aggregate.table)
+
+
+def _aggregate(g: Glom) -> Poly:
+    return jacobi(build_J(g)).aggregate
 
 
 def _is_extension(g_big: Glom, g_small: Glom) -> bool:
@@ -167,26 +171,11 @@ def _is_extension(g_big: Glom, g_small: Glom) -> bool:
 
 
 def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:
-    """Jacobi cross terms introduced by the newest gyrostat.
-
-    Equals the difference of the full per-triple residuals of the two
-    members, because triple_residual is bilinear and a single gyrostat
-    block's own residual vanishes identically.
-    """
+    """The Jacobi condition the newest gyrostat of g_K adds to g_K_minus_1's
+    (both must pass build_J)."""
     if not _is_extension(g_K, g_K_minus_1):
         raise ContractViolation("second model must be the first minus its last gyrostat")
-    table = g_K.var_table
-    M = g_K.modes
-    j_prev = _superpose(table, M, g_K.gyrostats[:-1])
-    j_new = _superpose(table, M, g_K.gyrostats[-1:])
-    cross: dict[tuple[int, int, int], Poly] = {}
-    condition = table.zero()
-    for triple in itertools.combinations(range(M), 3):
-        t = triple_residual(j_prev, j_new, triple) + triple_residual(j_new, j_prev, triple)
-        if t:
-            cross[tuple(i + 1 for i in triple)] = t
-            condition = condition + t
-    return IncrementalJacobi(cross, condition)
+    return IncrementalJacobi(_increment(_aggregate(g_K), _aggregate(g_K_minus_1)))
 
 
 def incremental_condition(family: Family, K: int) -> Poly:
@@ -209,14 +198,14 @@ def check_recurrence(family: Family, k_max: int) -> bool:
     """
     if k_max < 3:
         raise ContractViolation("recurrence checking needs k_max >= 3")
-    gloms = [member(family, K, constrained=False) for K in range(1, k_max + 1)]
+    aggregates = [_aggregate(member(family, K, constrained=False)) for K in range(1, k_max + 1)]
     stride = FAMILY_STRIDE[family]
     # conditions[i] is the step to K = i + 2 gyrostats
-    conditions = [incremental_jacobi(big, small).condition for small, big in zip(gloms, gloms[1:])]
-    for cur, nxt, big in zip(conditions[1:], conditions[2:], gloms[3:]):
+    conditions = [_increment(big, small) for small, big in zip(aggregates, aggregates[1:])]
+    for cur, nxt in zip(conditions[1:], conditions[2:]):
         name_map = _shift_name_map(cur, stride)
         try:
-            shifted = cur.remapped(big.var_table, name_map)
+            shifted = cur.remapped(nxt.table, name_map)
         except ContractViolation:
             return False
         if not poly_proportional(shifted, nxt):
@@ -321,15 +310,16 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
     the restriction of some current gradient (zeroing the absent non-factor
     parameters where the plain restriction is not already collinear).
     """
-    gloms = generate(spec)
     reports: list[MemberReport] = []
     # the latest earlier member owning Casimirs, with its Casimir set
     last: tuple[Glom, CasimirSet] | None = None
-    for K, g in enumerate(gloms, start=1):
+    for K, g in enumerate(generate(spec), start=1):
         J = build_J(g)
         report = jacobi(J)
         cas = casimir_set(J, report)
-        inc = incremental_jacobi(g, gloms[K - 2]) if K >= 2 else None
+        inc = None
+        if reports:  # generate builds each member as an extension of the one before
+            inc = IncrementalJacobi(_increment(report.aggregate, reports[-1].jacobi.aggregate))
         consistent: bool | None = None
         if cas.count and last is not None:
             small_glom, small_cas = last

@@ -383,9 +383,6 @@ class SubclassTable:
     vary: tuple[str, ...]
     rows: tuple[tuple[str, int, int], ...]  # (mask, raw_count, independent_count)
 
-    def by_mask(self) -> dict[str, tuple[int, int]]:
-        return {mask: (raw, ind) for mask, raw, ind in self.rows}
-
 
 def enumerate_subclasses(g: Glom, vary: Sequence[str], seed: int = 0) -> SubclassTable:
     """Counts for every on/off pattern of the varied parameters.

@@ -2,7 +2,8 @@
 closed-form invariants of the sparse feedback-free family, the
 criterion-11 conservation fixtures, the Hamiltonian test models, and
 independent brute-force oracles (among them the matrix-vector product
-behind J x = f and J v = 0, the interpreted RK4 stepper
+behind J x = f and J v = 0, the bilinear Jacobi residual, the interpreted
+RK4 stepper
 that generated code must match, the symbolic nullspace by denominator
 clearing and the sign-symmetry identity checked by substitution)."""
 
@@ -129,6 +130,27 @@ def mul_vector(m: PolyMatrix, vec: Sequence[Poly]) -> list[Poly]:
                 acc = acc + e * x
         out.append(acc)
     return out
+
+
+def triple_residual(a: PolyMatrix, b: PolyMatrix, triple: tuple[int, int, int]) -> Poly:
+    """sum_m of A against the state-gradient of B, cyclically over the triple.
+
+    For A = B = J this is the per-triple Jacobi residual; the bilinear form
+    is the reference for the telescoping of incremental conditions.
+    """
+    table = a.table
+    M = a.rows
+    i, j, k = triple
+    acc = table.zero()
+    for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
+        entry = b[second, third]
+        if entry.is_zero():
+            continue
+        for m in range(M):
+            d = entry.diff(m)
+            if d and a[first, m]:
+                acc = acc + a[first, m] * d
+    return acc
 
 
 def parse_vector(table: VarTable, exprs: list[str]) -> list[Poly]:

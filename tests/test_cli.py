@@ -373,7 +373,12 @@ GOLDEN_REPORTS = {
     },
     **{
         f"casimirs_{m}_{sub.replace(',', '')}": ["casimirs", m, "--subclass", sub]
-        for m, sub in (("model4", "c1,c2,c3"), ("model3", "p3,q3"))
+        for m, sub in (
+            ("model4", "c1,c2,c3"),
+            ("model3", "p3,q3"),
+            ("model5", "b3,p3"),  # nullity 2: the free columns decide the Casimir count
+            ("model2", "c1,a2,q2"),  # nullity 3
+        )
     },
     **{
         f"hierarchy_{f}_k{k}": ["hierarchy", "--family", f, "--k", str(k)]

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from glomkit.errors import ContractViolation
+from glomkit.errors import ContractViolation, EnergyViolation
 from glomkit.exactmath import poly_proportional, proportional
 from glomkit.hierarchy import (
     HierarchySpec,
@@ -15,9 +15,9 @@ from glomkit.hierarchy import (
     projection_consistency,
 )
 from glomkit.hamiltonian import _superpose, build_J, jacobi, triple_residual
-from glomkit.models import assemble_field
+from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field
 
-from helpers import FAMILY_TOP_K, parse, parse_vector
+from helpers import FAMILY_TOP_K, parse, parse_vector, triple_residual as bilinear_residual
 
 # gradients of the single Casimir of the sparse constrained family
 SPARSE_GRADIENTS = {
@@ -182,9 +182,20 @@ def test_incremental_requires_extension():
         incremental_jacobi(member("sparse", 2), member("dense2", 1))
 
 
+def test_incremental_refuses_energy_violation():
+    # the condition is read off build_J, which refuses the model
+    one = ParamSpec.exact(1)
+    small = member("sparse", 1)
+    bad = Gyrostat((3, 4, 5), a=one, b=one, c=one, p=one, q=one, r_explicit=one)
+    with pytest.raises(EnergyViolation, match="^gyrostat 2: p \\+ q \\+ r != 0"):
+        incremental_jacobi(Glom(5, (*small.gyrostats, bad)), small)
+
+
 def test_incremental_cross_terms_telescope():
-    # incremental_jacobi relies on this identity without checking it: each
-    # step's cross terms are the full residual minus the previous member's
+    # incremental conditions are read as differences of aggregate
+    # conditions: by bilinearity, and since a lone gyrostat's residual
+    # vanishes, each step's cross terms are the full residual minus the
+    # previous member's
     for family, K_top in FAMILY_TOP_K.items():
         for constrained in (False, True):
             members = generate(HierarchySpec(family, K_top, constrained))
@@ -192,6 +203,7 @@ def test_incremental_cross_terms_telescope():
                 table = g.var_table
                 blocks = [_superpose(table, g.modes, [gy]) for gy in g.gyrostats]
                 prev_J = _superpose(table, g.modes, g.gyrostats[:-1])
+                new_J = blocks[-1]
                 full_J = build_J(g)
                 for r, s in itertools.product(range(g.modes), repeat=2):
                     # J is the entrywise sum of the single-gyrostat blocks
@@ -199,21 +211,25 @@ def test_incremental_cross_terms_telescope():
                     for b in blocks:
                         total = total + b[r, s]
                     assert total == full_J[r, s]
-                cross = incremental_jacobi(g, small).triples
+                cross_total = table.zero()
                 for triple in itertools.combinations(range(g.modes), 3):
                     # per-gyrostat self terms vanish
-                    assert not any(triple_residual(b, b, triple) for b in blocks)
-                    want = triple_residual(full_J, full_J, triple) - triple_residual(
-                        prev_J, prev_J, triple
+                    assert not any(bilinear_residual(b, b, triple) for b in blocks)
+                    full = bilinear_residual(full_J, full_J, triple)
+                    assert full == triple_residual(full_J, triple)
+                    cross = bilinear_residual(prev_J, new_J, triple) + bilinear_residual(
+                        new_J, prev_J, triple
                     )
-                    assert cross.get(tuple(i + 1 for i in triple), table.zero()) == want
+                    assert cross == full - bilinear_residual(prev_J, prev_J, triple)
+                    cross_total = cross_total + cross
+                assert incremental_jacobi(g, small).condition == cross_total
             # at the largest member, the cross terms over all pairs of blocks
             # add up to the full residual
             for triple in itertools.combinations(range(g.modes), 3):
                 total = table.zero()
                 for a, b in itertools.permutations(blocks, 2):
-                    total = total + triple_residual(a, b, triple)
-                assert total == triple_residual(full_J, full_J, triple)
+                    total = total + bilinear_residual(a, b, triple)
+                assert total == bilinear_residual(full_J, full_J, triple)
 
 
 def test_recurrence_flags():

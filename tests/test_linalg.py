@@ -24,7 +24,7 @@ from glomkit.exactmath.linalg import (
     poly_gcd,
     rank_rational,
 )
-from glomkit.exactmath import grlex_key, linalg
+from glomkit.exactmath import linalg
 from glomkit.hamiltonian import build_J
 from glomkit.hierarchy import member
 from glomkit.invariants import build_system
@@ -188,10 +188,6 @@ def test_nullspace_symbolic_matches_reference(monkeypatch):
             assert all(e.is_zero() for e in mul_vector(J, vec)), name
 
 
-def _terms(basis):
-    return [[list(p.terms.items()) for p in vec] for vec in basis]
-
-
 def _odd_corank_one_members():
     """Odd members of every family whose J has nullity 1, by name."""
     out = {}
@@ -213,21 +209,18 @@ def test_odd_corank_one_kernel_skips_elimination(monkeypatch):
     for name, J in members.items():
         (vec,) = nullspace_symbolic(J)
         assert all(e.is_zero() for e in mul_vector(J, vec)), name
-        for p in vec:  # the order divide_exact writes, as the elimination path does
-            assert list(p.terms) == sorted(p.terms, key=grlex_key, reverse=True), name
 
 
 def test_sub_pfaffian_kernel_equals_the_elimination_kernel_term_by_term(monkeypatch):
-    # report bytes follow term order: on every odd corank-1 member (the
-    # unconstrained ones have a constant gcd, so the order is the Pfaffian
-    # path's own) both paths give the same terms in the same order.  An
-    # all-zero sub-Pfaffian vector sends a matrix to the elimination.
+    # on every odd corank-1 member both paths give the same primitive
+    # kernel vector, as polynomials (term order is not part of a result).
+    # An all-zero sub-Pfaffian vector sends a matrix to the elimination.
     members = _odd_corank_one_members()
     assert {"sparse_K5_free", "dense1_K3_free", "dense1_K5_free"} <= members.keys()
     pfaffian = {name: nullspace_symbolic(J) for name, J in members.items()}
     monkeypatch.setattr(linalg, "_sub_pfaffians", lambda m: [m.table.zero()] * m.cols)
     for name, J in members.items():
-        assert _terms(pfaffian[name]) == _terms(nullspace_symbolic(J)), name
+        assert pfaffian[name] == nullspace_symbolic(J), name
 
 
 def test_odd_non_skew_corank_one_matrix_is_eliminated():
