@@ -21,10 +21,11 @@ multivariate division (pivot rule: lowest total degree, ties broken by
 column then row order, which keeps degree growth down), and each basis
 vector is the Cramer solution for one free column, whose back-substitution
 divisions are exact.  Either way a vector is divided by the gcd of its
-entries (`poly_gcd`): the primitive kernel vector, content 1, its first
-nonzero entry with a positive leading coefficient.  The order of an
-entry's terms is not part of the result: polynomials compare as term
-dicts, and printing and the JSON reports sort the terms.
+entries, one deterministic `poly_gcd` fold from the smallest entry: the
+primitive kernel vector, content 1, its first nonzero entry with a
+positive leading coefficient.  The order of an entry's terms is not part
+of the result: polynomials compare as term dicts, and printing and the
+JSON reports sort the terms.
 """
 
 from __future__ import annotations
@@ -393,23 +394,13 @@ def _sub_pfaffians(m: PolyMatrix) -> list[Poly]:
 
 
 def _divide_by_gcd(vec: list[Poly]) -> list[Poly]:
-    """vec divided by the gcd of its entries.
-
-    g = gcd(smallest entry, seeded random combination of the others) is a
-    multiple of the gcd, so g dividing every entry certifies it as the gcd;
-    otherwise the gcd is folded over the entries.
-    """
-    small, *rest = sorted((v for v in vec if v), key=lambda p: len(p.terms))
-    rng = random.Random(0)
-    mix = sum((v.scale(rng.randrange(1, 1 << 16)) for v in rest), small.table.zero())
-    g = poly_gcd(small, mix) if mix else small.normalized()
+    """vec over the gcd of its nonzero entries, folded from the smallest and
+    stopped at a constant; defined up to the rational factor that
+    `normalized_vector` then fixes."""
+    g = _gcd_all(v for v in vec if v)
     if not g.total_degree():
         return vec
-    try:
-        return [divide_exact(v, g) for v in vec]
-    except ContractViolation:
-        g = _gcd_all([g, *rest])
-        return [divide_exact(v, g) for v in vec]
+    return [divide_exact(v, g) for v in vec]
 
 
 def _gcd_all(polys: Iterable[Poly]) -> Poly:
@@ -484,21 +475,18 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
 def proportional(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:
     """True iff two polynomial vectors are parallel.
 
-    Checked by cross-product vanishing (v1_i * v2_j == v1_j * v2_i for all
-    i < j) plus agreement of the zero patterns.  Two all-zero vectors count
-    as proportional by convention.
+    The zero patterns must agree.  Then, for one index k where both are
+    nonzero, v1 is parallel to v2 iff v1_i * v2_k == v2_i * v1_k for every
+    i; k is the index whose two entries have the fewest terms together.
+    Two all-zero vectors count as proportional by convention.
     """
     if len(v1) != len(v2):
         raise ContractViolation("vectors must have equal length")
-    for a, b in zip(v1, v2):
-        if a.is_zero() != b.is_zero():
-            return False
-    n = len(v1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (v1[i] * v2[j] - v1[j] * v2[i]).is_zero():
-                return False
-    return True
+    if any(a.is_zero() != b.is_zero() for a, b in zip(v1, v2)):
+        return False
+    nonzero = [i for i, a in enumerate(v1) if a]
+    k = min(nonzero, key=lambda i: len(v1[i].terms) + len(v2[i].terms), default=None)
+    return all(v1[i] * v2[k] == v2[i] * v1[k] for i in nonzero if i != k)
 
 
 def poly_proportional(a: Poly, b: Poly) -> bool:

@@ -15,7 +15,8 @@ Two Jacobi residual notions are computed.  The per-triple cyclic sums
 
     R_ijk = sum_m [J_im dJ_jk/dx_m + J_jm dJ_ki/dx_m + J_km dJ_ij/dx_m]
 
-are the exact Poisson-bracket condition.  Their signed total over all
+are the exact Poisson-bracket condition; J is affine in the state, so
+each entry is differentiated once per J.  Their signed total over all
 triples (the contraction with the alternating symbol, halved) is the
 aggregate criterion used throughout the gyrostat-superposition analysis
 and by the hierarchy machinery; it is weaker for M > 3.  Reports carry
@@ -60,26 +61,9 @@ def build_J(g: Glom) -> PolyMatrix:
     to x . f, so the field then conserves energy as well; the full
     check_energy runs only to word the refusal.
     """
-    table = g.var_table
-    if not all(gyro.energy_ok(table) for gyro in g.gyrostats):
+    if not all(gyro.energy_ok() for gyro in g.gyrostats):
         raise EnergyViolation("; ".join(check_energy(g).diagnostics))
-    return _superpose(table, g.modes, g.gyrostats)
-
-
-def triple_residual(J: PolyMatrix, triple: tuple[int, int, int]) -> Poly:
-    """The Jacobi residual R_ijk of J at one (0-based) index triple.
-
-    An entry is differentiated only by the state variables it holds.
-    """
-    M = J.rows
-    i, j, k = triple
-    acc = J.table.zero()
-    for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
-        entry = J[second, third]
-        for m in sorted(entry.variables()):
-            if m < M and J[first, m]:
-                acc = acc + J[first, m] * entry.diff(m)
-    return acc
+    return _superpose(g.var_table, g.modes, g.gyrostats)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,12 +97,22 @@ class JacobiReport:
 
 
 def jacobi(J: PolyMatrix) -> JacobiReport:
+    M = J.rows
+    # grads[j][k]: (m, dJ_jk/dx_m) for each state variable x_m in J_jk
+    grads = [
+        [[(m, e.diff(m)) for m in sorted(e.variables()) if m < M] for e in row]
+        for row in J.entries
+    ]
     residuals: dict[tuple[int, int, int], Poly] = {}
     aggregate = J.table.zero()
-    for triple in itertools.combinations(range(1, J.rows + 1), 3):
-        r = triple_residual(J, tuple(t - 1 for t in triple))
+    for i, j, k in itertools.combinations(range(M), 3):
+        r = J.table.zero()
+        for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, d in grads[second][third]:
+                if J[first, m]:
+                    r = r + J[first, m] * d
         if r:
-            residuals[triple] = r
+            residuals[i + 1, j + 1, k + 1] = r
             aggregate = aggregate + r
     return JacobiReport(
         residuals=residuals,

@@ -13,9 +13,11 @@ trajectories and drift reports are bit-identical to it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -93,7 +95,18 @@ def _compile_poly(poly, assignment: Mapping[str, Fraction]) -> list[Term]:
             idx.extend([i] * mono[i])
         key = tuple(idx)
         merged[key] = merged.get(key, Fraction(0)) + coeff
-    return [(float(c), idx) for idx, c in merged.items() if c]
+    return [(_to_float(c, idx), idx) for idx, c in merged.items() if c]
+
+
+def _to_float(c: Fraction, idx: tuple[int, ...]) -> float:
+    """The nonzero c as a float; ContractViolation if it overflows or
+    underflows to zero."""
+    with contextlib.suppress(OverflowError):
+        if value := float(c):
+            return value
+    name = "*".join(f"x{i + 1}" for i in idx) or "1"
+    approx = Decimal(c.numerator) / c.denominator
+    raise ContractViolation(f"coefficient {approx:.3g} of {name} does not fit a float")
 
 
 def compile_field(g: Glom, assignment: Mapping[str, Fraction]) -> list[list[Term]]:

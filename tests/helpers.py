@@ -2,9 +2,9 @@
 closed-form invariants of the sparse feedback-free family, the
 criterion-11 conservation fixtures, the Hamiltonian test models, and
 independent brute-force oracles (among them the matrix-vector product
-behind J x = f and J v = 0, the bilinear Jacobi residual, the interpreted
-RK4 stepper
-that generated code must match, the symbolic nullspace by denominator
+behind J x = f and J v = 0, the all-pairs proportionality test, the
+bilinear Jacobi residual, the interpreted RK4 stepper that generated code
+must match, the symbolic nullspace by denominator
 clearing and the sign-symmetry identity checked by substitution)."""
 
 from __future__ import annotations
@@ -130,6 +130,19 @@ def mul_vector(m: PolyMatrix, vec: Sequence[Poly]) -> list[Poly]:
                 acc = acc + e * x
         out.append(acc)
     return out
+
+
+def proportional_reference(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:
+    """Parallel polynomial vectors by all pairwise cross products
+    v1_i * v2_j == v1_j * v2_i, i < j, plus agreement of the zero patterns;
+    the oracle for linalg.proportional."""
+    if len(v1) != len(v2):
+        raise ContractViolation("vectors must have equal length")
+    if any(a.is_zero() != b.is_zero() for a, b in zip(v1, v2)):
+        return False
+    return all(
+        v1[i] * v2[j] == v1[j] * v2[i] for i, j in itertools.combinations(range(len(v1)), 2)
+    )
 
 
 def triple_residual(a: PolyMatrix, b: PolyMatrix, triple: tuple[int, int, int]) -> Poly:

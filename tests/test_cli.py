@@ -465,3 +465,29 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ("p1=1,q1=1e400", "coefficient 1.00e+400 of x1*x3"),
+        ("p1=1,q1=-1e400", "coefficient -1.00e+400 of x1*x3"),
+        ("p1=1e-400,q1=1", "coefficient 1e-400 of x2*x3"),
+    ],
+)
+def test_simulate_refuses_coefficients_outside_float_range(tmp_path, capsys, assign, message):
+    # an exact coefficient that overflows a float, or underflows to zero,
+    # is refused instead of ending in a traceback or running as 0.0
+    out = tmp_path / "report.json"
+    argv = ["simulate", "euler", "--assign", assign, "--t", "0.1", "--dt", "0.01"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert one_line_error(capsys) == f"error: {message} does not fit a float\n"
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_spec_outside_float_range(tmp_path, capsys):
+    params = {"a": "0", "b": "0", "c": "0", "p": "1e400", "q": "-1"}
+    doc = {"modes": 3, "gyrostats": [{"modes": [1, 2, 3], "params": params}]}
+    path = write(tmp_path, "big.json", doc)
+    assert main(["simulate", path, "--t", "0.1", "--dt", "0.01"]) == 1
+    assert "coefficient 1.00e+400 of x2*x3" in one_line_error(capsys)

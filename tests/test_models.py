@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,29 @@ def test_check_energy_violating_exact_triple():
     report = check_energy(g)
     assert not report.ok
     assert any("gyrostat 1" in msg for msg in report.diagnostics)
+
+
+def test_energy_ok_agrees_with_the_polynomial_sum():
+    # energy_ok reads the stored specs; the reference builds p + q + r
+    fixtures = ("model1", "model2", "model3", "model4", "model5", "euler")
+    gloms = [builtin_model(name) for name in fixtures]
+    for family in ("sparse", "dense1", "dense2", "model4", "model5"):
+        for K in range(1, FAMILY_MAX_K.get(family, 8) + 1):
+            gloms += [member(family, K, constrained) for constrained in (True, False)]
+    # explicit r, summing to zero and not
+    half = Fraction(1, 2)
+    for p, q, r in ((1, 2, -3), (half, 0, -half), (0, 0, 0), (1, 1, 1), (2, -1, 0)):
+        p, q, r = map(ParamSpec.exact, (p, q, r))
+        gyro = Gyrostat((1, 2, 3), *[ParamSpec.generic()] * 3, p=p, q=q, r_explicit=r)
+        gloms.append(Glom(3, (gyro,)))
+    seen = set()
+    for g in gloms:
+        table = g.var_table
+        for gyro in g.gyrostats:
+            total = gyro.p.to_poly(table) + gyro.q.to_poly(table) + gyro.r_poly(table)
+            assert gyro.energy_ok() == total.is_zero()
+            seen.add(gyro.energy_ok())
+    assert seen == {True, False}
 
 
 def test_energy_derivative_vanishes_for_builtins():

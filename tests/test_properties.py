@@ -1,6 +1,7 @@
 """Property tests of the exact polynomial layer: the ring laws of Poly,
-exact division, the polynomial gcd, the coefficient types, and the GF(2)
-nullspace of the sign-symmetry solver.  Skipped without hypothesis."""
+exact division, the polynomial gcd, the coefficient types, vector
+proportionality, and the GF(2) nullspace of the sign-symmetry solver.
+Skipped without hypothesis."""
 
 from fractions import Fraction
 
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import Poly, VarTable, divide_exact
-from glomkit.exactmath.linalg import poly_gcd
+from glomkit.exactmath.linalg import poly_gcd, proportional
 from glomkit.models import _gf2_nullspace
 
-from helpers import parse
+from helpers import parse, proportional_reference
 
 # the same examples in every environment; no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -106,6 +107,51 @@ def test_integral_results_hold_ints():
         assert r and all(type(c) is int for c in r.terms.values()), r
     assert all(type(c) is int for c in p.normalized().terms.values())
     assert TABLE.const(Fraction(6, 3)).terms == {_monomial((0, 0, 0, 0)): 2}
+
+
+vectors = st.lists(polys, min_size=1, max_size=5)
+
+
+def _scaled(case):
+    # lam * u and mu * u: parallel, zero where u is
+    u, lam, mu = case
+    return [lam * e for e in u], [mu * e for e in u]
+
+
+def _rezeroed(case):
+    # one entry of the second vector set to zero, the zero pattern of the
+    # first changed unless that entry was zero already
+    (v1, v2), i = case
+    i %= len(v2)
+    return v1, [TABLE.zero() if j == i else e for j, e in enumerate(v2)]
+
+
+def _perturbed(case):
+    # d added to one entry of the second vector: mostly the zero pattern
+    # stays and the vectors stop being parallel
+    (v1, v2), i, d = case
+    i %= len(v2)
+    return v1, [e + d if j == i else e for j, e in enumerate(v2)]
+
+
+# c * v and lam(x) * v (nonzero_polys holds constants as well), those
+# with one entry zeroed or perturbed, pairs of unrelated vectors, and
+# all-zero vectors
+scaled_pairs = st.tuples(vectors, nonzero_polys, nonzero_polys).map(_scaled)
+vector_pairs = st.one_of(
+    scaled_pairs,
+    st.tuples(scaled_pairs, st.integers(0, 4)).map(_rezeroed),
+    st.tuples(scaled_pairs, st.integers(0, 4), nonzero_polys).map(_perturbed),
+    st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.lists(polys, min_size=n, max_size=n)] * 2)),
+    st.integers(1, 5).map(lambda n: ([TABLE.zero()] * n,) * 2),
+)
+
+
+@PROPERTY
+@given(vector_pairs)
+def test_proportional_matches_the_all_pairs_reference(pair):
+    v1, v2 = pair
+    assert proportional(v1, v2) == proportional_reference(v1, v2)
 
 
 # (bit count, equations as row bitmasks)
