@@ -10,22 +10,23 @@ pivot count; nullspaces back-substitute over the sparse pivot rows.
 Generic ranks of polynomial matrices are exact ranks at the best of a few
 random integer points (`generic_point`).
 
-Polynomial nullspaces are empty at once when the rank at integer points
-is full.  A skew matrix of odd order M has rank at most M - 1, so rank
-M - 1 at an integer point makes its nullity exactly 1; its kernel is then
-spanned by the signed (M-1)-sub-Pfaffians, computed by expansion along the
-first row and memoized on the index bitmask (at most 2^(M-1) masks for a
-fully dense matrix, far fewer for the sparse J of the gyrostat models).
-Every other singular matrix goes through Bareiss elimination with exact
-multivariate division (pivot rule: lowest total degree, ties broken by
-column then row order, which keeps degree growth down), and each basis
-vector is the Cramer solution for one free column, whose back-substitution
-divisions are exact.  Either way a vector is divided by the gcd of its
-entries, one deterministic `poly_gcd` fold from the smallest entry: the
-primitive kernel vector, content 1, its first nonzero entry with a
-positive leading coefficient.  The order of an entry's terms is not part
-of the result: polynomials compare as term dicts, and printing and the
-JSON reports sort the terms.
+Polynomial nullspaces are taken of square skew matrices only.  They are
+empty at once when the rank at integer points is full.  Otherwise every
+kernel vector is the signed sub-Pfaffian vector of one index set S,
+computed by expansion along the first row and memoized on the index
+bitmask (at most 2^(|S|-1) masks for a fully dense matrix, far fewer for
+the sparse J of the gyrostat models).  A skew matrix of odd order M has
+rank at most M - 1, so rank M - 1 at an integer point makes its nullity
+exactly 1, and S is every column.  At any other nullity the Bareiss
+forward elimination with exact multivariate division (pivot rule: lowest
+total degree, ties broken by column then row order, which keeps degree
+growth down) picks the pivot columns P, and S = P + {j} for each free
+column j.  Each vector is divided by the gcd of its entries, one
+deterministic `poly_gcd` fold from the smallest entry: the primitive
+kernel vector, content 1, its first nonzero entry with a positive
+leading coefficient.  The order of an entry's terms is not part of the
+result: polynomials compare as term dicts, and printing and the JSON
+reports sort the terms.
 """
 
 from __future__ import annotations
@@ -314,65 +315,58 @@ def _echelon_poly(m: PolyMatrix) -> tuple[list[list[Poly]], list[tuple[int, Poly
 
 
 def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
-    """Nullspace basis over the fraction field: for each free column of the
-    Bareiss echelon form, in column order, the primitive kernel vector that
-    is zero in the other free columns.  Primitive: the gcd of its entries is
-    1, their rational content is 1 and the first nonzero entry has a
-    positive leading coefficient.
+    """Nullspace basis of a square skew matrix over the fraction field:
+    for each free column j, in column order, the primitive kernel vector
+    that is zero in the other free columns.  Primitive: the gcd of its
+    entries is 1, their rational content is 1 and the first nonzero entry
+    has a positive leading coefficient.
 
-    A square skew matrix of odd order M whose rank at an integer point is
-    M - 1 skips the elimination: its one kernel vector is made from the
-    signed (M-1)-sub-Pfaffians (`_sub_pfaffians`), whose cost is the
-    number of index sets the first-row expansion meets, 2^(M-1) at worst
-    for a fully dense matrix.  Nullity 2 or more, even order, a non-skew
-    or non-square matrix, and an all-zero sub-Pfaffian vector (possible
-    only if the rank at the point were wrong) go through the elimination.
+    Every vector is the signed sub-Pfaffian vector of one index set S
+    (`_sub_pfaffians`): S is every column when the order M is odd and the
+    rank at an integer point is M - 1, with no elimination; otherwise S is
+    P + {j}, P the pivot columns of the Bareiss forward pass.  m[P, P] is
+    nonsingular (P indexes a column basis of a skew matrix), so the vector
+    is +-Pf(m[P, P]) at j, zero at the other free columns, and in the
+    kernel because rank m = |P|: Cramer's solution up to a factor, which
+    the gcd and the normalization remove.  The cost of a vector is the
+    number of index sets the first-row expansion meets, 2^(|S|-1) at worst
+    for a fully dense matrix.  A non-square or non-skew matrix raises
+    ContractViolation.
     """
+    if not _is_skew(m):
+        raise ContractViolation(f"not a square skew matrix ({m.rows}x{m.cols})")
     # full column rank at one point means some maximal minor is a nonzero
     # polynomial, so the nullspace is {0}: a certificate, not a guess
     rank = generic_rank(m)
     if rank == m.cols:
         return []
     # an odd skew matrix has rank at most cols - 1, so rank cols - 1 at one
-    # point makes the nullity exactly 1, and the signed sub-Pfaffians (a
-    # kernel vector of every odd skew matrix) span the kernel if nonzero
-    if rank == m.cols - 1 and m.cols % 2 and _is_skew(m):
-        vec = _sub_pfaffians(m)
-        if any(vec):
-            return [normalized_vector(_divide_by_gcd(vec))]
-    table = m.table
-    rows, pivots = _echelon_poly(m)
-    pivot_cols = {c for c, _ in pivots}
-    free = [c for c in range(m.cols) if c not in pivot_cols]
-    det = pivots[-1][1] if pivots else table.const(1)
-    basis: list[list[Poly]] = []
-    for fc in free:
-        # Cramer: with the last pivot (the r x r minor on the pivot rows and
-        # columns) at fc, every entry is an r x r minor: each division is exact
-        w = [table.zero()] * m.cols
-        w[fc] = det
-        for row, (c, piv) in zip(reversed(rows), reversed(pivots)):
-            s = table.zero()
-            for e, x in zip(row, w):  # w[c] is still zero
-                if e and x:
-                    s = s + e * x
-            w[c] = -divide_exact(s, piv)
-        basis.append(normalized_vector(_divide_by_gcd(w)))
-    return basis
+    # point makes the nullity exactly 1, and one set of every column serves
+    if rank == m.cols - 1 and m.cols % 2:
+        sets = [(1 << m.cols) - 1]
+    else:
+        pivots = sum(1 << c for c, _ in _echelon_poly(m)[1])
+        sets = [pivots | 1 << j for j in range(m.cols) if not pivots >> j & 1]
+    return [normalized_vector(_divide_by_gcd(_sub_pfaffians(m, s))) for s in sets]
 
 
 def _is_skew(m: PolyMatrix) -> bool:
-    return m.rows == m.cols and not any(
-        m[i, j] + m[j, i] for i in range(m.rows) for j in range(i, m.cols)
+    e = m.entries  # term dicts compared directly: no Poly built per pair
+    return m.rows == m.cols and all(
+        e[i][j].terms == {k: -c for k, c in e[j][i].terms.items()}
+        for i in range(m.rows)
+        for j in range(i, m.cols)
     )
 
 
-def _sub_pfaffians(m: PolyMatrix) -> list[Poly]:
-    """(-1)^i Pf(m without row and column i) for each i, m skew of odd order.
+def _sub_pfaffians(m: PolyMatrix, s: int) -> list[Poly]:
+    """Signed sub-Pfaffians of the index set S, given as the bitmask s:
+    (-1)^k Pf(S - {i}) at the k-th member i of S, counted from 0, and zero
+    off S.  With m skew and |S| odd this is a kernel vector of m[S, S].
 
-    Pf of an index set S expands along its first index s:
-    Pf(S) = sum over t in S of (-1)^(k+1) m[s, t] Pf(S - {s, t}), t the
-    k-th member of S counted from 0; zero entries are skipped, and each
+    Pf of an index set expands along its first index f:
+    Pf(T) = sum over t in T of (-1)^(k+1) m[f, t] Pf(T - {f, t}), t the
+    k-th member of T counted from 0; zero entries are skipped, and each
     index set (a bitmask) is expanded once.
     """
     n = m.cols
@@ -389,8 +383,10 @@ def _sub_pfaffians(m: PolyMatrix) -> list[Poly]:
             memo[mask] = p
         return p
 
-    full = (1 << n) - 1
-    return [-pf(full ^ 1 << i) if i % 2 else pf(full ^ 1 << i) for i in range(n)]
+    vec = [m.table.zero()] * n
+    for k, i in enumerate(i for i in range(n) if s >> i & 1):
+        vec[i] = -pf(s ^ 1 << i) if k % 2 else pf(s ^ 1 << i)
+    return vec
 
 
 def _divide_by_gcd(vec: list[Poly]) -> list[Poly]:

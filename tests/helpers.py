@@ -9,6 +9,7 @@ clearing and the sign-symmetry identity checked by substitution)."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -369,10 +370,10 @@ def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dic
 
 
 # The symbolic nullspace by denominator clearing: the back-substitution
-# multiplies the whole vector by every pivot, then each multi-term pivot
-# (normalized) is divided out until none divides, with rational and
-# monomial content stripped in between.  The reference for the Cramer
-# back-substitution and exact gcd in exactmath.linalg.
+# multiplies the whole vector by every pivot, then each multi-term pivot or
+# entry (rational and monomial content stripped) is divided out until none
+# divides, with the vector's content stripped in between.  The reference
+# for the sub-Pfaffian kernel and exact gcd in exactmath.linalg.
 
 
 def _strip_content_reference(vec: list[Poly]) -> list[Poly]:
@@ -394,10 +395,19 @@ def _normalize_vector_reference(vec: list[Poly], pivot_polys: list[Poly]) -> lis
     if all(v.is_zero() for v in vec):
         return vec
     candidates = {}
-    for p in pivot_polys:
-        norm = p.normalized()
-        if norm.total_degree() > 0 and len(norm.terms) > 1:
-            candidates[norm.key()] = norm
+    queue = list(pivot_polys)
+    while queue:
+        # a pivot may be c1*(a1*c2 + c1*c4), or (x1 + 1)*(a1 - p1) next to
+        # the entry x1 + 1: candidates lose their monomial content, and a
+        # candidate over another that divides it is a candidate too
+        (norm,) = _strip_content_reference([queue.pop()])
+        if norm.total_degree() == 0 or len(norm.terms) == 1 or norm.key() in candidates:
+            continue
+        for other in candidates.values():
+            for a, b in ((norm, other), (other, norm)):
+                with contextlib.suppress(ContractViolation):
+                    queue.append(divide_exact(a, b))
+        candidates[norm.key()] = norm
     while True:
         vec = _strip_content_reference(vec)
         for cand in candidates.values():

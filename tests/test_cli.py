@@ -360,8 +360,8 @@ def test_invariants_reports_match_golden_bytes(tmp_path, model, seed):
 
 
 # Reports of the other commands, byte-compared like the invariants reports.
-# The odd-M casimirs subclasses run the symbolic elimination in full (J is
-# singular), and their Cramer kernel vectors share a polynomial factor.
+# The casimirs subclasses have a singular J; those of nullity 2 or more take
+# their free columns from the symbolic elimination.
 FIXTURES = ("model1", "model2", "model3", "model4", "model5", "euler")
 GOLDEN_REPORTS = {
     **{f"jacobi_{m}": ["jacobi", m] for m in FIXTURES},
@@ -377,7 +377,9 @@ GOLDEN_REPORTS = {
             ("model4", "c1,c2,c3"),
             ("model3", "p3,q3"),
             ("model5", "b3,p3"),  # nullity 2: the free columns decide the Casimir count
+            ("model5", "b3,c3,p3"),  # nullity 2, free columns 5 and 6 (b3,p3: 5 and 8)
             ("model2", "c1,a2,q2"),  # nullity 3
+            ("euler", "p1,q1"),  # J = 0: no pivot columns, the unit vectors
         )
     },
     **{

@@ -122,7 +122,7 @@ def test_nullspace_symbolic_frozen_mode_branch():
 
 def test_nullspace_symbolic_nonsingular_constant():
     table = VarTable.for_model(3, 1)
-    m = constant_matrix(table, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    m = constant_matrix(table, [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]])
     assert nullspace_symbolic(m) == []
 
 
@@ -175,12 +175,19 @@ def test_symbolic_nullity_matches_generic_rank():
 
 
 def test_nullspace_symbolic_matches_reference(monkeypatch):
-    # the reference eliminates and multiplies every vector up; where J is
-    # odd of corank 1 the sub-Pfaffians answer, elsewhere one forward
-    # elimination per matrix serves both sides, which then differ in the
-    # back-substitution and the normalization only
+    # the reference eliminates and back-substitutes, multiplying every
+    # vector up; the sub-Pfaffians answer without it.  Where J has nullity 2
+    # or more, one forward elimination per matrix serves both sides: the
+    # pivot columns it picks are the reference's free columns and the
+    # sub-Pfaffian index sets
     monkeypatch.setattr(linalg, "_echelon_poly", functools.cache(linalg._echelon_poly))
-    for name, g in reference_models().items():
+    models = reference_models()
+    g = builtin_model("model5")
+    models["model5_c1b3p3"] = g.zeroed(["c1", "b3", "p3"])
+    models["model5_q1b3p3"] = g.zeroed(["q1", "b3", "p3"])
+    for constrained in (True, False):
+        models[f"model5_K3_{constrained}"] = member("model5", 3, constrained)
+    for name, g in models.items():
         J = build_J(g)
         basis = nullspace_symbolic(J)
         assert basis == nullspace_symbolic_reference(J), name
@@ -211,27 +218,27 @@ def test_odd_corank_one_kernel_skips_elimination(monkeypatch):
         assert all(e.is_zero() for e in mul_vector(J, vec)), name
 
 
-def test_sub_pfaffian_kernel_equals_the_elimination_kernel_term_by_term(monkeypatch):
-    # on every odd corank-1 member both paths give the same primitive
-    # kernel vector, as polynomials (term order is not part of a result).
-    # An all-zero sub-Pfaffian vector sends a matrix to the elimination.
+def test_sub_pfaffian_kernel_equals_the_elimination_kernel_term_by_term():
+    # on every odd corank-1 member the sub-Pfaffians give the primitive
+    # kernel vector the reference elimination finds, as polynomials (term
+    # order is not part of a result)
     members = _odd_corank_one_members()
     assert {"sparse_K5_free", "dense1_K3_free", "dense1_K5_free"} <= members.keys()
-    pfaffian = {name: nullspace_symbolic(J) for name, J in members.items()}
-    monkeypatch.setattr(linalg, "_sub_pfaffians", lambda m: [m.table.zero()] * m.cols)
     for name, J in members.items():
-        assert pfaffian[name] == nullspace_symbolic(J), name
+        assert nullspace_symbolic(J) == nullspace_symbolic_reference(J), name
 
 
-def test_odd_non_skew_corank_one_matrix_is_eliminated():
-    # 3 x 3, rank 2 (row 3 = row 1 + row 2), not skew: the elimination path
+def test_nullspace_symbolic_refuses_a_non_skew_matrix():
+    # 3 x 3 of rank 2 (row 3 = row 1 + row 2) but not skew, and 2 x 3
     table = VarTable.for_model(3, 1)
     rows = [["a1", "b1", "0"], ["0", "c1", "a1*x1"], ["a1", "b1 + c1", "a1*x1"]]
-    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in rows])
-    assert generic_rank(m) == 2
-    (vec,) = nullspace_symbolic(m)
-    assert all(e.is_zero() for e in mul_vector(m, vec))
-    assert vec == parse_vector(table, ["b1*x1", "-a1*x1", "c1"])
+    for m in (
+        PolyMatrix(table, [[parse(table, e) for e in row] for row in rows]),
+        PolyMatrix(table, [[parse(table, e) for e in row] for row in rows[:2]]),
+    ):
+        with pytest.raises(ContractViolation) as info:
+            nullspace_symbolic(m)
+        assert "skew" in str(info.value) and "\n" not in str(info.value)
 
 
 def test_poly_gcd_finds_a_common_factor():

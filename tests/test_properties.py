@@ -1,7 +1,7 @@
 """Property tests of the exact polynomial layer: the ring laws of Poly,
 exact division, the polynomial gcd, the coefficient types, vector
-proportionality, and the GF(2) nullspace of the sign-symmetry solver.
-Skipped without hypothesis."""
+proportionality, the symbolic nullspace of skew matrices, and the GF(2)
+nullspace of the sign-symmetry solver.  Skipped without hypothesis."""
 
 from fractions import Fraction
 
@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import Poly, VarTable, divide_exact
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, divide_exact, nullspace_symbolic
 from glomkit.exactmath.linalg import poly_gcd, proportional
 from glomkit.models import _gf2_nullspace
 
-from helpers import parse, proportional_reference
+from helpers import mul_vector, nullspace_symbolic_reference, parse, proportional_reference
 
 # the same examples in every environment; no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -152,6 +152,42 @@ vector_pairs = st.one_of(
 def test_proportional_matches_the_all_pairs_reference(pair):
     v1, v2 = pair
     assert proportional(v1, v2) == proportional_reference(v1, v2)
+
+
+def _affine(coeffs) -> Poly:
+    """coeffs[0] + coeffs[1]*x1 + coeffs[2]*x2 + coeffs[3]*a1 + coeffs[4]*p1"""
+    n = len(VARIABLES)
+    monos = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return Poly(TABLE, {_monomial(e): c for e, c in zip(monos, coeffs)})
+
+
+def _skew(n: int, upper) -> PolyMatrix:
+    rows = [[TABLE.zero()] * n for _ in range(n)]
+    cells = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (i, j), e in zip(cells, upper):
+        rows[i][j], rows[j][i] = e, -e
+    return PolyMatrix(TABLE, rows)
+
+
+# M = 2..6; each entry above the diagonal is zero half the time, else affine
+skew_entries = st.one_of(
+    st.just(TABLE.zero()),
+    st.tuples(*[st.integers(-3, 3)] * (len(VARIABLES) + 1)).map(_affine),
+)
+skew_matrices = st.integers(2, 6).flatmap(
+    lambda n: st.lists(skew_entries, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda upper: _skew(n, upper)
+    )
+)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(skew_matrices)
+def test_nullspace_symbolic_matches_the_elimination_reference(m):
+    basis = nullspace_symbolic(m)
+    assert basis == nullspace_symbolic_reference(m)
+    for vec in basis:
+        assert not any(mul_vector(m, vec))
 
 
 # (bit count, equations as row bitmasks)

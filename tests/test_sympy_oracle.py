@@ -128,14 +128,17 @@ def test_J_and_jacobi_residuals_match_sympy(name):
     assert is_zero(aggregate - to_sympy(report.aggregate))
 
 
-# plus the two subclasses pinned as golden reports, whose Cramer kernel
-# vectors share a polynomial factor, and unconstrained odd members, whose
-# kernel comes from the sub-Pfaffians of J (unconstrained, dense1 and
-# dense2 are one model)
+# plus subclasses pinned as golden reports: two odd ones of corank 1, and
+# two of nullity 2 and 3, whose kernel vectors are the sub-Pfaffians of
+# P + {j} for the pivot columns P of the elimination; and unconstrained odd
+# members, whose kernel comes from the sub-Pfaffians of all of J
+# (unconstrained, dense1 and dense2 are one model)
 NULLSPACE_MODELS = {
     **HAMILTONIAN_MODELS,
     "model4_c1c2c3": builtin_model("model4").zeroed(["c1", "c2", "c3"]),
     "model3_p3q3": builtin_model("model3").zeroed(["p3", "q3"]),
+    "model5_b3p3": builtin_model("model5").zeroed(["b3", "p3"]),
+    "model2_c1a2q2": builtin_model("model2").zeroed(["c1", "a2", "q2"]),
     **{f"sparse{K}_free": member("sparse", K, False) for K in (2, 3)},
     **{f"dense{K}_free": member("dense1", K, False) for K in (3, 5)},
 }
