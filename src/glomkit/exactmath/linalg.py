@@ -1,14 +1,19 @@
 """Fraction-free linear algebra over the rationals and over polynomial entries.
 
 Numeric matrices go through one sparse, fraction-free row reduction
-(`_pivot_rows`).  Rows are taken one at a time, scaled to coprime
-integers and stored as {column: value} dicts.  An incoming row is reduced
-against the pivot row at its leading column by row <- a*row - b*pivot
-(a, b the two leading entries divided by their gcd) and divided by its
-content, until it vanishes or opens a new pivot column.  The rank is the
-pivot count; nullspaces back-substitute over the sparse pivot rows.
-Generic ranks of polynomial matrices are exact ranks at the best of a few
-random integer points (`generic_point`).
+(`_pivot_rows`).  It first peels singleton rows: a row with one nonzero
+entry forces that unknown to zero, so its column becomes the unit pivot
+row {c: 1} and is struck from the other rows, which may cascade.  Peeled
+columns are pivot columns of the reduced row echelon form, so the rank,
+the pivot columns and the nullspace are those of the input.  The
+remaining rows, on the unpeeled columns, are taken one at a time, scaled
+to coprime integers and stored as {column: value} dicts.  An incoming row
+is reduced against the pivot row at its leading column by
+row <- a*row - b*pivot (a, b the two leading entries divided by their
+gcd) and divided by its content, until it vanishes or opens a new pivot
+column.  The rank is the pivot count; nullspaces back-substitute over the
+sparse pivot rows.  Generic ranks of polynomial matrices are exact ranks
+at the best of a few random integer points (`generic_point`).
 
 Polynomial nullspaces are taken of square skew matrices only.  They are
 empty at once when the rank at integer points is full.  Otherwise every
@@ -67,18 +72,52 @@ def _pivot_rows(rows: Sequence[Sequence[Fraction | int]]) -> dict[int, dict[int,
     """Echelon form of the row space: primitive integer rows keyed by their
     leading column.
 
+    Singleton rows are peeled first, in O(nnz): a row with one live entry,
+    at column c, puts e_c in the row space, so c is stored as the unit row
+    {c: 1} and struck from every other row, which may leave new singletons.
+    Rows left empty are dropped.  The rest, restricted to the unpeeled
+    columns, are taken one at a time: each is scaled to coprime integers and
+    reduced against the pivot row at its leading column until it vanishes or
+    opens a new pivot column.
+
     The leading columns are those of the reduced row echelon form, whatever
-    the row order.  Growth is bounded: each stored row, and each row met
-    while reducing one, is the primitive integer multiple of the row exact
-    Gaussian elimination would hold (the input row minus the combination of
-    pivot rows that clears its columns left of the leading one), whose
-    entries are ratios of minors of the input scaled to integer rows; so no
-    entry exceeds the largest such minor in absolute value (Edmonds 1967).
+    the row order.  The peel keeps them: e_c in the row space means column c
+    lies outside the span of the other columns, so c is a pivot column, and
+    the unit rows together with the struck rows span the input's row space.
+    So the nullspace `back_substitute` reads off is unchanged too.  Growth
+    is bounded: each stored row, and each row met while reducing one, is the
+    primitive integer multiple of the row exact Gaussian elimination would
+    hold on the unpeeled submatrix (the row minus the combination of pivot
+    rows that clears its columns left of the leading one), whose entries are
+    ratios of its minors, which are minors of the input scaled to integer
+    rows; so no entry exceeds the largest such minor in absolute value
+    (Edmonds 1967).
     """
+    entries = [{j: v for j, v in enumerate(values) if v} for values in rows]
+    holders: dict[int, list[int]] = {}  # column -> indices of the rows holding it
+    for i, row in enumerate(entries):
+        for j in row:
+            holders.setdefault(j, []).append(i)
+    live = [len(row) for row in entries]
+    stack = [i for i, n in enumerate(live) if n == 1]
     pivots: dict[int, dict[int, int]] = {}
-    for values in rows:
-        den = lcm(*map(attrgetter("denominator"), values))
-        row = _primitive({j: int(v * den) for j, v in enumerate(values) if v})
+    while stack:
+        i = stack.pop()
+        if live[i] != 1:  # emptied by a singleton on the same column
+            continue
+        c = next(j for j in entries[i] if j not in pivots)
+        pivots[c] = {c: 1}
+        for k in holders[c]:
+            live[k] -= 1
+            if live[k] == 1:
+                stack.append(k)
+    peeled = set(pivots)  # not `pivots`, which gains the elimination's own columns
+    for values, n in zip(entries, live):
+        if not n:  # every entry peeled
+            continue
+        values = {j: v for j, v in values.items() if j not in peeled}
+        den = lcm(*map(attrgetter("denominator"), values.values()))
+        row = _primitive({j: int(v * den) for j, v in values.items()})
         while row:
             c = min(row)
             prow = pivots.get(c)

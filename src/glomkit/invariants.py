@@ -179,14 +179,6 @@ class QuadraticForm:
         vec = [c.subs(values) for c in self.coeffs]
         return QuadraticForm.from_coeff_vector(self.table, vec)
 
-    def map_signs(self, signs: Sequence[int]) -> "QuadraticForm":
-        """The form x -> C(Sx) for a diagonal sign transformation S."""
-        M = self.M
-        factors = [1] * M
-        factors += [signs[i] * signs[j] for i in range(M) for j in range(i + 1, M)]
-        factors += signs
-        return QuadraticForm(self.table, tuple(c.scale(s) for c, s in zip(self.coeffs, factors)))
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -239,9 +231,6 @@ class InvariantSystem:
             tuple(monos),
             tuple(self.col_labels[i] for i in col_idx),
         )
-
-    def row_by_label(self, label: str) -> tuple[Poly, ...]:
-        return self.matrix.entries[self.row_labels.index(label)]
 
 
 def unknown_labels(M: int) -> list[str]:

@@ -32,7 +32,7 @@ from glomkit.exactmath.linalg import (
 from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.hierarchy import member
-from glomkit.invariants import QuadraticForm, count_invariants, verify_conserved
+from glomkit.invariants import InvariantSystem, QuadraticForm, count_invariants, verify_conserved
 from glomkit.models import (
     Glom,
     ParamSpec,
@@ -520,6 +520,20 @@ def is_sign_symmetry(field: VectorField, signs: Sequence[int]) -> bool:
         apply_signs(comp, signs) == (comp if signs[i] > 0 else -comp)
         for i, comp in enumerate(field.components)
     )
+
+
+def map_signs(form: QuadraticForm, signs: Sequence[int]) -> QuadraticForm:
+    """The form x -> C(Sx) for a diagonal sign transformation S."""
+    M = form.M
+    factors = [1] * M
+    factors += [signs[i] * signs[j] for i in range(M) for j in range(i + 1, M)]
+    factors += signs
+    return QuadraticForm(form.table, tuple(c.scale(s) for c, s in zip(form.coeffs, factors)))
+
+
+def row_by_label(system: InvariantSystem, label: str) -> tuple[Poly, ...]:
+    """The row of an invariant system at the state monomial printed as label."""
+    return system.matrix.entries[system.row_labels.index(label)]
 
 
 def _conservation_fixture(tag, g, seed):

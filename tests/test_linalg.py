@@ -28,7 +28,7 @@ from glomkit.exactmath import linalg
 from glomkit.hamiltonian import build_J
 from glomkit.hierarchy import member
 from glomkit.invariants import build_system
-from glomkit.models import builtin_model
+from glomkit.models import builtin_model, no_linear_feedback
 
 from helpers import (
     FAMILY_TOP_K,
@@ -413,10 +413,50 @@ def test_elimination_matches_bareiss_on_random_rank_r_products():
         _matches_bareiss(rows, n_cols)
 
 
+def _cascading_rows(rng):
+    """Sparse rows whose singletons cascade: a chain of 2-entry rows started
+    by a singleton, repeated singletons on one column, zero rows and a few
+    rows of 2-4 entries, in shuffled row and column order, with Fraction
+    and int entries mixed."""
+    n_cols = rng.randrange(1, 13)
+    cols = rng.sample(range(n_cols), n_cols)
+
+    def value():
+        v = rng.choice([1, -1, 2, -3, 7, P61, Fraction(-5, 3), Fraction(1, 1 << 40)])
+        return v * rng.choice([1, 2, -1])
+
+    rows = []
+    chain = cols[: rng.randrange(1, n_cols + 1)]
+    if rng.random() < 0.8:
+        rows.append({chain[0]: value()})
+    rows += [{a: value(), b: value()} for a, b in zip(chain, chain[1:])]
+    rows += [{cols[-1]: value()} for _ in range(rng.randrange(3))]
+    rows += [{} for _ in range(rng.randrange(3))]
+    for _ in range(rng.randrange(4)):
+        picked = rng.sample(cols, min(n_cols, rng.randrange(2, 5)))
+        rows.append({j: value() for j in picked})
+    rng.shuffle(rows)
+    return [[row.get(j, 0) for j in range(n_cols)] for row in rows], n_cols
+
+
+def test_elimination_matches_bareiss_on_cascading_singletons():
+    rng = random.Random(17)
+    for _ in range(400):
+        rows, n_cols = _cascading_rows(rng)
+        _matches_bareiss(rows, n_cols)
+        for c, row in linalg._pivot_rows(rows).items():
+            assert c == min(row) and all(type(v) is int for v in row.values())
+
+
 def test_elimination_matches_bareiss_on_invariant_systems():
     rng = random.Random(5)
-    for name in ("model1", "model2", "model3", "model4", "model5"):
-        m = build_system(builtin_model(name)).matrix
+    models = [builtin_model(name) for name in ("model1", "model2", "model3", "model4", "model5")]
+    for family, ks in (("sparse", range(3, 7)), ("dense", range(4, 9))):
+        for K in ks:
+            g = builtin_model(family, K)
+            models += [g, no_linear_feedback(g)]
+    for g in models:
+        m = build_system(g).matrix
         names = sorted(m.parameter_names())
         point = {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
         _matches_bareiss(evaluate_at(m, point), m.cols)
