@@ -36,7 +36,7 @@ from .exactmath import Poly, monomial_str
 from .hamiltonian import build_J, casimirs, jacobi
 from .hierarchy import HierarchySpec, check_recurrence, hierarchy_report
 from .invariants import QuadraticForm, count_invariants, enumerate_subclasses
-from .models import Glom, Gyrostat, ParamSpec, check_energy, instantiate
+from .models import SLOT_LETTERS, Glom, Gyrostat, ParamSpec, check_energy, instantiate
 from .simulate import SimConfig, integrate
 
 FIXTURE_NAMES = ("model1", "model2", "model3", "model4", "model5", "euler")
@@ -54,8 +54,9 @@ class UsageError(Exception):
 # config parsing
 
 
-# a parameter symbol; x1, x2, ... name the state variables
-SYMBOL = re.compile(r"(?!x\d+$)[A-Za-z_][A-Za-z0-9_]*")
+# a parameter symbol; x1, x2, ... name the state variables and "generic"
+# is the keyword, so "2*generic" is refused rather than read as a symbol
+SYMBOL = re.compile(r"(?!x\d+$|generic$)[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_param_spec(text: Any, where: str) -> ParamSpec:
@@ -108,28 +109,20 @@ def parse_model_config(doc: Any) -> Glom:
             or not all(map(_is_int, triple))
         ):
             raise ConfigError(f"{where}: 'modes' must be three integers")
-        if any(m < 1 or m > modes for m in triple):
-            raise ConfigError(f"{where}: mode indices must be within 1..{modes}")
         params = item.get("params")
         if not isinstance(params, dict):
             raise ConfigError(f"{where}: 'params' must be an object")
-        unknown = set(params) - {"a", "b", "c", "p", "q", "r"}
+        unknown = set(params) - {*SLOT_LETTERS, "r"}
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
-        missing = {"a", "b", "c", "p", "q"} - set(params)
+        missing = set(SLOT_LETTERS) - set(params)
         if missing:
             raise ConfigError(f"{where}: missing parameters {sorted(missing)}")
         specs = {
             letter: parse_param_spec(params[letter], f"{where}, parameter {letter!r}")
-            for letter in ("a", "b", "c", "p", "q")
+            for letter in SLOT_LETTERS
         }
-        r_spec = None
-        if "r" in params:
-            r_spec = parse_param_spec(params["r"], f"{where}, parameter 'r'")
-            if r_spec.is_symbolic:
-                raise ConfigError(f"{where}: 'r' must be exact or omitted (it is derived)")
-            if specs["p"].is_symbolic or specs["q"].is_symbolic:
-                raise ConfigError(f"{where}: 'r' may only be supplied when p and q are exact")
+        r_spec = parse_param_spec(params["r"], f"{where}, parameter 'r'") if "r" in params else None
         try:
             gyros.append(Gyrostat(tuple(triple), r_explicit=r_spec, **specs))
         except ContractViolation as exc:
@@ -142,22 +135,14 @@ def parse_model_config(doc: Any) -> Glom:
 
 def model_to_config(g: Glom) -> dict:
     """Echo a model in the config schema (round-trips through the parser)."""
-    gyros = []
-    for k, gyro in enumerate(g.gyrostats, start=1):
-        params = {}
-        for letter in ("a", "b", "c", "p", "q"):
-            spec = gyro.param(letter)
-            if not spec.is_symbolic:
-                params[letter] = format_fraction(spec.coeff)
-            elif spec.coeff != 1:
-                params[letter] = f"{format_fraction(spec.coeff)}*{spec.symbol}"
-            elif spec.symbol == f"{letter}{k}":
-                params[letter] = "generic"
-            else:
-                params[letter] = spec.symbol
+    gyros = [{"modes": list(gyro.modes), "params": {}} for gyro in g.gyrostats]
+    for name, spec in g.slots().items():
+        # str(spec) writes a Fraction as format_fraction does
+        text = "generic" if spec.coeff == 1 and spec.symbol == name else str(spec)
+        gyros[int(name[1:]) - 1]["params"][name[0]] = text
+    for gyro, item in zip(g.gyrostats, gyros):
         if gyro.r_explicit is not None:
-            params["r"] = format_fraction(gyro.r_explicit.coeff)
-        gyros.append({"modes": list(gyro.modes), "params": params})
+            item["params"]["r"] = format_fraction(gyro.r_explicit.coeff)
     return {"modes": g.modes, "gyrostats": gyros}
 
 

@@ -8,13 +8,11 @@ from .linalg import (
     nullspace_symbolic,
     poly_proportional,
     proportional,
-    rank_exact,
     rank_rational,
 )
-from .poly import GYROSTAT_PARAM_LETTERS, Monomial, Poly, PolyMatrix, VarTable, grlex_key, monomial_str
+from .poly import Monomial, Poly, PolyMatrix, VarTable, grlex_key, monomial_str
 
 __all__ = [
-    "GYROSTAT_PARAM_LETTERS",
     "Monomial",
     "Poly",
     "PolyMatrix",
@@ -28,6 +26,5 @@ __all__ = [
     "nullspace_symbolic",
     "poly_proportional",
     "proportional",
-    "rank_exact",
     "rank_rational",
 ]

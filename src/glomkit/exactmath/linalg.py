@@ -189,10 +189,6 @@ def nullspace_exact(m: PolyMatrix) -> list[list[int]]:
     return nullspace_rational(evaluate_at(m, {}), m.cols)
 
 
-def rank_exact(m: PolyMatrix) -> int:
-    return rank_rational(evaluate_at(m, {}))
-
-
 def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction | int]]:
     """Exact value of every entry with variable i set to the integer values[i].
 

@@ -263,17 +263,6 @@ class Poly:
                 del out[mono]
         return Poly(self.table, out) if out else self.table._zero
 
-    def eval(self, values: Mapping[int, Fraction]) -> Fraction:
-        """Exact evaluation; every variable that occurs must be assigned."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= values[i] ** e
-            total += v
-        return total
-
     # -- structure queries ----------------------------------------------------
 
     def variables(self) -> set[int]:
@@ -290,10 +279,6 @@ class Poly:
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
-
-    def state_degree(self) -> int:
-        M = self.table.state_count
-        return max((sum(m[:M]) for m in self.terms), default=0)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:

@@ -32,9 +32,9 @@ from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
     Glom,
-    Gyrostat,
     ParamSpec,
     dense_triples,
+    generic_gyrostat,
     sparse_triples,
 )
 
@@ -117,7 +117,7 @@ def member(family: Family, K: int, constrained: bool = True) -> Glom:
     """The K-gyrostat member of a family."""
     triples = family_triples(family, K)
     modes = max(m for t in triples for m in t)
-    base = Glom(modes, tuple(Gyrostat(t, *(ParamSpec.generic() for _ in range(5))) for t in triples))
+    base = Glom(modes, tuple(generic_gyrostat(t) for t in triples))
     if not constrained:
         return base
     return base.with_params(family_constraints(family, K))
@@ -161,13 +161,10 @@ def _aggregate(g: Glom) -> Poly:
 def _is_extension(g_big: Glom, g_small: Glom) -> bool:
     if g_big.K != g_small.K + 1 or g_big.modes < g_small.modes:
         return False
-    for a, b in zip(g_big.gyrostats[:-1], g_small.gyrostats):
-        if a.modes != b.modes:
-            return False
-        for letter in ("a", "b", "c", "p", "q"):
-            if a.param(letter) != b.param(letter):
-                return False
-    return True
+    if any(a.modes != b.modes for a, b in zip(g_big.gyrostats, g_small.gyrostats)):
+        return False
+    big = g_big.slots()
+    return all(big[name] == spec for name, spec in g_small.slots().items())
 
 
 def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:

@@ -10,12 +10,16 @@ All e_ij unknowns are always retained; the vanishing of mixed terms for
 particular model structures emerges from the algebra instead of being
 imposed per configuration.  Constant terms are excluded from candidates
 because constants are invariants of any flow.
+
+`form_positions` owns the candidate layout: the system's columns, their
+labels and every QuadraticForm coefficient read or write follow it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -27,14 +31,25 @@ from .models import Glom, VectorField, assemble_field
 SUBCLASS_VARY_LIMIT = 20
 
 
+@lru_cache(maxsize=None)
+def form_positions(M: int) -> tuple[tuple[int, int | None], ...]:
+    """Coefficient positions of a candidate, modes counted from 1: (i, i)
+    for d_i, then (i, j) with i < j for e_ij, then (i, None) for f_i."""
+    modes = range(1, M + 1)
+    return (
+        tuple((i, i) for i in modes)
+        + tuple((i, j) for i in modes for j in range(i + 1, M + 1))
+        + tuple((i, None) for i in modes)
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class QuadraticForm:
     """C = (1/2) sum d_i x_i^2 + sum_{i<j} e_ij x_i x_j + sum f_i x_i.
 
-    Stored as the coefficient vector d_1..d_M, e_12..e_{M-1,M}, f_1..f_M,
-    the column order of the invariant system.  Coefficients are polynomials
-    in the parameters (constants for numeric forms).  There is no constant
-    term.
+    Stored as one coefficient per entry of `form_positions`.  Coefficients
+    are polynomials in the parameters (constants for numeric forms).  There
+    is no constant term.
     """
 
     table: VarTable
@@ -48,18 +63,17 @@ class QuadraticForm:
         e: Mapping[tuple[int, int], Fraction] | None = None,
         f: Sequence[Fraction] | None = None,
     ) -> "QuadraticForm":
-        M = table.state_count
-        e = e or {}
-        vec = list(d)
-        vec += [e.get((i, j), 0) for i in range(1, M + 1) for j in range(i + 1, M + 1)]
-        vec += f if f is not None else [0] * M
+        """d_i = d[i-1], e_ij = e[i, j] and f_i = f[i-1]; omitted ones are 0."""
+        given = {(i, i): v for i, v in enumerate(d, 1)}
+        given.update(e or {})
+        given.update(((i, None), v) for i, v in enumerate(f or (), 1))
+        vec = [given.get(pos, 0) for pos in form_positions(table.state_count)]
         return cls.from_coeff_vector(table, vec)
 
     @classmethod
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
-        """Pack a vector ordered d_1..d_M, e_12..e_{M-1,M}, f_1..f_M."""
-        M = table.state_count
-        if len(vec) != M * (M + 3) // 2:
+        """Pack a vector ordered as `form_positions`."""
+        if len(vec) != len(form_positions(table.state_count)):
             raise ContractViolation("coefficient vector has wrong length")
         shared: dict = {}  # equal values share one Poly, which keeps stored bases small
         return cls(
@@ -79,85 +93,59 @@ class QuadraticForm:
         table = vector[0].table
         M = table.state_count
         pad = (0,) * M
-        f_start = M * (M + 1) // 2
-        slots: list[dict] = [{} for _ in range(f_start + M)]
-        for i, v in enumerate(vector):
-            e_row = M + i * (2 * M - i - 1) // 2 - i - 1  # e_ij is slot e_row + j
+        terms: dict[tuple, dict] = {pos: {} for pos in form_positions(M)}
+        for i, v in enumerate(vector, 1):
             for mono, c in v.terms.items():
                 state = mono[:M]
                 degree = sum(state)
                 if degree > 1:
                     raise ContractViolation("potential is not quadratic")
-                if not degree:
-                    slot = f_start + i
-                else:
-                    j = state.index(1)
-                    if j < i:
-                        continue
-                    slot = i if j == i else e_row + j
-                slots[slot][pad + mono[M:]] = c
-        coeffs = [Poly(table, t) if t else 0 for t in slots]
-        for i, v in enumerate(vector):
-            if v and len(slots[f_start + i]) == len(v.terms):  # v_i is state-free: f_i is v_i
-                coeffs[f_start + i] = v
-        return cls.from_coeff_vector(table, coeffs)
+                j = state.index(1) + 1 if degree else None
+                if j is None or j >= i:
+                    terms[i, j][pad + mono[M:]] = c
+        coeffs = {pos: Poly(table, t) if t else 0 for pos, t in terms.items()}
+        for i, v in enumerate(vector, 1):
+            if v and len(terms[i, None]) == len(v.terms):  # v_i is state-free: f_i is v_i
+                coeffs[i, None] = v
+        return cls.from_coeff_vector(table, list(coeffs.values()))
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":
-        M = table.state_count
-        return cls.from_numeric(table, [Fraction(1)] * M)
+        return cls.from_numeric(table, [Fraction(1)] * table.state_count)
 
     @property
     def M(self) -> int:
         return self.table.state_count
 
-    @property
-    def d(self) -> tuple[Poly, ...]:
-        return self.coeffs[: self.M]
-
-    @property
-    def e(self) -> tuple[Poly, ...]:
-        """e_12, e_13, ..., e_{M-1,M}."""
-        return self.coeffs[self.M : -self.M]
-
-    @property
-    def f(self) -> tuple[Poly, ...]:
-        return self.coeffs[-self.M :]
-
     def coeff_vector(self) -> list[Poly]:
         return list(self.coeffs)
 
     def value_poly(self) -> Poly:
-        table = self.table
-        M = self.M
+        x = self.table.x
         half = Fraction(1, 2)
-        acc = table.zero()
-        e = iter(self.e)
-        for i, (di, fi) in enumerate(zip(self.d, self.f)):
-            xi = table.x(i + 1)
-            if di:
-                acc = acc + (di * xi * xi).scale(half)
-            for j in range(i + 1, M):
-                eij = next(e)
-                if eij:
-                    acc = acc + eij * xi * table.x(j + 1)
-            if fi:
-                acc = acc + fi * xi
+        acc = self.table.zero()
+        for (i, j), c in zip(form_positions(self.M), self.coeffs):
+            if c:
+                if j is None:
+                    acc = acc + c * x(i)
+                elif j == i:
+                    acc = acc + (c * x(i) * x(i)).scale(half)
+                else:
+                    acc = acc + c * x(i) * x(j)
         return acc
 
     def gradient(self) -> list[Poly]:
-        table = self.table
-        M = self.M
-        x = [table.x(i + 1) for i in range(M)]
-        out = [di * xi for di, xi in zip(self.d, x)]
-        e = iter(self.e)
-        for i in range(M):
-            for j in range(i + 1, M):
-                eij = next(e)
-                if eij:
-                    out[i] = out[i] + eij * x[j]
-                    out[j] = out[j] + eij * x[i]
-        return [gi + fi for gi, fi in zip(out, self.f)]
+        x = self.table.x
+        out = [self.table.zero()] * self.M
+        for (i, j), c in zip(form_positions(self.M), self.coeffs):
+            if c:
+                if j is None:
+                    out[i - 1] = out[i - 1] + c
+                else:
+                    out[i - 1] = out[i - 1] + c * x(j)
+                    if j != i:
+                        out[j - 1] = out[j - 1] + c * x(i)
+        return out
 
     def time_derivative(self, field: VectorField) -> Poly:
         acc = self.table.zero()
@@ -195,7 +183,7 @@ class InvariantSystem:
     """The homogeneous system forcing dC/dt = 0.
 
     Rows are indexed by the state monomials that occur; columns by the
-    unknowns d_1..d_M, e_12..e_{M-1,M}, f_1..f_M.  Entries are linear
+    unknowns in `form_positions` order.  Entries are linear
     polynomials in the parameters.
     """
 
@@ -234,10 +222,7 @@ class InvariantSystem:
 
 
 def unknown_labels(M: int) -> list[str]:
-    labels = [f"d{i}" for i in range(1, M + 1)]
-    labels += [f"e{i}_{j}" for i in range(1, M + 1) for j in range(i + 1, M + 1)]
-    labels += [f"f{i}" for i in range(1, M + 1)]
-    return labels
+    return [f"f{i}" if j is None else f"d{i}" if j == i else f"e{i}_{j}" for i, j in form_positions(M)]
 
 
 def build_system(g: Glom) -> InvariantSystem:
@@ -245,15 +230,15 @@ def build_system(g: Glom) -> InvariantSystem:
     table = g.var_table
     M = g.modes
     field = assemble_field(g)
-    columns: list[Poly] = []
-    # contribution of each unknown to dC/dt
-    for i in range(1, M + 1):
-        columns.append(table.x(i) * field[i - 1])
-    for i in range(1, M + 1):
-        for j in range(i + 1, M + 1):
-            columns.append(table.x(j) * field[i - 1] + table.x(i) * field[j - 1])
-    for i in range(1, M + 1):
-        columns.append(field[i - 1])
+    x = table.x
+    columns: list[Poly] = []  # contribution of each unknown to dC/dt
+    for i, j in form_positions(M):
+        if j is None:
+            columns.append(field[i - 1])
+        elif j == i:
+            columns.append(x(i) * field[i - 1])
+        else:
+            columns.append(x(j) * field[i - 1] + x(i) * field[j - 1])
     rows: dict[tuple[int, ...], list[Poly]] = {}
     zero = table.zero()
     n_cols = len(columns)
@@ -336,12 +321,7 @@ def independent_count(basis: Sequence[QuadraticForm], rng: random.Random) -> int
 
 def basis_contains(basis: Sequence[QuadraticForm], candidate: QuadraticForm) -> bool:
     """Exact span membership via coefficient-vector rank comparison."""
-    if candidate.is_zero():
-        return True
-    rows = [form.numeric_coeffs() for form in basis]
-    base_rank = rank_rational(rows) if rows else 0
-    rows.append(candidate.numeric_coeffs())
-    return rank_rational(rows) == base_rank
+    return span_rank([*basis, candidate]) == span_rank(basis)
 
 
 def span_rank(forms: Sequence[QuadraticForm]) -> int:
@@ -383,9 +363,9 @@ def enumerate_subclasses(g: Glom, vary: Sequence[str], seed: int = 0) -> Subclas
     vary = tuple(vary)
     if len(vary) > SUBCLASS_VARY_LIMIT:
         raise ContractViolation(f"at most {SUBCLASS_VARY_LIMIT} parameters can vary")
-    name_map = g.param_name_map()
+    slots = g.slots()
     for i, name in enumerate(vary):
-        if name not in name_map:
+        if name not in slots:
             raise ContractViolation(f"unknown parameter {name!r}")
         if name in vary[:i]:
             raise ContractViolation(f"parameter {name!r} is varied more than once")

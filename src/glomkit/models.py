@@ -11,6 +11,10 @@ over M shared modes; each mode's equation is the sum of the gyrostat rows
 mapped onto it.  The r coefficient is stored structurally as -p-q whenever
 it is symbolic; explicitly supplied exact triples are validated instead of
 silently repaired (see check_energy).
+
+`Glom.slots` owns the parameter layout: it names each stored coefficient
+by its SLOT_LETTERS letter and gyrostat index ("b2"), and every reader or
+rewriter of a model's coefficients goes through it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from .errors import ContractViolation
 from .exactmath import Poly, VarTable
 
 SIGN_SYMMETRY_GENERATOR_LIMIT = 16
+
+# the stored coefficients of a gyrostat, in Gyrostat field order; r is derived
+SLOT_LETTERS = ("a", "b", "c", "p", "q")
 
 
 @dataclass(frozen=True)
@@ -129,23 +136,21 @@ class Glom:
     def __post_init__(self):
         if self.modes < 3:
             raise ContractViolation("a model needs at least 3 modes")
-        named = []
-        extras: list[str] = list(self.extra_symbols)
         for k, g in enumerate(self.gyrostats, start=1):
             if any(m > self.modes for m in g.modes):
                 raise ContractViolation(
                     f"gyrostat {k} references mode outside 1..{self.modes}: {g.modes}"
                 )
-            fixed = {}
-            for letter in ("a", "b", "c", "p", "q"):
-                spec = g.param(letter).named(f"{letter}{k}")
-                if spec.is_symbolic and spec.symbol not in extras:
-                    std = {f"{ltr}{k}" for ltr in ("a", "b", "c", "p", "q", "r")}
-                    if spec.symbol not in std:
-                        extras.append(spec.symbol)
-                fixed[letter] = spec
-            named.append(Gyrostat(g.modes, r_explicit=g.r_explicit, **fixed))
-        object.__setattr__(self, "gyrostats", tuple(named))
+        named = []
+        extras: list[str] = list(self.extra_symbols)
+        for name, spec in self.slots().items():
+            spec = spec.named(name)
+            # an extra is a symbol that is none of this gyrostat's own standard names
+            own = {letter + name[1:] for letter in (*SLOT_LETTERS, "r")}
+            if spec.is_symbolic and spec.symbol not in own and spec.symbol not in extras:
+                extras.append(spec.symbol)
+            named.append(spec)
+        object.__setattr__(self, "gyrostats", _refilled(self.gyrostats, named))
         object.__setattr__(self, "extra_symbols", tuple(extras))
         table = VarTable.for_model(self.modes, len(self.gyrostats), extras)
         object.__setattr__(self, "var_table", table)
@@ -158,13 +163,13 @@ class Glom:
     def K(self) -> int:
         return len(self.gyrostats)
 
-    def param_name_map(self) -> dict[str, tuple[int, str]]:
-        """Map standard parameter names like 'b2' to (gyrostat index, letter)."""
-        out = {}
-        for k in range(1, self.K + 1):
-            for letter in ("a", "b", "c", "p", "q"):
-                out[f"{letter}{k}"] = (k, letter)
-        return out
+    def slots(self) -> dict[str, ParamSpec]:
+        """Standard slot name such as 'b2' -> its ParamSpec, gyrostat by gyrostat."""
+        return {
+            f"{letter}{k}": g.param(letter)
+            for k, g in enumerate(self.gyrostats, start=1)
+            for letter in SLOT_LETTERS
+        }
 
     def with_params(self, assignments: Mapping[str, ParamSpec]) -> "Glom":
         """Return a copy with the named parameters replaced.
@@ -172,22 +177,12 @@ class Glom:
         Keys are standard names like 'q2'; values are ParamSpec replacements
         (Zero for subclass masking, scaled symbols for equality constraints).
         """
-        name_map = self.param_name_map()
-        per_gyro: dict[int, dict[str, ParamSpec]] = {}
-        for name, spec in assignments.items():
-            if name not in name_map:
+        slots = self.slots()
+        for name in assignments:
+            if name not in slots:
                 raise ContractViolation(f"unknown parameter {name!r}")
-            k, letter = name_map[name]
-            per_gyro.setdefault(k, {})[letter] = spec
-        new_gyros = []
-        for k, g in enumerate(self.gyrostats, start=1):
-            repl = per_gyro.get(k)
-            if not repl:
-                new_gyros.append(g)
-                continue
-            kwargs = {letter: repl.get(letter, g.param(letter)) for letter in ("a", "b", "c", "p", "q")}
-            new_gyros.append(Gyrostat(g.modes, r_explicit=g.r_explicit, **kwargs))
-        return Glom(self.modes, tuple(new_gyros), self.extra_symbols)
+        slots.update(assignments)
+        return Glom(self.modes, _refilled(self.gyrostats, slots.values()), self.extra_symbols)
 
     def zeroed(self, names: Iterable[str]) -> "Glom":
         """Set the named slots to zero.
@@ -210,13 +205,7 @@ class Glom:
 
     def _slot_symbols(self) -> dict[str, str]:
         """Standard slot name -> symbol, for every (scaled) symbolic slot."""
-        out = {}
-        for k, g in enumerate(self.gyrostats, start=1):
-            for letter in ("a", "b", "c", "p", "q"):
-                spec = g.param(letter)
-                if spec.is_symbolic:
-                    out[f"{letter}{k}"] = spec.symbol
-        return out
+        return {name: spec.symbol for name, spec in self.slots().items() if spec.is_symbolic}
 
     def generic_param_names(self) -> list[str]:
         """Standard names of parameters that are (scaled) symbols."""
@@ -225,6 +214,15 @@ class Glom:
     def free_symbols(self) -> list[str]:
         """Distinct symbols the coefficients refer to (tied slots share one)."""
         return sorted(set(self._slot_symbols().values()))
+
+
+def _refilled(gyrostats: Iterable[Gyrostat], specs: Iterable[ParamSpec]) -> tuple[Gyrostat, ...]:
+    """The gyrostats with their slots taken in turn from `specs` (Glom.slots order)."""
+    spec = iter(specs)
+    return tuple(
+        Gyrostat(g.modes, r_explicit=g.r_explicit, **{letter: next(spec) for letter in SLOT_LETTERS})
+        for g in gyrostats
+    )
 
 
 @dataclass(frozen=True)
@@ -247,12 +245,6 @@ class VectorField:
             acc = acc + self.table.x(i) * comp
         return acc
 
-    def divergence(self) -> Poly:
-        acc = self.table.zero()
-        for i, comp in enumerate(self.components):
-            acc = acc + comp.diff(i)
-        return acc
-
 
 @dataclass(frozen=True)
 class SignSymmetry:
@@ -263,9 +255,6 @@ class SignSymmetry:
     def __post_init__(self):
         if any(s not in (-1, 1) for s in self.signs):
             raise ContractViolation("signs must be +1 or -1")
-
-    def compose(self, other: "SignSymmetry") -> "SignSymmetry":
-        return SignSymmetry(tuple(a * b for a, b in zip(self.signs, other.signs)))
 
 
 def assemble_field(g: Glom) -> VectorField:
@@ -372,8 +361,8 @@ def _gf2_nullspace(equations: list[int], n_bits: int) -> list[int]:
 # built-in models
 
 
-def _generic_gyrostat(modes: tuple[int, int, int], **overrides: ParamSpec) -> Gyrostat:
-    params = {letter: ParamSpec.generic() for letter in ("a", "b", "c", "p", "q")}
+def generic_gyrostat(modes: tuple[int, int, int], **overrides: ParamSpec) -> Gyrostat:
+    params = {letter: ParamSpec.generic() for letter in SLOT_LETTERS}
     params.update(overrides)
     return Gyrostat(modes, **params)
 
@@ -398,35 +387,35 @@ def builtin_model(name: str, K: int | None = None) -> Glom:
     generic symbols except where the variant fixes them.
     """
     if name == "model1":
-        return Glom(4, (_generic_gyrostat((1, 2, 3)), _generic_gyrostat((2, 3, 4))))
+        return Glom(4, (generic_gyrostat((1, 2, 3)), generic_gyrostat((2, 3, 4))))
     if name == "model2":
-        return Glom(5, (_generic_gyrostat((1, 2, 3)), _generic_gyrostat((3, 4, 5))))
+        return Glom(5, (generic_gyrostat((1, 2, 3)), generic_gyrostat((3, 4, 5))))
     if name == "model3":
         return Glom(
             5,
             (
-                _generic_gyrostat((1, 2, 3)),
-                _generic_gyrostat((3, 4, 5)),
-                _generic_gyrostat((1, 2, 4)),
+                generic_gyrostat((1, 2, 3)),
+                generic_gyrostat((3, 4, 5)),
+                generic_gyrostat((1, 2, 4)),
             ),
         )
     if name == "model4":
-        return Glom(7, tuple(_generic_gyrostat(t) for t in MODEL4_TRIPLES))
+        return Glom(7, tuple(generic_gyrostat(t) for t in MODEL4_TRIPLES))
     if name == "model5":
-        return Glom(8, tuple(_generic_gyrostat(t) for t in MODEL5_TRIPLES))
+        return Glom(8, tuple(generic_gyrostat(t) for t in MODEL5_TRIPLES))
     if name == "model5_numeric":
         return model5_numeric()
     if name == "euler":
         zero = ParamSpec.zero()
-        return Glom(3, (_generic_gyrostat((1, 2, 3), a=zero, b=zero, c=zero),))
+        return Glom(3, (generic_gyrostat((1, 2, 3), a=zero, b=zero, c=zero),))
     if name == "sparse":
         if K is None or K < 1:
             raise ContractViolation("sparse models need K >= 1")
-        return Glom(2 * K + 1, tuple(_generic_gyrostat(t) for t in sparse_triples(K)))
+        return Glom(2 * K + 1, tuple(generic_gyrostat(t) for t in sparse_triples(K)))
     if name == "dense":
         if K is None or K < 1:
             raise ContractViolation("dense models need K >= 1")
-        return Glom(K + 2, tuple(_generic_gyrostat(t) for t in dense_triples(K)))
+        return Glom(K + 2, tuple(generic_gyrostat(t) for t in dense_triples(K)))
     raise ContractViolation(f"unknown built-in model {name!r}")
 
 
@@ -453,11 +442,7 @@ def model5_numeric() -> Glom:
 def no_linear_feedback(g: Glom) -> Glom:
     """Zero every linear coefficient (a, b, c) of every gyrostat."""
     zero = ParamSpec.zero()
-    assignments = {}
-    for k in range(1, g.K + 1):
-        for letter in ("a", "b", "c"):
-            assignments[f"{letter}{k}"] = zero
-    return g.with_params(assignments)
+    return g.with_params({name: zero for name in g.slots() if name[0] in SLOT_LETTERS[:3]})
 
 
 def instantiate(g: Glom, values: Mapping[str, Fraction]) -> Glom:
@@ -467,11 +452,9 @@ def instantiate(g: Glom, values: Mapping[str, Fraction]) -> Glom:
     because substitution happens per symbol, not per slot.
     """
     assignments = {}
-    for k, gyro in enumerate(g.gyrostats, start=1):
-        for letter in ("a", "b", "c", "p", "q"):
-            spec = gyro.param(letter)
-            if spec.is_symbolic:
-                if spec.symbol not in values:
-                    raise ContractViolation(f"no value for symbol {spec.symbol!r}")
-                assignments[f"{letter}{k}"] = ParamSpec.exact(spec.coeff * values[spec.symbol])
+    for name, spec in g.slots().items():
+        if spec.is_symbolic:
+            if spec.symbol not in values:
+                raise ContractViolation(f"no value for symbol {spec.symbol!r}")
+            assignments[name] = ParamSpec.exact(spec.coeff * values[spec.symbol])
     return g.with_params(assignments)

@@ -32,10 +32,17 @@ from glomkit.exactmath.linalg import (
 from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.hierarchy import member
-from glomkit.invariants import InvariantSystem, QuadraticForm, count_invariants, verify_conserved
+from glomkit.invariants import (
+    InvariantSystem,
+    QuadraticForm,
+    count_invariants,
+    form_positions,
+    verify_conserved,
+)
 from glomkit.models import (
     Glom,
     ParamSpec,
+    SignSymmetry,
     VectorField,
     assemble_field,
     builtin_model,
@@ -117,6 +124,40 @@ def parse(table: VarTable, text: str) -> Poly:
     if pos != len(tokens):
         raise ValueError(f"trailing tokens: {tokens[pos:]}")
     return result
+
+
+def poly_eval(poly: Poly, values: dict[int, Fraction]) -> Fraction:
+    """Exact value of poly with variable i set to values[i]; every variable
+    that occurs must be assigned."""
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        v = c
+        for i, e in enumerate(m):
+            if e:
+                v *= values[i] ** e
+        total += v
+    return total
+
+
+def state_degree(poly: Poly) -> int:
+    M = poly.table.state_count
+    return max((sum(m[:M]) for m in poly.terms), default=0)
+
+
+def rank_exact(m: PolyMatrix) -> int:
+    """Rank of an all-rational matrix."""
+    return rank_rational(evaluate_at(m, {}))
+
+
+def divergence(field: VectorField) -> Poly:
+    acc = field.table.zero()
+    for i, comp in enumerate(field.components):
+        acc = acc + comp.diff(i)
+    return acc
+
+
+def compose(a: SignSymmetry, b: SignSymmetry) -> SignSymmetry:
+    return SignSymmetry(tuple(x * y for x, y in zip(a.signs, b.signs)))
 
 
 def mul_vector(m: PolyMatrix, vec: Sequence[Poly]) -> list[Poly]:
@@ -272,7 +313,7 @@ def oracle_raw_count(g: Glom, n_points: int = 40, seed: int = 0) -> int:
             table.index(f"x{i}"): Fraction(rng.randrange(1, 10**6))
             for i in range(1, M + 1)
         }
-        rows.append([col.eval(point) if col else Fraction(0) for col in columns])
+        rows.append([poly_eval(col, point) if col else Fraction(0) for col in columns])
     return len(columns) - bareiss_rank(rows)
 
 
@@ -524,10 +565,7 @@ def is_sign_symmetry(field: VectorField, signs: Sequence[int]) -> bool:
 
 def map_signs(form: QuadraticForm, signs: Sequence[int]) -> QuadraticForm:
     """The form x -> C(Sx) for a diagonal sign transformation S."""
-    M = form.M
-    factors = [1] * M
-    factors += [signs[i] * signs[j] for i in range(M) for j in range(i + 1, M)]
-    factors += signs
+    factors = [signs[i - 1] * (1 if j is None else signs[j - 1]) for i, j in form_positions(form.M)]
     return QuadraticForm(form.table, tuple(c.scale(s) for c, s in zip(form.coeffs, factors)))
 
 

@@ -493,3 +493,54 @@ def test_simulate_refuses_a_spec_outside_float_range(tmp_path, capsys):
     path = write(tmp_path, "big.json", doc)
     assert main(["simulate", path, "--t", "0.1", "--dt", "0.01"]) == 1
     assert "coefficient 1.00e+400 of x2*x3" in one_line_error(capsys)
+
+
+def _two_gyrostat_doc(**overrides) -> dict:
+    """model1's config with gyrostat 2's params updated by `overrides`."""
+    doc = json.loads(fixture_path("model1").read_text())
+    doc["gyrostats"][1]["params"].update(overrides)
+    return doc
+
+
+def test_scaled_generic_is_one_line_error(tmp_path, capsys):
+    # "generic" is the keyword for the slot's own symbol, never a symbol name
+    doc = _two_gyrostat_doc(a="3*generic")
+    doc["gyrostats"][0]["params"]["a"] = "2*generic"
+    path = write(tmp_path, "scaled.json", doc)
+    assert main(["invariants", path, "--subclass", "a1"]) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: gyrostat 1, parameter 'a': expected") and "'2*generic'" in err
+
+
+@pytest.mark.parametrize(
+    "modes, params, message",
+    [
+        ([0, 3, 4], {}, "modes must be positive"),
+        ([2, 3, 5], {}, "references mode outside 1..4"),
+        ([2, 3, 4], {"p": "1", "q": "1", "r": "r2"}, "explicit r is only allowed"),
+        ([2, 3, 4], {"p": "generic", "q": "1", "r": "-1"}, "explicit r is only allowed"),
+    ],
+)
+def test_model_layer_rules_are_one_line_errors(tmp_path, capsys, modes, params, message):
+    doc = _two_gyrostat_doc(**params)
+    doc["gyrostats"][1]["modes"] = modes
+    assert main(["check", write(tmp_path, "bad.json", doc)]) == 1
+    err = one_line_error(capsys)
+    assert "gyrostat 2" in err and message in err
+
+
+def test_custom_symbol_with_own_index_is_an_extra(tmp_path, capsys):
+    # z1 on gyrostat 1 carries that gyrostat's index but is no standard name;
+    # b1 on gyrostat 2 ties a standard name of gyrostat 1
+    doc = _two_gyrostat_doc(b="b1")
+    doc["gyrostats"][0]["params"]["c"] = "z1"
+    path = write(tmp_path, "custom.json", doc)
+    g = load_model(path)
+    assert g.extra_symbols == ("z1", "b1") and "z1" in g.var_table.names
+    for cmd in ("check", "jacobi", "invariants"):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, path, "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["model"]["gyrostats"]
+        assert params[0]["params"]["c"] == "z1" and params[1]["params"]["b"] == "b1"
+    assert main(["invariants", path, "--subclass", "b1"]) == 1
+    assert "zero all of b1, b2" in one_line_error(capsys)

@@ -4,23 +4,27 @@ from fractions import Fraction
 import pytest
 
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import generic_rank, linalg
+from glomkit.exactmath import Poly, generic_rank, linalg
 from glomkit.exactmath.linalg import GENERIC_TRIALS
 from glomkit.invariants import (
+    QuadraticForm,
     basis_contains,
     build_system,
     count_invariants,
     enumerate_subclasses,
+    form_positions,
     monotonicity_check,
     span_rank,
     sparse_feedback_free,
     sparse_invariants,
+    unknown_labels,
     verify_conserved,
 )
 from glomkit.models import (
     Glom,
     Gyrostat,
     ParamSpec,
+    assemble_field,
     builtin_model,
     find_sign_symmetries,
     no_linear_feedback,
@@ -203,6 +207,34 @@ def test_enumerate_rejects_a_repeated_name():
         enumerate_subclasses(builtin_model("model1"), ["b1", "c1", "b1"], seed=0)
 
 
+def test_system_columns_forms_and_labels_share_one_layout():
+    for g in (builtin_model("model2"), builtin_model("sparse", 2)):
+        table, M = g.var_table, g.modes
+        system = build_system(g)
+        field = assemble_field(g)
+        labels = unknown_labels(M)
+        n = len(form_positions(M))
+        assert system.cols == len(labels) == n == M * (M + 3) // 2
+        pad = (0,) * (len(table.names) - M)
+        for s in range(n):
+            unit = QuadraticForm.from_coeff_vector(table, [int(t == s) for t in range(n)])
+            column = table.zero()
+            for mono, row in zip(system.row_monomials, system.matrix.entries):
+                column = column + row[s] * Poly(table, {mono + pad: 1})
+            assert column == unit.time_derivative(field), labels[s]
+            # the unit form is x_i^2/2, x_i*x_j or x_i, and its label names it
+            ((mono, coeff),) = unit.value_poly().terms.items()
+            modes = [i + 1 for i in range(M) for _ in range(mono[i])]
+            assert not any(mono[M:])
+            if len(modes) == 1:
+                assert (labels[s], coeff) == (f"f{modes[0]}", 1)
+            elif modes[0] == modes[1]:
+                assert (labels[s], coeff) == (f"d{modes[0]}", Fraction(1, 2))
+            else:
+                assert (labels[s], coeff) == (f"e{modes[0]}_{modes[1]}", 1)
+            assert QuadraticForm.from_gradient(unit.gradient()) == unit
+
+
 # ---------------------------------------------------------------------------
 # sparse family
 
@@ -215,8 +247,8 @@ def test_sparse_invariant_counts_grow_linearly():
 def test_sparse_basis_has_no_linear_or_mixed_terms():
     for K in range(1, 5):
         for form in sparse_invariants(K, seed=4):
-            assert all(c.is_zero() for c in form.f)
-            assert all(c.is_zero() for c in form.e)
+            positions = form_positions(form.M)
+            assert all(c.is_zero() for (i, j), c in zip(positions, form.coeffs) if j != i)
 
 
 def test_sparse_normal_forms_lie_in_basis_span():

@@ -13,7 +13,6 @@ from glomkit.exactmath import (
     nullspace_exact,
     nullspace_symbolic,
     proportional,
-    rank_exact,
 )
 from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
@@ -40,6 +39,7 @@ from helpers import (
     parameter_only_generic_rank,
     parse,
     parse_vector,
+    rank_exact,
     reference_models,
 )
 

@@ -14,10 +14,11 @@ from glomkit.models import (
     builtin_model,
     check_energy,
     find_sign_symmetries,
+    generic_gyrostat,
     no_linear_feedback,
 )
 
-from helpers import is_sign_symmetry, parse_vector
+from helpers import compose, divergence, is_sign_symmetry, parse_vector, state_degree
 
 MODEL1_COMPONENTS = [
     "p1*x2*x3 + b1*x3 - c1*x2",
@@ -71,13 +72,13 @@ def test_field_linear_in_gyrostats():
 def test_quadratic_part_is_divergence_free():
     for name in ("model1", "model2", "model3", "model4", "model5"):
         field = assemble_field(builtin_model(name))
-        assert field.divergence().is_zero()
+        assert divergence(field).is_zero()
 
 
 def test_components_are_at_most_quadratic_in_state():
     for name in ("model1", "model2", "model3", "model4", "model5"):
         field = assemble_field(builtin_model(name))
-        assert all(c.state_degree() <= 2 for c in field.components)
+        assert all(state_degree(c) <= 2 for c in field.components)
 
 
 def test_check_energy_model2():
@@ -259,4 +260,34 @@ def test_symmetries_form_a_group():
     members = {s.signs for s in syms} | {(1,) * 5}
     for a in syms:
         for b in syms:
-            assert a.compose(b).signs in members
+            assert compose(a, b).signs in members
+
+
+def test_slots_name_every_stored_coefficient_gyrostat_by_gyrostat():
+    g = builtin_model("model5_numeric")
+    slots = g.slots()
+    assert list(slots) == [f"{letter}{k}" for k in range(1, 6) for letter in "abcpq"]
+    assert slots["p3"] == g.gyrostats[2].p == ParamSpec.scaled("beta", -2)
+    assert g.with_params(slots) == g
+
+
+def test_custom_symbol_with_own_index_is_an_extra():
+    # z1 ends in gyrostat 1's index but is none of its standard names; b1 on
+    # gyrostat 2 ties a standard name of gyrostat 1; a1 on gyrostat 1 is its own
+    g = Glom(
+        4,
+        (
+            generic_gyrostat((1, 2, 3), c=ParamSpec.scaled("z1", 1), q=ParamSpec.scaled("a1", 2)),
+            generic_gyrostat((2, 3, 4), b=ParamSpec.scaled("b1", -1)),
+        ),
+    )
+    assert g.extra_symbols == ("z1", "b1")
+    assert "z1" in g.var_table.names
+    assert g.free_symbols() == ["a1", "a2", "b1", "c2", "p1", "p2", "q2", "z1"]
+    from glomkit.hamiltonian import build_J, jacobi
+    from glomkit.invariants import count_invariants
+
+    jacobi(build_J(g))
+    assert count_invariants(g).raw_count >= 1
+    assert g.zeroed(["c1"]).extra_symbols == ("z1", "b1")
+    assert "z1" not in g.zeroed(["c1"]).free_symbols()
