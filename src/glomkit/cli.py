@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -33,10 +32,11 @@ from typing import Any, Sequence
 
 from .errors import ConfigError, ContractViolation, EnergyViolation, IntegrationError
 from .exactmath import Poly, monomial_str
+from .exactmath.poly import GYROSTAT_PARAM_LETTERS
 from .hamiltonian import build_J, casimirs, jacobi
 from .hierarchy import HierarchySpec, check_recurrence, hierarchy_report
 from .invariants import QuadraticForm, count_invariants, enumerate_subclasses
-from .models import SLOT_LETTERS, Glom, Gyrostat, ParamSpec, check_energy, instantiate
+from .models import SLOT_LETTERS, SYMBOL, Glom, Gyrostat, ParamSpec, check_energy, instantiate
 from .simulate import SimConfig, integrate
 
 FIXTURE_NAMES = ("model1", "model2", "model3", "model4", "model5", "euler")
@@ -52,11 +52,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-# a parameter symbol; x1, x2, ... name the state variables and "generic"
-# is the keyword, so "2*generic" is refused rather than read as a symbol
-SYMBOL = re.compile(r"(?!x\d+$|generic$)[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_param_spec(text: Any, where: str) -> ParamSpec:
@@ -112,7 +107,7 @@ def parse_model_config(doc: Any) -> Glom:
         params = item.get("params")
         if not isinstance(params, dict):
             raise ConfigError(f"{where}: 'params' must be an object")
-        unknown = set(params) - {*SLOT_LETTERS, "r"}
+        unknown = set(params) - set(GYROSTAT_PARAM_LETTERS)
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
         missing = set(SLOT_LETTERS) - set(params)
@@ -137,12 +132,11 @@ def model_to_config(g: Glom) -> dict:
     """Echo a model in the config schema (round-trips through the parser)."""
     gyros = [{"modes": list(gyro.modes), "params": {}} for gyro in g.gyrostats]
     for name, spec in g.slots().items():
-        # str(spec) writes a Fraction as format_fraction does
         text = "generic" if spec.coeff == 1 and spec.symbol == name else str(spec)
         gyros[int(name[1:]) - 1]["params"][name[0]] = text
     for gyro, item in zip(g.gyrostats, gyros):
         if gyro.r_explicit is not None:
-            item["params"]["r"] = format_fraction(gyro.r_explicit.coeff)
+            item["params"]["r"] = str(gyro.r_explicit.coeff)
     return {"modes": g.modes, "gyrostats": gyros}
 
 
@@ -175,18 +169,8 @@ def load_model(path_or_name: str) -> Glom:
 # report serialization
 
 
-def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def poly_to_json(poly: Poly) -> dict[str, str]:
-    return {
-        monomial_str(poly.table, mono): format_fraction(coeff)
-        for mono, coeff in poly.terms.items()
-    }
+    return {monomial_str(poly.table, mono): str(coeff) for mono, coeff in poly.terms.items()}
 
 
 def form_to_json(form: QuadraticForm) -> dict:
@@ -274,7 +258,7 @@ def cmd_invariants(args) -> int:
     report["energy_included"] = rep.energy_included
     report["generic_parameters"] = rep.generic
     if rep.param_point is not None:
-        report["param_point"] = {k: format_fraction(v) for k, v in sorted(rep.param_point.items())}
+        report["param_point"] = {k: str(v) for k, v in sorted(rep.param_point.items())}
     report["basis"] = [form_to_json(f) for f in rep.basis]
     print(f"raw invariants: {rep.raw_count}   functionally independent: {rep.independent_count}")
     dump_report(report, args.out)
@@ -439,7 +423,7 @@ def cmd_simulate(args) -> int:
     report["dt"] = args.dt
     report["steps"] = rep.steps
     report["initial_state"] = list(rep.initial_state)
-    report["assignment"] = {k: format_fraction(v) for k, v in sorted(assignment.items())}
+    report["assignment"] = {k: str(v) for k, v in sorted(assignment.items())}
     report["drift"] = [
         {
             "name": q.name,

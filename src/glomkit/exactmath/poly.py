@@ -24,6 +24,7 @@ from ..errors import ContractViolation
 
 Monomial = tuple[int, ...]
 
+# a gyrostat's parameter letters in table order; models stores a..q and derives r
 GYROSTAT_PARAM_LETTERS = ("a", "b", "c", "p", "q", "r")
 
 
@@ -240,7 +241,7 @@ class Poly:
                 s = out.get(nm)
                 v = c * e
                 out[nm] = v if s is None else s + v
-        return Poly(self.table, out)
+        return Poly(self.table, out) if out else self.table._zero
 
     def subs(self, values: Mapping[str, Fraction | int]) -> "Poly":
         """Replace the named variables by rational values."""
@@ -304,6 +305,8 @@ class Poly:
             state = m[:M]
             rest = pad + m[M:]
             groups.setdefault(state, {})[rest] = c
+        if groups.keys() == {pad}:  # state-free: self is its one group, shared, not copied
+            return {pad: self}
         return {s: Poly(self.table, t) for s, t in groups.items()}
 
     # -- normalization ---------------------------------------------------------
@@ -318,10 +321,7 @@ class Poly:
 
     def normalized(self) -> "Poly":
         """self divided by its content, with a positive leading coefficient."""
-        if not self.terms:
-            return self
-        g = self.content()
-        return self.scale(-1 / g if self.leading_coefficient() < 0 else 1 / g)
+        return normalized_vector([self])[0]
 
     def remapped(self, table: VarTable, name_map: Mapping[str, str] | None = None) -> "Poly":
         """Re-express this polynomial over another table, optionally renaming
@@ -377,7 +377,8 @@ def normalized_vector(vec: list[Poly]) -> list[Poly]:
         return vec
     contents = [v.content() for v in nonzero]
     g = Fraction(gcd(*(c.numerator for c in contents)), lcm(*(c.denominator for c in contents)))
-    return [v.scale(-1 / g if nonzero[0].leading_coefficient() < 0 else 1 / g) for v in vec]
+    factor = (-1 if nonzero[0].leading_coefficient() < 0 else 1) / g
+    return [v.scale(factor) for v in vec]
 
 
 def monomial_str(table: VarTable, mono: Monomial) -> str:

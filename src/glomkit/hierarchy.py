@@ -51,12 +51,12 @@ class HierarchySpec:
     constrained: bool = True
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ContractViolation("k_max must be at least 1")
-        family_triples(self.family, self.k_max)  # refuses an unknown family or a K past its cap
+        family_triples(self.family, self.k_max)  # refuses an unknown family or K outside 1..cap
 
 
 def family_triples(family: Family, K: int) -> tuple[tuple[int, int, int], ...]:
+    if K < 1:
+        raise ContractViolation("K must be at least 1")
     cap = FAMILY_MAX_K.get(family)
     if cap is not None and K > cap:
         raise ContractViolation(f"family {family} has at most {cap} gyrostats")
@@ -91,7 +91,7 @@ def family_constraints(family: Family, K: int) -> dict[str, ParamSpec]:
             out[f"p{k}"] = zero
             out[f"q{k}"] = zero
             out[f"c{k}"] = ParamSpec.scaled(f"b{k}", 1)
-    elif family == "model5":
+    else:  # model5: family_triples has refused any other family
         schedule = {
             "q1": zero,
             "q2": zero,
@@ -108,8 +108,6 @@ def family_constraints(family: Family, K: int) -> dict[str, ParamSpec]:
             "c1": ParamSpec.scaled("a1", 1),
         }
         out = {name: spec for name, spec in schedule.items() if int(name[1:]) <= K}
-    else:
-        raise ContractViolation(f"unknown family {family!r}")
     return out
 
 

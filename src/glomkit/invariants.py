@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ContractViolation
 from .exactmath import Poly, PolyMatrix, VarTable, grlex_key, monomial_str
 from .exactmath.linalg import back_substitute, generic_point, rank_rational
-from .models import Glom, VectorField, assemble_field
+from .models import Glom, VectorField, assemble_field, builtin_model, no_linear_feedback
 
 SUBCLASS_VARY_LIMIT = 20
 
@@ -56,18 +56,9 @@ class QuadraticForm:
     coeffs: tuple[Poly, ...]
 
     @classmethod
-    def from_numeric(
-        cls,
-        table: VarTable,
-        d: Sequence[Fraction],
-        e: Mapping[tuple[int, int], Fraction] | None = None,
-        f: Sequence[Fraction] | None = None,
-    ) -> "QuadraticForm":
-        """d_i = d[i-1], e_ij = e[i, j] and f_i = f[i-1]; omitted ones are 0."""
-        given = {(i, i): v for i, v in enumerate(d, 1)}
-        given.update(e or {})
-        given.update(((i, None), v) for i, v in enumerate(f or (), 1))
-        vec = [given.get(pos, 0) for pos in form_positions(table.state_count)]
+    def from_numeric(cls, table: VarTable, d: Sequence[Fraction]) -> "QuadraticForm":
+        """The diagonal form d_i = d[i-1]; every e_ij and f_i is 0."""
+        vec = [d[i - 1] if j == i else 0 for i, j in form_positions(table.state_count)]
         return cls.from_coeff_vector(table, vec)
 
     @classmethod
@@ -85,28 +76,19 @@ class QuadraticForm:
     def from_gradient(cls, vector: Sequence[Poly]) -> "QuadraticForm":
         """The form whose gradient is `vector`, read off its coefficients.
 
-        d_i, e_ij (i < j) and f_i are the x_i, x_j and state-free
-        coefficients of v_i, each keeping v_i's term order; v_j's x_i
-        coefficient equals e_ij for a gradient and is not read.  A state
-        degree above 1 raises.
+        d_i, e_ij (i < j) and f_i are the x_i, x_j and state-free entries
+        of v_i's `split_by_state`; v_j's x_i entry equals e_ij for a
+        gradient and is not read.  A state degree above 1 raises.
         """
         table = vector[0].table
-        M = table.state_count
-        pad = (0,) * M
-        terms: dict[tuple, dict] = {pos: {} for pos in form_positions(M)}
+        coeffs = dict.fromkeys(form_positions(table.state_count), table.zero())
         for i, v in enumerate(vector, 1):
-            for mono, c in v.terms.items():
-                state = mono[:M]
-                degree = sum(state)
-                if degree > 1:
+            for state, c in v.split_by_state().items():
+                if sum(state) > 1:
                     raise ContractViolation("potential is not quadratic")
-                j = state.index(1) + 1 if degree else None
+                j = state.index(1) + 1 if any(state) else None
                 if j is None or j >= i:
-                    terms[i, j][pad + mono[M:]] = c
-        coeffs = {pos: Poly(table, t) if t else 0 for pos, t in terms.items()}
-        for i, v in enumerate(vector, 1):
-            if v and len(terms[i, None]) == len(v.terms):  # v_i is state-free: f_i is v_i
-                coeffs[i, None] = v
+                    coeffs[i, j] = c
         return cls.from_coeff_vector(table, list(coeffs.values()))
 
     @classmethod
@@ -321,12 +303,12 @@ def independent_count(basis: Sequence[QuadraticForm], rng: random.Random) -> int
 
 def basis_contains(basis: Sequence[QuadraticForm], candidate: QuadraticForm) -> bool:
     """Exact span membership via coefficient-vector rank comparison."""
-    return span_rank([*basis, candidate]) == span_rank(basis)
+    rows = [form.numeric_coeffs() for form in basis]
+    return rank_rational([*rows, candidate.numeric_coeffs()]) == rank_rational(rows)
 
 
 def span_rank(forms: Sequence[QuadraticForm]) -> int:
-    rows = [form.numeric_coeffs() for form in forms]
-    return rank_rational(rows) if rows else 0
+    return rank_rational([form.numeric_coeffs() for form in forms])
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +317,6 @@ def span_rank(forms: Sequence[QuadraticForm]) -> int:
 
 def sparse_feedback_free(K: int) -> Glom:
     """The sparse model with K gyrostats and no linear feedback terms."""
-    if K < 1:
-        raise ContractViolation("K must be at least 1")
-    from .models import builtin_model, no_linear_feedback
-
     return no_linear_feedback(builtin_model("sparse", K))
 
 

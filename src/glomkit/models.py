@@ -19,17 +19,22 @@ rewriter of a model's coefficients goes through it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ContractViolation
 from .exactmath import Poly, VarTable
+from .exactmath.poly import GYROSTAT_PARAM_LETTERS
 
 SIGN_SYMMETRY_GENERATOR_LIMIT = 16
 
 # the stored coefficients of a gyrostat, in Gyrostat field order; r is derived
-SLOT_LETTERS = ("a", "b", "c", "p", "q")
+SLOT_LETTERS = GYROSTAT_PARAM_LETTERS[:5]
+
+# a parameter symbol: neither a state variable x1, x2, ... nor the config keyword "generic"
+SYMBOL = re.compile(r"(?!x\d+$|generic$)[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,8 @@ class ParamSpec:
         return cls(Fraction(value))
 
     @classmethod
-    def generic(cls, symbol: str | None = None) -> "ParamSpec":
-        return cls(Fraction(1), symbol or "?")
+    def generic(cls) -> "ParamSpec":
+        return cls(Fraction(1), "?")
 
     @classmethod
     def scaled(cls, symbol: str, coeff) -> "ParamSpec":
@@ -146,9 +151,12 @@ class Glom:
         for name, spec in self.slots().items():
             spec = spec.named(name)
             # an extra is a symbol that is none of this gyrostat's own standard names
-            own = {letter + name[1:] for letter in (*SLOT_LETTERS, "r")}
-            if spec.is_symbolic and spec.symbol not in own and spec.symbol not in extras:
-                extras.append(spec.symbol)
+            own = {letter + name[1:] for letter in GYROSTAT_PARAM_LETTERS}
+            if spec.is_symbolic and spec.symbol not in own:
+                if not SYMBOL.fullmatch(spec.symbol):
+                    raise ContractViolation(f"{name}: {spec.symbol!r} is not a parameter symbol")
+                if spec.symbol not in extras:
+                    extras.append(spec.symbol)
             named.append(spec)
         object.__setattr__(self, "gyrostats", _refilled(self.gyrostats, named))
         object.__setattr__(self, "extra_symbols", tuple(extras))

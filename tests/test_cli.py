@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -17,7 +18,7 @@ from glomkit.cli import (
 )
 from glomkit.errors import ConfigError
 from glomkit.hierarchy import member
-from glomkit.models import builtin_model
+from glomkit.models import ParamSpec, builtin_model
 
 from helpers import FAMILY_TOP_K
 
@@ -45,6 +46,19 @@ def test_model_config_roundtrip():
     for g in models:
         echoed = parse_model_config(model_to_config(g))
         assert echoed == g
+
+
+def test_api_built_model_echo_parses_back():
+    # every symbol a Glom accepts is one the config schema accepts
+    g = builtin_model("model1").with_params(
+        {
+            "c1": ParamSpec.scaled("z1", 1),
+            "b2": ParamSpec.scaled("b1", -1),
+            "a2": ParamSpec.scaled("r1", 3),
+            "q2": ParamSpec.scaled("_beta2", Fraction(1, 2)),
+        }
+    )
+    assert parse_model_config(model_to_config(g)) == g
 
 
 @pytest.mark.parametrize("spec", ["x1", "2*x3", "*a1", "1/0*a1", "a1*b1", "-a2", "1.5.2", ""])
@@ -251,6 +265,11 @@ def test_vary_name_repeated_across_flags_is_one_line_error(capsys):
     assert main(["enumerate", "model1", "--vary", "b1,c1", "--vary", "b1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "'b1'" in err
+
+
+def test_hierarchy_below_k1_is_one_line_error(capsys):
+    assert main(["hierarchy", "--family", "sparse", "--k", "0"]) == 1
+    assert capsys.readouterr().err == "error: K must be at least 1\n"
 
 
 def test_hierarchy_command(tmp_path):

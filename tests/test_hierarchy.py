@@ -120,6 +120,16 @@ def test_generate_caps_coupled_families():
         generate(HierarchySpec("model5", 6))
 
 
+@pytest.mark.parametrize("family", ["sparse", "dense1", "dense2", "model4", "model5"])
+def test_member_refuses_k_below_one(family):
+    for K in (0, -1):
+        for constrained in (True, False):
+            with pytest.raises(ContractViolation, match="^K must be at least 1$"):
+                member(family, K, constrained)
+        with pytest.raises(ContractViolation, match="^K must be at least 1$"):
+            HierarchySpec(family, K)
+
+
 @pytest.mark.parametrize("family, cap", [("model4", 3), ("model5", 5)])
 def test_member_refuses_k_past_the_cap(family, cap):
     assert member(family, cap).K == cap

@@ -337,3 +337,8 @@ def test_invariant_span_closed_under_sign_symmetries():
         for s in syms:
             mapped = [map_signs(form, s.signs) for form in basis]
             assert span_rank(basis + mapped) == base_rank
+
+
+def test_sparse_feedback_free_refuses_k_below_one():
+    with pytest.raises(ContractViolation, match="^sparse models need K >= 1$"):
+        sparse_feedback_free(0)

@@ -291,3 +291,14 @@ def test_custom_symbol_with_own_index_is_an_extra():
     assert count_invariants(g).raw_count >= 1
     assert g.zeroed(["c1"]).extra_symbols == ("z1", "b1")
     assert "z1" not in g.zeroed(["c1"]).free_symbols()
+
+
+@pytest.mark.parametrize("symbol, coeff", [("x1", 1), ("generic", 2), ("a b", 1)])
+def test_model_refuses_a_symbol_its_config_echo_cannot_name(symbol, coeff):
+    # x1 would merge into the state variable, "generic" is the config keyword
+    # and "a b" is no identifier: the echo of such a model would not parse back
+    gyro = generic_gyrostat((2, 3, 4), b=ParamSpec.scaled(symbol, coeff))
+    with pytest.raises(ContractViolation, match=r"^b2: .* is not a parameter symbol$"):
+        Glom(4, (generic_gyrostat((1, 2, 3)), gyro))
+    with pytest.raises(ContractViolation, match=r"^b2: "):
+        builtin_model("model1").with_params({"b2": ParamSpec.scaled(symbol, coeff)})

@@ -28,6 +28,12 @@ def test_partial_derivative_of_affine_entry(table):
     assert entry.diff("x1").is_zero()
 
 
+def test_derivative_free_of_the_variable_is_the_shared_zero(table):
+    # as for +, - and subs, an empty result is the table's one zero
+    assert parse(table, "p1*x2 + b1").diff("x1") is table.zero()
+    assert table.zero().diff("p1") is table.zero()
+
+
 def test_substitute_hand_evaluated(table):
     poly = parse(table, "q1*x3*x1 - a1*x3")
     result = poly.subs({"x1": 2, "x2": 3, "q1": 1, "a1": 1})
