@@ -21,12 +21,12 @@ codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -34,9 +34,9 @@ from .errors import ConfigError, ContractViolation, EnergyViolation, Integration
 from .exactmath import Poly, monomial_str
 from .exactmath.poly import GYROSTAT_PARAM_LETTERS
 from .hamiltonian import build_J, casimirs, jacobi
-from .hierarchy import HierarchySpec, check_recurrence, hierarchy_report
+from .hierarchy import FAMILY_STRIDE, HierarchySpec, check_recurrence, hierarchy_report
 from .invariants import QuadraticForm, count_invariants, enumerate_subclasses
-from .models import SLOT_LETTERS, SYMBOL, Glom, Gyrostat, ParamSpec, check_energy, instantiate
+from .models import SLOT_LETTERS, SYMBOL, Glom, Gyrostat, ParamSpec, builtin_model, check_energy, instantiate
 from .simulate import SimConfig, integrate
 
 FIXTURE_NAMES = ("model1", "model2", "model3", "model4", "model5", "euler")
@@ -140,15 +140,12 @@ def model_to_config(g: Glom) -> dict:
     return {"modes": g.modes, "gyrostats": gyros}
 
 
-def fixture_path(name: str) -> Path:
-    return Path(str(resources.files("glomkit").joinpath("fixtures", f"{name}.json")))
-
-
 def load_model(path_or_name: str) -> Glom:
+    """Parse a model file; a name in FIXTURE_NAMES with no such file is that built-in model."""
     path = Path(path_or_name)
-    if not path.exists() and path_or_name in FIXTURE_NAMES:
-        path = fixture_path(path_or_name)
     if not path.exists():
+        if path_or_name in FIXTURE_NAMES:
+            return builtin_model(path_or_name)
         raise FileNotFoundError(f"no such model file: {path_or_name}")
     try:
         text = path.read_text(encoding="utf-8")
@@ -445,41 +442,40 @@ def cmd_simulate(args) -> int:
 # dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; the --seed default comes from GLOM_SEED in main."""
     parser = argparse.ArgumentParser(
         prog="glomkit",
         description="Exact analysis of coupled Volterra-gyrostat models",
     )
-    seed_text = os.environ.get("GLOM_SEED", "0")
-    try:
-        default_seed = int(seed_text)
-    except ValueError:
-        raise UsageError(f"GLOM_SEED must be an integer, got {seed_text!r}") from None
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, seed=False, subclass=False):
+    def command(name, run, help, seed=False, subclass=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("model", help="model config file or bundled fixture name")
         p.add_argument("--out", help="write the JSON report to this path")
         if seed:
-            p.add_argument("--seed", type=int, default=default_seed)
+            p.add_argument("--seed", type=int)
         if subclass:
             p.add_argument(
                 "--subclass", action="append", help="comma-separated parameter names to set to zero"
             )
+        return p
 
-    common(sub.add_parser("check", help="validate the energy constraint"))
-    common(sub.add_parser("invariants", help="count and reconstruct invariants"), seed=True, subclass=True)
-    common(sub.add_parser("jacobi", help="evaluate the Jacobi condition"), subclass=True)
-    common(sub.add_parser("casimirs", help="extract Casimirs from NULL(J)"), subclass=True)
-    p = sub.add_parser("enumerate", help="invariant counts over parameter subclasses")
-    common(p, seed=True)
+    command("check", cmd_check, "validate the energy constraint")
+    command("invariants", cmd_invariants, "count and reconstruct invariants", seed=True, subclass=True)
+    command("jacobi", cmd_jacobi, "evaluate the Jacobi condition", subclass=True)
+    command("casimirs", cmd_casimirs, "extract Casimirs from NULL(J)", subclass=True)
+    p = command("enumerate", cmd_enumerate, "invariant counts over parameter subclasses", seed=True)
     p.add_argument("--vary", action="append", required=True, help="comma-separated parameter names")
     p = sub.add_parser("hierarchy", help="analyze a model hierarchy")
-    p.add_argument("--family", required=True, choices=["sparse", "dense1", "dense2", "model4", "model5"])
+    p.set_defaults(run=cmd_hierarchy)
+    p.add_argument("--family", required=True, choices=list(FAMILY_STRIDE))
     p.add_argument("--k", type=int, required=True, help="largest member size")
     p.add_argument("--out", help="write the JSON report to this path")
-    p = sub.add_parser("simulate", help="integrate and measure conservation drift")
-    common(p, seed=True)
+    p = command("simulate", cmd_simulate, "integrate and measure conservation drift", seed=True)
     p.add_argument("--t", type=float, default=50.0, help="integration horizon")
     p.add_argument("--dt", type=float, default=1e-3, help="step size")
     p.add_argument("--assign", action="append", help="parameter assignment name=value[,name=value]")
@@ -488,25 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "invariants": cmd_invariants,
-    "jacobi": cmd_jacobi,
-    "casimirs": cmd_casimirs,
-    "enumerate": cmd_enumerate,
-    "hierarchy": cmd_hierarchy,
-    "simulate": cmd_simulate,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        parser = build_parser()
+        seed_text = os.environ.get("GLOM_SEED", "0")
         try:
-            args = parser.parse_args(argv)
+            default_seed = int(seed_text)
+        except ValueError:
+            raise UsageError(f"GLOM_SEED must be an integer, got {seed_text!r}") from None
+        try:
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        return COMMANDS[args.cmd](args)
+        if getattr(args, "seed", 0) is None:  # a command with --seed, not given
+            args.seed = default_seed
+        return args.run(args)
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,8 +77,14 @@ class JacobiReport:
 
     residuals: dict[tuple[int, int, int], Poly]
     aggregate: Poly
-    is_hamiltonian: bool
-    strict_jacobi: bool
+
+    @property
+    def is_hamiltonian(self) -> bool:
+        return self.aggregate.is_zero()
+
+    @property
+    def strict_jacobi(self) -> bool:
+        return not self.residuals
 
     @property
     def strict_divergence(self) -> bool:
@@ -114,12 +120,7 @@ def jacobi(J: PolyMatrix) -> JacobiReport:
         if r:
             residuals[i + 1, j + 1, k + 1] = r
             aggregate = aggregate + r
-    return JacobiReport(
-        residuals=residuals,
-        aggregate=aggregate,
-        is_hamiltonian=aggregate.is_zero(),
-        strict_jacobi=not residuals,
-    )
+    return JacobiReport(residuals, aggregate)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .models import (
     Glom,
     ParamSpec,
     dense_triples,
-    generic_gyrostat,
+    generic_model,
     sparse_triples,
 )
 
@@ -113,9 +113,7 @@ def family_constraints(family: Family, K: int) -> dict[str, ParamSpec]:
 
 def member(family: Family, K: int, constrained: bool = True) -> Glom:
     """The K-gyrostat member of a family."""
-    triples = family_triples(family, K)
-    modes = max(m for t in triples for m in t)
-    base = Glom(modes, tuple(generic_gyrostat(t) for t in triples))
+    base = generic_model(family_triples(family, K))
     if not constrained:
         return base
     return base.with_params(family_constraints(family, K))

@@ -387,43 +387,38 @@ def dense_triples(K: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((k, k + 1, k + 2) for k in range(1, K + 1))
 
 
+def generic_model(triples: tuple[tuple[int, int, int], ...]) -> Glom:
+    """A generic gyrostat on each triple, over modes 1 .. the largest index."""
+    return Glom(max(m for t in triples for m in t), tuple(generic_gyrostat(t) for t in triples))
+
+
+BUILTIN_TRIPLES = {
+    "model1": ((1, 2, 3), (2, 3, 4)),
+    "model2": ((1, 2, 3), (3, 4, 5)),
+    "model3": ((1, 2, 3), (3, 4, 5), (1, 2, 4)),
+    "model4": MODEL4_TRIPLES,
+    "model5": MODEL5_TRIPLES,
+}
+
+
 def builtin_model(name: str, K: int | None = None) -> Glom:
-    """Construct one of the bundled parametric models.
+    """Construct one of the built-in parametric models.
 
     Names: model1, model2, model3, model4, model5, euler, sparse, dense,
     model5_numeric.  sparse/dense require K >= 1.  All parameters are
     generic symbols except where the variant fixes them.
     """
-    if name == "model1":
-        return Glom(4, (generic_gyrostat((1, 2, 3)), generic_gyrostat((2, 3, 4))))
-    if name == "model2":
-        return Glom(5, (generic_gyrostat((1, 2, 3)), generic_gyrostat((3, 4, 5))))
-    if name == "model3":
-        return Glom(
-            5,
-            (
-                generic_gyrostat((1, 2, 3)),
-                generic_gyrostat((3, 4, 5)),
-                generic_gyrostat((1, 2, 4)),
-            ),
-        )
-    if name == "model4":
-        return Glom(7, tuple(generic_gyrostat(t) for t in MODEL4_TRIPLES))
-    if name == "model5":
-        return Glom(8, tuple(generic_gyrostat(t) for t in MODEL5_TRIPLES))
+    if name in BUILTIN_TRIPLES:
+        return generic_model(BUILTIN_TRIPLES[name])
     if name == "model5_numeric":
         return model5_numeric()
     if name == "euler":
         zero = ParamSpec.zero()
         return Glom(3, (generic_gyrostat((1, 2, 3), a=zero, b=zero, c=zero),))
-    if name == "sparse":
+    if name in ("sparse", "dense"):
         if K is None or K < 1:
-            raise ContractViolation("sparse models need K >= 1")
-        return Glom(2 * K + 1, tuple(generic_gyrostat(t) for t in sparse_triples(K)))
-    if name == "dense":
-        if K is None or K < 1:
-            raise ContractViolation("dense models need K >= 1")
-        return Glom(K + 2, tuple(generic_gyrostat(t) for t in dense_triples(K)))
+            raise ContractViolation(f"{name} models need K >= 1")
+        return generic_model(sparse_triples(K) if name == "sparse" else dense_triples(K))
     raise ContractViolation(f"unknown built-in model {name!r}")
 
 

@@ -14,7 +14,8 @@ bundled fixtures with every zero set of at most 2 slots, `jacobi` with at
 most 1, `hierarchy` on every family up to `FAMILY_TOP_K` (and K = 0),
 `enumerate model1 --vary b1,c1,a2,b2`, `check`/`invariants`/`casimirs`/
 `jacobi` on tied, custom-symbol, cross-gyrostat and explicit-`r`
-configs, malformed specs, and short `simulate` runs.
+configs, malformed specs, short `simulate` runs, and usage errors and
+help text, which show that one parser serves every call in a process.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def entries() -> list[tuple[str, list[str]]]:
                                     "--assign", "a1=1/2,b1=-1,c1=2,p1=1,q1=-3,a2=1,b2=1/3,c2=0,p2=2,q2=1"]))
     out.append(("simulate:tied", ["simulate", "tied.json", "--t", "0.05", "--dt", "0.01",
                                   "--assign", "a1=1,b1=2,c1=-1/2,p1=3,a2=1,b2=1,p2=-1,q2=5/7"]))
+    out += [
+        ("usage:unknown_command", ["frobnicate", "model1"]),
+        ("usage:hierarchy_without_k", ["hierarchy", "--family", "sparse"]),
+        ("usage:unknown_family", ["hierarchy", "--family", "foo", "--k", "3"]),
+        ("usage:seed_not_int", ["invariants", "model1", "--seed", "abc"]),
+        ("usage:subclass_assignment", ["invariants", "model1", "--subclass", "q2=3"]),
+        ("usage:missing_model_file", ["check", "no_such_model.json"]),
+        ("help:invariants", ["invariants", "--help"]),
+    ]
     return out
 
 

@@ -9,8 +9,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 import pytest
 
+from glomkit import cli
 from glomkit.cli import (
-    fixture_path,
+    FIXTURE_NAMES,
     load_model,
     main,
     model_to_config,
@@ -30,11 +31,17 @@ def write(tmp_path: Path, name: str, doc) -> str:
 
 
 def test_bundled_fixtures_parse_and_match_builtins():
-    for name in ("model1", "model2", "model3", "model4", "model5", "euler"):
-        g = load_model(name)
-        ref = builtin_model(name) if name != "euler" else builtin_model("euler")
-        assert g.modes == ref.modes
-        assert [gy.modes for gy in g.gyrostats] == [gy.modes for gy in ref.gyrostats]
+    for name in FIXTURE_NAMES:
+        assert load_model(name) == builtin_model(name)
+
+
+def test_a_file_named_like_a_builtin_is_read_as_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "model1", model_to_config(builtin_model("euler")))
+    assert load_model("model1") == builtin_model("euler")
+    write(tmp_path, "model2", "{")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_model("model2")
 
 
 def test_model_config_roundtrip():
@@ -63,7 +70,7 @@ def test_api_built_model_echo_parses_back():
 
 @pytest.mark.parametrize("spec", ["x1", "2*x3", "*a1", "1/0*a1", "a1*b1", "-a2", "1.5.2", ""])
 def test_malformed_param_spec_is_one_line_error(tmp_path, capsys, spec):
-    doc = json.loads(fixture_path("model1").read_text())
+    doc = model_to_config(builtin_model("model1"))
     doc["gyrostats"][0]["params"]["b"] = spec
     assert main(["check", write(tmp_path, "bad.json", doc)]) == 1
     err = capsys.readouterr().err
@@ -71,18 +78,18 @@ def test_malformed_param_spec_is_one_line_error(tmp_path, capsys, spec):
 
 
 def test_unknown_keys_rejected(tmp_path):
-    doc = json.loads(fixture_path("model1").read_text())
+    doc = model_to_config(builtin_model("model1"))
     doc["comment"] = "nope"
     with pytest.raises(ConfigError):
         parse_model_config(doc)
-    doc2 = json.loads(fixture_path("model1").read_text())
+    doc2 = model_to_config(builtin_model("model1"))
     doc2["gyrostats"][0]["params"]["z"] = "1"
     with pytest.raises(ConfigError):
         parse_model_config(doc2)
 
 
 def test_mode_indices_validated(tmp_path):
-    doc = json.loads(fixture_path("model1").read_text())
+    doc = model_to_config(builtin_model("model1"))
     doc["gyrostats"][0]["modes"] = [1, 2, 9]
     with pytest.raises(ConfigError):
         parse_model_config(doc)
@@ -90,7 +97,7 @@ def test_mode_indices_validated(tmp_path):
 
 @pytest.mark.parametrize("key", ["top", "triple"])
 def test_boolean_mode_index_is_one_line_error(tmp_path, capsys, key):
-    doc = json.loads(fixture_path("model1").read_text())
+    doc = model_to_config(builtin_model("model1"))
     if key == "top":
         doc["modes"] = True
     else:
@@ -305,7 +312,7 @@ def test_simulate_requires_assignments(capsys):
 
 
 def test_simulate_assigns_tied_symbols_once(tmp_path, capsys):
-    doc = json.loads(fixture_path("model2").read_text())
+    doc = model_to_config(builtin_model("model2"))
     doc["gyrostats"][1]["params"].update(c="b2", q="0")  # c2 = b2: one symbol
     path = write(tmp_path, "tied.json", doc)
     out = tmp_path / "report.json"
@@ -331,11 +338,38 @@ def test_env_var_provides_default_seed(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 424242
 
 
+def test_env_seed_is_read_on_every_call(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    for seed in (11, 12):
+        monkeypatch.setenv("GLOM_SEED", str(seed))
+        assert main(["invariants", "model1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == seed
+    assert main(["invariants", "model1", "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 5
+
+
+def test_parser_is_built_once_and_env_seed_read_per_call(tmp_path, monkeypatch):
+    cli.build_parser.cache_clear()
+    out = tmp_path / "report.json"
+    for seed in range(200):
+        monkeypatch.setenv("GLOM_SEED", str(seed))
+        assert main(["invariants", "euler", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == seed
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_bad_env_seed_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("GLOM_SEED", "xyz")
-    assert main(["invariants", "model1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "GLOM_SEED" in err
+    for argv in (
+        ["invariants", "model1"],
+        ["check", "model1"],
+        ["hierarchy", "--family", "sparse", "--k", "2"],
+        ["invariants", "--help"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "GLOM_SEED" in err
 
 
 @pytest.mark.parametrize("assign", [["p1=1,q1=1,p1=2"], ["p1=1,q1=1", "p1=1"]])
@@ -430,7 +464,7 @@ def test_subclass_assignment_is_usage_error(tmp_path, capsys):
 
 
 def _tied_model2(tmp_path: Path) -> str:
-    doc = json.loads(fixture_path("model2").read_text())
+    doc = model_to_config(builtin_model("model2"))
     doc["gyrostats"][1]["params"]["c"] = "b2"  # c2 = b2
     return write(tmp_path, "tied.json", doc)
 
@@ -516,7 +550,7 @@ def test_simulate_refuses_a_spec_outside_float_range(tmp_path, capsys):
 
 def _two_gyrostat_doc(**overrides) -> dict:
     """model1's config with gyrostat 2's params updated by `overrides`."""
-    doc = json.loads(fixture_path("model1").read_text())
+    doc = model_to_config(builtin_model("model1"))
     doc["gyrostats"][1]["params"].update(overrides)
     return doc
 
