@@ -189,30 +189,17 @@ def dump_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def base_report(command: str, seed: int | None, model: Glom | None) -> dict:
-    doc: dict[str, Any] = {"command": command}
-    if seed is not None:
-        doc["seed"] = seed
-    if model is not None:
-        doc["model"] = model_to_config(model)
-        if model.warnings:
-            doc["warnings"] = list(model.warnings)
-    return doc
-
-
-def print_table(rows: list[Sequence[str]], header: Sequence[str] | None = None) -> None:
-    all_rows = ([list(header)] if header else []) + [list(r) for r in rows]
-    if not all_rows:
-        return
-    widths = [max(len(r[i]) for r in all_rows) for i in range(len(all_rows[0]))]
-    for idx, row in enumerate(all_rows):
+def print_table(header: Sequence[str], rows: list[Sequence[str]]) -> None:
+    rows = [header, *rows]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if header and idx == 0:
-            print("  ".join("-" * w for w in widths))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each gets the loaded model and the report main started, adds its
+# own fields and summary lines, and returns its exit code
 
 
 def _split_names(pieces: list[str] | None) -> list[str]:
@@ -230,10 +217,8 @@ def _apply_subclass(g: Glom, subclass: list[str] | None) -> Glom:
     return g.zeroed(names)
 
 
-def cmd_check(args) -> int:
-    g = load_model(args.model)
+def cmd_check(args, g: Glom, report: dict) -> int:
     energy = check_energy(g)
-    report = base_report("check", None, g)
     report["energy_ok"] = energy.ok
     report["diagnostics"] = list(energy.diagnostics)
     status = "ok" if energy.ok else "FAILED"
@@ -242,14 +227,11 @@ def cmd_check(args) -> int:
         print(f"  {msg}")
     for msg in g.warnings:
         print(f"  warning: {msg}")
-    dump_report(report, args.out)
     return EXIT_OK if energy.ok else EXIT_VALIDATION
 
 
-def cmd_invariants(args) -> int:
-    g = _apply_subclass(load_model(args.model), args.subclass)
+def cmd_invariants(args, g: Glom, report: dict) -> int:
     rep = count_invariants(g, seed=args.seed)
-    report = base_report("invariants", args.seed, g)
     report["raw_count"] = rep.raw_count
     report["independent_count"] = rep.independent_count
     report["energy_included"] = rep.energy_included
@@ -258,14 +240,11 @@ def cmd_invariants(args) -> int:
         report["param_point"] = {k: str(v) for k, v in sorted(rep.param_point.items())}
     report["basis"] = [form_to_json(f) for f in rep.basis]
     print(f"raw invariants: {rep.raw_count}   functionally independent: {rep.independent_count}")
-    dump_report(report, args.out)
     return EXIT_OK
 
 
-def cmd_jacobi(args) -> int:
-    g = _apply_subclass(load_model(args.model), args.subclass)
+def cmd_jacobi(args, g: Glom, report: dict) -> int:
     rep = jacobi(build_J(g))
-    report = base_report("jacobi", None, g)
     report["is_hamiltonian"] = rep.is_hamiltonian
     report["strict_jacobi"] = rep.strict_jacobi
     report["strict_divergence"] = rep.strict_divergence
@@ -275,14 +254,11 @@ def cmd_jacobi(args) -> int:
     print(f"hamiltonian (aggregate): {rep.is_hamiltonian}   strict per-triple: {rep.strict_jacobi}")
     if rep.strict_divergence:
         print("  note: aggregate condition vanishes but some triple residual does not")
-    dump_report(report, args.out)
     return EXIT_OK
 
 
-def cmd_casimirs(args) -> int:
-    g = _apply_subclass(load_model(args.model), args.subclass)
+def cmd_casimirs(args, g: Glom, report: dict) -> int:
     cs = casimirs(g)
-    report = base_report("casimirs", None, g)
     report["advisory"] = cs.advisory
     report["nullspace_dimension"] = len(cs.nullspace_basis)
     report["nullspace_basis"] = [vector_to_json(v) for v in cs.nullspace_basis]
@@ -293,38 +269,33 @@ def cmd_casimirs(args) -> int:
         print("  advisory: Jacobi condition fails; conservation still holds by skewness")
     for c in cs.casimirs:
         print(f"  C = {c}")
-    dump_report(report, args.out)
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
-    g = load_model(args.model)
+def cmd_enumerate(args, g: Glom, report: dict) -> int:
     vary = _split_names(args.vary)
     if not vary:
         raise ConfigError("--vary needs at least one parameter name")
     table = enumerate_subclasses(g, vary, seed=args.seed)
-    report = base_report("enumerate", args.seed, g)
     report["vary"] = list(table.vary)
     report["subclasses"] = [
         {"mask": mask, "raw_count": raw, "independent_count": ind}
         for mask, raw, ind in table.rows
     ]
     print_table(
+        ("mask " + ",".join(vary), "raw", "independent"),
         [(mask, str(raw), str(ind)) for mask, raw, ind in table.rows],
-        header=("mask " + ",".join(vary), "raw", "independent"),
     )
-    dump_report(report, args.out)
     return EXIT_OK
 
 
-def cmd_hierarchy(args) -> int:
-    spec = HierarchySpec(args.family, args.k)
-    rep = hierarchy_report(spec)
-    report = {"command": "hierarchy", "family": args.family, "k_max": args.k}
+def cmd_hierarchy(args, g: None, report: dict) -> int:
+    report["family"] = args.family
+    report["k_max"] = args.k
+    report["members"] = []
     rows = []
-    members = []
-    for m in rep.members:
-        members.append(
+    for m in hierarchy_report(HierarchySpec(args.family, args.k)).members:
+        report["members"].append(
             {
                 "K": m.K,
                 "modes": m.modes,
@@ -348,13 +319,11 @@ def cmd_hierarchy(args) -> int:
                 "-" if m.projection_consistent is None else str(m.projection_consistent),
             )
         )
-    report["members"] = members
     if args.k >= 3:
         report["recurrent"] = check_recurrence(args.family, args.k)
-    print_table(rows, header=("K", "modes", "hamiltonian", "casimirs", "projects"))
+    print_table(("K", "modes", "hamiltonian", "casimirs", "projects"), rows)
     if "recurrent" in report:
         print(f"incremental conditions recurrent: {report['recurrent']}")
-    dump_report(report, args.out)
     return EXIT_OK
 
 
@@ -384,8 +353,7 @@ def _parse_state(text: str, modes: int) -> tuple[float, ...]:
     return values
 
 
-def cmd_simulate(args) -> int:
-    g = load_model(args.model)
+def cmd_simulate(args, g: Glom, report: dict) -> int:
     assignment = _parse_assignments(args.assign)
     # values go to symbols, so tied slots take one value
     symbols = set(g.free_symbols())
@@ -415,7 +383,6 @@ def cmd_simulate(args) -> int:
         tracked.extend(forms)
         names.extend(f"casimir{i}" for i in range(1, len(forms) + 1))
     rep = integrate(g, cfg, tracked, names=names)
-    report = base_report("simulate", args.seed, g)
     report["t_end"] = args.t
     report["dt"] = args.dt
     report["steps"] = rep.steps
@@ -431,10 +398,9 @@ def cmd_simulate(args) -> int:
         for q in rep.quantities
     ]
     print_table(
+        ("quantity", "initial", "max relative drift"),
         [(q.name, f"{q.initial:.6g}", f"{q.max_relative_drift:.3e}") for q in rep.quantities],
-        header=("quantity", "initial", "max relative drift"),
     )
-    dump_report(report, args.out)
     return EXIT_OK
 
 
@@ -454,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, run, help, seed=False, subclass=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("model", help="model config file or bundled fixture name")
+        p.add_argument("model", help="model config file or built-in model name")
         p.add_argument("--out", help="write the JSON report to this path")
         if seed:
             p.add_argument("--seed", type=int)
@@ -495,9 +461,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        if getattr(args, "seed", 0) is None:  # a command with --seed, not given
-            args.seed = default_seed
-        return args.run(args)
+        report: dict[str, Any] = {"command": args.cmd}
+        if hasattr(args, "seed"):  # a command with --seed
+            if args.seed is None:
+                args.seed = default_seed
+            report["seed"] = args.seed
+        g = None
+        if hasattr(args, "model"):  # every command but hierarchy
+            g = _apply_subclass(load_model(args.model), getattr(args, "subclass", None))
+            report["model"] = model_to_config(g)
+            if g.warnings:
+                report["warnings"] = list(g.warnings)
+        code = args.run(args, g, report)
+        dump_report(report, args.out)
+        return code
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -408,7 +408,9 @@ class PolyMatrix:
     @classmethod
     def zero(cls, table: VarTable, rows: int, cols: int) -> "PolyMatrix":
         z = table.zero()
-        return cls(table, [[z] * cols for _ in range(rows)])
+        m = cls(table, [[z] * cols for _ in range(rows)])
+        m.cols = cols  # a matrix with no rows keeps its width
+        return m
 
     def __getitem__(self, rc: tuple[int, int]) -> Poly:
         return self.entries[rc[0]][rc[1]]

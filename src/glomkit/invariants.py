@@ -180,7 +180,7 @@ class InvariantSystem:
 
     @property
     def cols(self) -> int:
-        return len(self.col_labels)
+        return self.matrix.cols
 
     def restricted(self, keep: Iterable[str]) -> "InvariantSystem":
         """Sub-system on the named columns, with all-zero rows dropped."""
@@ -195,8 +195,9 @@ class InvariantSystem:
                 entries.append(sub)
                 labels.append(label)
                 monos.append(mono)
+        table = self.matrix.table
         return InvariantSystem(
-            PolyMatrix(self.matrix.table, entries),
+            PolyMatrix(table, entries) if entries else PolyMatrix.zero(table, 0, len(col_idx)),
             tuple(labels),
             tuple(monos),
             tuple(self.col_labels[i] for i in col_idx),

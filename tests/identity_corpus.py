@@ -10,12 +10,14 @@ outputs is empty.  Model files are written to a temporary directory under
 fixed relative names, so error messages that quote a path hash the same.
 
 The entries: `invariants` (seeds 0 and 1) and `casimirs` on the six
-bundled fixtures with every zero set of at most 2 slots, `jacobi` with at
+built-in models with every zero set of at most 2 slots, `jacobi` with at
 most 1, `hierarchy` on every family up to `FAMILY_TOP_K` (and K = 0),
 `enumerate model1 --vary b1,c1,a2,b2`, `check`/`invariants`/`casimirs`/
-`jacobi` on tied, custom-symbol, cross-gyrostat and explicit-`r`
-configs, malformed specs, short `simulate` runs, and usage errors and
-help text, which show that one parser serves every call in a process.
+`jacobi` on tied, custom-symbol, cross-gyrostat, explicit-`r` and
+unreferenced-mode configs, malformed specs, short `simulate` runs, and
+usage errors and help text, which show that one parser serves every call
+in a process.  argparse wraps usage and help text to the terminal width,
+so `main` sets `COLUMNS=80` and the hashes do not depend on the shell.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ CONFIGS = {
     "scaled_generic": {"modes": 3, "gyrostats": [_gyro((1, 2, 3), a="2*generic")]},
     "state_symbol": {"modes": 3, "gyrostats": [_gyro((1, 2, 3), b="x1")]},
     "mode_out_of_range": {"modes": 3, "gyrostats": [_gyro((1, 2, 4))]},
+    "unreferenced_mode": {"modes": 4, "gyrostats": [_gyro((1, 2, 3))]},
 }
 
 
@@ -120,6 +123,7 @@ def main() -> int:
         return 2
     sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
     os.environ.pop("GLOM_SEED", None)
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for name, doc in CONFIGS.items():

@@ -307,6 +307,38 @@ def test_simulate_command(tmp_path):
     assert all(q["max_relative_drift"] <= 1e-8 for q in report["drift"])
 
 
+# every command that reads a model, with the options it needs to run
+MODEL_COMMANDS = {
+    "check": [],
+    "invariants": [],
+    "jacobi": [],
+    "casimirs": [],
+    "enumerate": ["--vary", "q1"],
+    "simulate": ["--t", "0.01", "--dt", "0.01", "--assign", "a1=1,b1=2,c1=3,p1=1,q1=-1"],
+}
+
+
+def test_every_report_carries_the_base_fields(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    gyro = {"modes": [1, 2, 3], "params": dict.fromkeys("abcpq", "generic")}
+    for modes in (3, 4):  # mode 4 is referenced by no gyrostat
+        doc = {"modes": modes, "gyrostats": [gyro]}
+        path = write(tmp_path, f"modes{modes}.json", doc)
+        for cmd, options in MODEL_COMMANDS.items():
+            capsys.readouterr()
+            assert main([cmd, path, *options, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["command"] == cmd
+            assert report["model"] == doc
+            assert ("seed" in report) == (cmd in ("invariants", "enumerate", "simulate"))
+            assert report.get("warnings", []) == ["mode 4 is not referenced by any gyrostat"][: modes - 3]
+            if cmd == "check":
+                warned = "  warning: mode 4 is not referenced by any gyrostat\n" in capsys.readouterr().out
+                assert warned == (modes == 4)
+    assert main(["hierarchy", "--family", "sparse", "--k", "1", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())) == {"command", "family", "k_max", "members"}
+
+
 def test_simulate_requires_assignments(capsys):
     assert main(["simulate", "model1", "--t", "1", "--dt", "0.01"]) == 1
 

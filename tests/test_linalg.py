@@ -56,6 +56,15 @@ def test_nullspace_zero_matrix():
     assert nullspace_exact(PolyMatrix.zero(table, 2, 2)) == [[1, 0], [0, 1]]
 
 
+def test_matrix_without_rows_keeps_its_width():
+    table = VarTable.for_model(3, 1)
+    assert PolyMatrix.zero(table, 0, 3).cols == 3
+    assert nullspace_exact(PolyMatrix.zero(table, 0, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    system = build_system(builtin_model("euler").zeroed(["p1", "q1"]))  # no linear terms
+    assert (system.rows, system.cols) == (0, 9)
+    assert system.restricted(["f1", "d1"]).cols == 2
+
+
 def test_nullspace_single_gyrostat_system_at_euler_values():
     # the 7x6 system of the single gyrostat at (p,q,r)=(1,1,-2), a=b=c=1
     g = builtin_model("sparse", 1)
