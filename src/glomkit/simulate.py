@@ -3,17 +3,19 @@
 The numeric layer is a falsification harness for the symbolic one: the
 exact claims live in the algebra, and this module only checks that the
 quantities reported as conserved actually stay flat along trajectories.
-Fields and tracked quadratic forms are compiled once to flat term lists
-(float coefficient, state-index tuple).  Each `integrate` call turns those
-lists into the source of one straight-line Python function that runs every
-step, and executes it.  The generated code performs the same float
-operations in the same order as the textbook stepper kept in the tests, so
-trajectories and drift reports are bit-identical to it.
+A model's field and tracked quadratic forms become flat term lists (float
+coefficient, state-index tuple), then one straight-line Python function
+that runs every step with the float operations of the textbook stepper
+kept in the tests, in its order, so reports are bit-identical to it.  The
+function is compiled once per model, parameter assignment and tracked
+forms; the `STEPPER_CACHE_SIZE` most recently used are kept, and a failure
+is never cached.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ from .invariants import QuadraticForm, independent_count
 from .models import Glom, assemble_field
 
 PROBE_DRIFT_TOLERANCE = 1e-6
+STEPPER_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
             raise ContractViolation("dt and t_end must be finite")
+        if self.initial_state is not None and not all(map(math.isfinite, self.initial_state)):
+            raise ContractViolation("initial state must be finite")
         if self.dt == 0:
             raise ContractViolation("dt must be nonzero")
         if abs(self.t_end) < abs(self.dt):
@@ -181,6 +186,19 @@ def _stepper_src(field: Sequence[Sequence[Term]], forms: Sequence[Sequence[Term]
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=STEPPER_CACHE_SIZE)
+def _stepper(g: Glom, assignment: frozenset, tracked: tuple[QuadraticForm, ...]):
+    """`run` of `_stepper_src` for these (name, value) pairs.  Model and
+    form equality fix the source, and `Poly.subs` is exact, so pair order
+    is free; sorting fixes which unknown name an error quotes."""
+    values = dict(sorted(assignment))
+    field_terms = compile_field(g, values)
+    form_terms = [compile_form(f, values) for f in tracked]
+    namespace = {"isfinite": math.isfinite, "IntegrationError": IntegrationError}
+    exec(compile(_stepper_src(field_terms, form_terms), "<rk4>", "exec"), namespace)
+    return namespace["run"]
+
+
 def integrate(
     g: Glom,
     cfg: SimConfig,
@@ -188,15 +206,13 @@ def integrate(
     names: Sequence[str] | None = None,
 ) -> DriftReport:
     """Classical RK4; evaluates every tracked form at every step."""
-    field_terms = compile_field(g, cfg.param_assignment)
-    form_terms = [compile_form(f, cfg.param_assignment) for f in tracked]
+    tracked = tuple(tracked)
+    run = _stepper(g, frozenset(cfg.param_assignment.items()), tracked)
     names = list(names) if names is not None else [f"C{i+1}" for i in range(len(tracked))]
     if len(names) != len(tracked):
         raise ContractViolation("one name per tracked quantity")
     x0 = initial_state(g, cfg)
-    namespace = {"isfinite": math.isfinite, "IntegrationError": IntegrationError}
-    exec(compile(_stepper_src(field_terms, form_terms), "<rk4>", "exec"), namespace)
-    final, initial, max_dev = namespace["run"](x0, cfg.steps, cfg.dt)
+    final, initial, max_dev = run(x0, cfg.steps, cfg.dt)
     quantities = tuple(
         QuantityDrift(
             name=names[qi],

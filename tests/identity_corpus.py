@@ -14,10 +14,12 @@ built-in models with every zero set of at most 2 slots, `jacobi` with at
 most 1, `hierarchy` on every family up to `FAMILY_TOP_K` (and K = 0),
 `enumerate model1 --vary b1,c1,a2,b2`, `check`/`invariants`/`casimirs`/
 `jacobi` on tied, custom-symbol, cross-gyrostat, explicit-`r` and
-unreferenced-mode configs, malformed specs, short `simulate` runs, and
-usage errors and help text, which show that one parser serves every call
-in a process.  argparse wraps usage and help text to the terminal width,
-so `main` sets `COLUMNS=80` and the hashes do not depend on the shell.
+unreferenced-mode configs, malformed specs, short `simulate` runs (some
+repeat a model, assignment and tracked forms with another seed or initial
+state, and so reuse a compiled stepper), and usage errors and help text,
+which show that one parser serves every call in a process.  argparse
+wraps usage and help text to the terminal width, so `main` sets
+`COLUMNS=80` and the hashes do not depend on the shell.
 """
 
 from __future__ import annotations
@@ -86,10 +88,16 @@ def entries() -> list[tuple[str, list[str]]]:
         path = f"{name}.json"
         for cmd in ("check", "invariants", "casimirs", "jacobi"):
             out.append((f"{cmd}:{name}", [cmd, path]))
-    out.append(("simulate:model1", ["simulate", "model1", "--t", "0.05", "--dt", "0.01", "--track", "all",
-                                    "--assign", "a1=1/2,b1=-1,c1=2,p1=1,q1=-3,a2=1,b2=1/3,c2=0,p2=2,q2=1"]))
-    out.append(("simulate:tied", ["simulate", "tied.json", "--t", "0.05", "--dt", "0.01",
-                                  "--assign", "a1=1,b1=2,c1=-1/2,p1=3,a2=1,b2=1,p2=-1,q2=5/7"]))
+    model1 = ["simulate", "model1", "--t", "0.05", "--dt", "0.01", "--track", "all",
+              "--assign", "a1=1/2,b1=-1,c1=2,p1=1,q1=-3,a2=1,b2=1/3,c2=0,p2=2,q2=1"]
+    tied = ["simulate", "tied.json", "--t", "0.05", "--dt", "0.01",
+            "--assign", "a1=1,b1=2,c1=-1/2,p1=3,a2=1,b2=1,p2=-1,q2=5/7"]
+    out.append(("simulate:model1", model1))
+    out.append(("simulate:tied", tied))
+    # equal model, assignment and forms: these reuse the steppers compiled above
+    out.append(("simulate:model1:seed7", [*model1, "--seed", "7"]))
+    out.append(("simulate:model1:x0", [*model1, "--x0", "0.1,-0.2,0.3,-0.4"]))
+    out.append(("simulate:tied:seed3", [*tied, "--seed", "3"]))
     out += [
         ("usage:unknown_command", ["frobnicate", "model1"]),
         ("usage:hierarchy_without_k", ["hierarchy", "--family", "sparse"]),

@@ -564,12 +564,14 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
 )
 def test_simulate_refuses_coefficients_outside_float_range(tmp_path, capsys, assign, message):
     # an exact coefficient that overflows a float, or underflows to zero,
-    # is refused instead of ending in a traceback or running as 0.0
+    # is refused instead of ending in a traceback or running as 0.0, and a
+    # second identical request is refused again: failures are not cached
     out = tmp_path / "report.json"
     argv = ["simulate", "euler", "--assign", assign, "--t", "0.1", "--dt", "0.01"]
-    assert main(argv + ["--out", str(out)]) == 1
-    assert one_line_error(capsys) == f"error: {message} does not fit a float\n"
-    assert not out.exists()
+    for _ in range(2):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert one_line_error(capsys) == f"error: {message} does not fit a float\n"
+        assert not out.exists()
 
 
 def test_simulate_refuses_a_spec_outside_float_range(tmp_path, capsys):

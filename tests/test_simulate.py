@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from glomkit import simulate
 from glomkit.errors import ConsistencyError, ContractViolation, IntegrationError
 from glomkit.hamiltonian import casimirs
 from glomkit.hierarchy import member
@@ -89,11 +90,31 @@ def test_seeded_initial_state_is_reproducible():
     assert all(-1.0 <= v <= 1.0 for v in initial_state(g, cfg))
 
 
+def raised_twice(exc_type, call) -> str:
+    """The message `call` raises, raised again by a second identical call:
+    a failure is never cached."""
+    messages = []
+    for _ in range(2):
+        with pytest.raises(exc_type) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 def test_unresolved_parameters_rejected():
     g, energy = euler_energy()
     cfg = SimConfig(t_end=1.0, dt=0.1, initial_state=EULER_X0)
-    with pytest.raises(ContractViolation):
-        integrate(g, cfg, [energy])
+    message = raised_twice(ContractViolation, lambda: integrate(g, cfg, [energy]))
+    assert message == "unresolved parameters: ['p1']"
+
+
+def test_names_count_checked_on_a_cache_hit():
+    g, energy = euler_energy()
+    cfg = SimConfig(t_end=0.1, dt=0.01, param_assignment=EULER_ASSIGN, initial_state=EULER_X0)
+    integrate(g, cfg, [energy])
+    message = raised_twice(ContractViolation, lambda: integrate(g, cfg, [energy], names=["a", "b"]))
+    assert message == "one name per tracked quantity"
 
 
 def test_nonfinite_state_raises_integration_error():
@@ -113,13 +134,13 @@ def test_nonfinite_state_raises_integration_error():
         ),
     )
     cfg = SimConfig(t_end=100.0, dt=0.5, initial_state=(3.0, 3.0, 3.0))
-    with pytest.raises(IntegrationError) as got:
-        integrate(g, cfg, [])
+    # the second call runs the cached stepper, which raises again
+    got = raised_twice(IntegrationError, lambda: integrate(g, cfg, []))
     # the generated stepper stops at the reference's step
     with pytest.raises(IntegrationError) as want:
         reference_integrate(g, cfg, [])
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("non-finite state at step ")
+    assert got == str(want.value)
+    assert got.startswith("non-finite state at step ")
 
 
 def test_bad_config_rejected():
@@ -128,6 +149,13 @@ def test_bad_config_rejected():
     for t_end, dt in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1)):
         with pytest.raises(ContractViolation):
             SimConfig(t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_state_rejected_at_construction(bad):
+    # bad input is refused as such, not blamed on the first integration step
+    with pytest.raises(ContractViolation, match="^initial state must be finite$"):
+        SimConfig(t_end=1.0, dt=0.1, initial_state=(0.5, bad, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -206,6 +234,77 @@ def test_generated_stepper_matches_reference_on_zero_field():
     cfg = SimConfig(t_end=0.1, dt=0.01, initial_state=(0.5, -0.0, 1.0))
     rep = assert_matches_reference(g, cfg, [QuadraticForm.energy(g.var_table)])
     assert rep.final_state[1].hex() == "0x0.0p+0"  # -0.0 + scale*0.0 is +0.0
+
+
+# ---------------------------------------------------------------------------
+# the stepper cache: one compilation per (model, assignment, tracked forms)
+
+
+def model3_case(values=None, drop_form=False, zeroed=()):
+    """model3 at values in 1..5 with its invariants and Casimirs, each
+    object built afresh so that a cache hit rests on equality alone."""
+    g = builtin_model("model3")
+    rng = random.Random(3)
+    base = {s: Fraction(rng.randrange(1, 6)) for s in g.free_symbols()}
+    values = {**base, **(values or {})}
+    exact = instantiate(g, values)
+    tracked = list(count_invariants(exact, seed=0).basis) + list(casimirs(exact).casimirs)
+    if drop_form:
+        tracked.pop()
+    return g.zeroed(list(zeroed)), values, tracked
+
+
+@pytest.fixture
+def compile_count(monkeypatch):
+    """Clears the stepper cache and counts the `compile_field` calls."""
+    calls = []
+    compile_field = simulate.compile_field
+
+    def counted(*args):
+        calls.append(args)
+        return compile_field(*args)
+
+    simulate._stepper.cache_clear()
+    monkeypatch.setattr(simulate, "compile_field", counted)
+    yield calls
+    simulate._stepper.cache_clear()
+
+
+def test_equal_inputs_compile_the_stepper_once(compile_count):
+    for seed in (1, 2, 3, 4):
+        g, values, tracked = model3_case()
+        cfg = SimConfig(t_end=0.5, dt=5e-4, param_assignment=values, seed=seed)
+        assert_matches_reference(g, cfg, tracked)
+    assert len(compile_count) == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"values": {"a1": Fraction(7)}}, {"drop_form": True}, {"zeroed": ("b2",)}],
+    ids=["assigned-value", "tracked-form", "zeroed-slot"],
+)
+def test_changed_input_compiles_its_own_stepper(compile_count, change):
+    # a key too coarse would run the first stepper on the second input
+    runs = []
+    for case in (model3_case(), model3_case(**change)):
+        g, values, tracked = case
+        cfg = SimConfig(t_end=0.5, dt=5e-4, param_assignment=values, seed=1)
+        runs.append(assert_matches_reference(g, cfg, tracked))
+    assert len(compile_count) == 2
+    assert runs[0] != runs[1]
+
+
+def test_int_and_fraction_assignments_give_identical_reports(compile_count):
+    g, energy = euler_energy()
+    as_int = {name: int(v) for name, v in EULER_ASSIGN.items()}
+    reports = []
+    for order in ((as_int, EULER_ASSIGN), (EULER_ASSIGN, as_int)):
+        simulate._stepper.cache_clear()
+        for values in order:  # the second, an equal key, runs the first's stepper
+            cfg = SimConfig(t_end=0.5, dt=1e-3, param_assignment=values, initial_state=EULER_X0)
+            reports.append(assert_matches_reference(g, cfg, [energy]))
+    assert len(compile_count) == 2
+    assert all(rep == reports[0] for rep in reports)
 
 
 # ---------------------------------------------------------------------------
