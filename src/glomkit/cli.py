@@ -32,7 +32,6 @@ from typing import Any, Sequence
 
 from .errors import ConfigError, ContractViolation, EnergyViolation, IntegrationError
 from .exactmath import Poly, monomial_str
-from .exactmath.poly import GYROSTAT_PARAM_LETTERS
 from .hamiltonian import build_J, casimirs, jacobi
 from .hierarchy import FAMILY_STRIDE, HierarchySpec, check_recurrence, hierarchy_report
 from .invariants import QuadraticForm, count_invariants, enumerate_subclasses
@@ -107,7 +106,7 @@ def parse_model_config(doc: Any) -> Glom:
         params = item.get("params")
         if not isinstance(params, dict):
             raise ConfigError(f"{where}: 'params' must be an object")
-        unknown = set(params) - set(GYROSTAT_PARAM_LETTERS)
+        unknown = set(params) - set(SLOT_LETTERS + ("r",))
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
         missing = set(SLOT_LETTERS) - set(params)

@@ -2,10 +2,10 @@
 
 A polynomial is a map from exponent tuples to rational coefficients, each
 stored as an int when it is integral and as a Fraction otherwise.
-Exponent tuples run over the variables of a VarTable, which fixes the
-variable ordering once per model: state variables first (x1..xM), then
-the parameter symbols of each gyrostat in a, b, c, p, q, r order, then
-any extra shared symbols.
+Exponent tuples run over the variables of a VarTable: an ordered list
+of names whose first `state_count` entries are the state variables and
+whose rest are parameter symbols.  The caller fixes the names and their
+order.
 
 Zero coefficients are never stored, so equal polynomials always hold
 identical maps.  The monomial order used for display, pivot selection
@@ -24,25 +24,16 @@ from ..errors import ContractViolation
 
 Monomial = tuple[int, ...]
 
-# a gyrostat's parameter letters in table order; models stores a..q and derives r
-GYROSTAT_PARAM_LETTERS = ("a", "b", "c", "p", "q", "r")
-
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     """Sort key for graded lexicographic order (larger key = larger monomial)."""
     return (sum(mono), mono)
 
 
-# VarTable.for_model's tables; a table is never changed, so models share them
-_MODEL_TABLES: dict[tuple[int, int, tuple[str, ...]], "VarTable"] = {}
-
-
 class VarTable:
-    """Ordered registry of state variables and parameter symbols.
-
-    The index assignment is deterministic for a given model: x1..xM first,
-    then for each gyrostat k the symbols a_k, b_k, c_k, p_k, q_k, r_k, then
-    extra shared symbols in the order given.
+    """Ordered registry of state variables and parameter symbols: the
+    first `state_count` names are the state variables, the rest parameters.
+    A table is never changed, so polynomials over equal layouts may share one.
     """
 
     __slots__ = ("names", "state_count", "_index", "_hash", "_monos", "_zero_mono", "_zero")
@@ -57,21 +48,6 @@ class VarTable:
         self._monos: dict[Monomial, Monomial] = {}  # equal monomials share one tuple: kept results stay small
         self._zero_mono = (0,) * len(self.names)  # shared by every constant
         self._zero = Poly(self, {})  # Poly is immutable, so one zero serves all
-
-    @classmethod
-    def for_model(cls, modes: int, gyrostats: int, extra: Iterable[str] = ()) -> "VarTable":
-        """The one shared table of models with these sizes and extra symbols."""
-        key = (modes, gyrostats, tuple(extra))
-        table = _MODEL_TABLES.get(key)
-        if table is None:
-            names = [f"x{i}" for i in range(1, modes + 1)]
-            for k in range(1, gyrostats + 1):
-                names.extend(f"{letter}{k}" for letter in GYROSTAT_PARAM_LETTERS)
-            for name in key[2]:
-                if name not in names:
-                    names.append(name)
-            table = _MODEL_TABLES[key] = cls(names, modes)
-        return table
 
     def __len__(self) -> int:
         return len(self.names)

@@ -14,7 +14,9 @@ silently repaired (see check_energy).
 
 `Glom.slots` owns the parameter layout: it names each stored coefficient
 by its SLOT_LETTERS letter and gyrostat index ("b2"), and every reader or
-rewriter of a model's coefficients goes through it.
+rewriter of a model's coefficients goes through it.  A model's variable
+table is x1..xM, then the slot names in `Glom.slots` order, then the
+extra symbols not already named; r has no column, since it is derived.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from typing import Iterable, Mapping
 
 from .errors import ContractViolation
 from .exactmath import Poly, VarTable
-from .exactmath.poly import GYROSTAT_PARAM_LETTERS
 
 SIGN_SYMMETRY_GENERATOR_LIMIT = 16
 
 # the stored coefficients of a gyrostat, in Gyrostat field order; r is derived
-SLOT_LETTERS = GYROSTAT_PARAM_LETTERS[:5]
+SLOT_LETTERS = ("a", "b", "c", "p", "q")
+
+# the one variable table of each layout, keyed on (names, state count): equal
+# layouts share one object, so Poly._check's identity test passes and monomials intern once
+_TABLES: dict[tuple[tuple[str, ...], int], VarTable] = {}
 
 # a parameter symbol: neither a state variable x1, x2, ... nor the config keyword "generic"
 SYMBOL = re.compile(r"(?!x\d+$|generic$)[A-Za-z_][A-Za-z0-9_]*")
@@ -146,12 +151,16 @@ class Glom:
                 raise ContractViolation(
                     f"gyrostat {k} references mode outside 1..{self.modes}: {g.modes}"
                 )
+        for symbol in self.extra_symbols:
+            if not SYMBOL.fullmatch(symbol):
+                raise ContractViolation(f"extra symbol {symbol!r} is not a parameter symbol")
+        slots = self.slots()
         named = []
-        extras: list[str] = list(self.extra_symbols)
-        for name, spec in self.slots().items():
+        extras = list(dict.fromkeys(self.extra_symbols))
+        for name, spec in slots.items():
             spec = spec.named(name)
-            # an extra is a symbol that is none of this gyrostat's own standard names
-            own = {letter + name[1:] for letter in GYROSTAT_PARAM_LETTERS}
+            # an extra is a symbol that is none of this gyrostat's own slot names
+            own = {letter + name[1:] for letter in SLOT_LETTERS}
             if spec.is_symbolic and spec.symbol not in own:
                 if not SYMBOL.fullmatch(spec.symbol):
                     raise ContractViolation(f"{name}: {spec.symbol!r} is not a parameter symbol")
@@ -160,8 +169,13 @@ class Glom:
             named.append(spec)
         object.__setattr__(self, "gyrostats", _refilled(self.gyrostats, named))
         object.__setattr__(self, "extra_symbols", tuple(extras))
-        table = VarTable.for_model(self.modes, len(self.gyrostats), extras)
-        object.__setattr__(self, "var_table", table)
+        names = [f"x{i}" for i in range(1, self.modes + 1)]
+        names += slots
+        names += (s for s in extras if s not in slots)
+        key = (tuple(names), self.modes)
+        if key not in _TABLES:
+            _TABLES[key] = VarTable(*key)
+        object.__setattr__(self, "var_table", _TABLES[key])
         covered = {m for g in self.gyrostats for m in g.modes}
         missing = [m for m in range(1, self.modes + 1) if m not in covered]
         warnings = tuple(f"mode {m} is not referenced by any gyrostat" for m in missing)

@@ -46,6 +46,7 @@ from glomkit.models import (
     VectorField,
     assemble_field,
     builtin_model,
+    generic_gyrostat,
     instantiate,
 )
 from glomkit.simulate import SimConfig, compile_field, compile_form, initial_state
@@ -53,6 +54,13 @@ from glomkit.simulate import SimConfig, compile_field, compile_form, initial_sta
 # the largest member of each hierarchy family in the benchmark and the
 # golden reports
 FAMILY_TOP_K = {"sparse": 6, "dense1": 6, "dense2": 6, "model4": 3, "model5": 5}
+
+
+def model_table(modes: int, gyrostats: int, extra: Sequence[str] = ()) -> VarTable:
+    """The variable table of a model of `gyrostats` generic gyrostats over
+    `modes` modes with the given extra symbols: x1..xM, a1..q1, a2..q2, ..."""
+    return Glom(modes, (generic_gyrostat((1, 2, 3)),) * gyrostats, tuple(extra)).var_table
+
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*^()])")
 

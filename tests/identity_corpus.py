@@ -13,8 +13,8 @@ The entries: `invariants` (seeds 0 and 1) and `casimirs` on the six
 built-in models with every zero set of at most 2 slots, `jacobi` with at
 most 1, `hierarchy` on every family up to `FAMILY_TOP_K` (and K = 0),
 `enumerate model1 --vary b1,c1,a2,b2`, `check`/`invariants`/`casimirs`/
-`jacobi` on tied, custom-symbol, cross-gyrostat, explicit-`r` and
-unreferenced-mode configs, malformed specs, short `simulate` runs (some
+`jacobi` on tied, custom-symbol, cross-gyrostat, explicit-`r`, `r<k>`-symbol
+and unreferenced-mode configs, malformed specs, short `simulate` runs (some
 repeat a model, assignment and tracked forms with another seed or initial
 state, and so reuse a compiled stepper), and usage errors and help text,
 which show that one parser serves every call in a process.  argparse
@@ -56,6 +56,8 @@ CONFIGS = {
         ],
     },
     "explicit_r_violating": {"modes": 3, "gyrostats": [_gyro((1, 2, 3), p="1", q="1", r="1")]},
+    # r has no slot, so a symbol named r1 or r2 is an ordinary extra symbol
+    "r_symbol": {"modes": 4, "gyrostats": [_gyro((1, 2, 3), a="r1"), _gyro((2, 3, 4), c="-1/2*r2")]},
     "scaled_generic": {"modes": 3, "gyrostats": [_gyro((1, 2, 3), a="2*generic")]},
     "state_symbol": {"modes": 3, "gyrostats": [_gyro((1, 2, 3), b="x1")]},
     "mode_out_of_range": {"modes": 3, "gyrostats": [_gyro((1, 2, 4))]},

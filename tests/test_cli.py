@@ -19,9 +19,11 @@ from glomkit.cli import (
 )
 from glomkit.errors import ConfigError
 from glomkit.hierarchy import member
+from glomkit.invariants import count_invariants, verify_conserved
 from glomkit.models import ParamSpec, builtin_model
 
 from helpers import FAMILY_TOP_K
+from identity_corpus import CONFIGS
 
 
 def write(tmp_path: Path, name: str, doc) -> str:
@@ -66,6 +68,14 @@ def test_api_built_model_echo_parses_back():
         }
     )
     assert parse_model_config(model_to_config(g)) == g
+
+
+def test_r_symbol_config_echoes_and_its_basis_is_conserved():
+    # symbols named like the derived r coefficients are ordinary extras
+    g = parse_model_config(CONFIGS["r_symbol"])
+    assert parse_model_config(model_to_config(g)) == g
+    basis = count_invariants(g).basis
+    assert basis and all(verify_conserved(g, form) for form in basis)
 
 
 @pytest.mark.parametrize("spec", ["x1", "2*x3", "*a1", "1/0*a1", "a1*b1", "-a2", "1.5.2", ""])

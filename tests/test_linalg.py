@@ -7,7 +7,6 @@ import pytest
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import (
     PolyMatrix,
-    VarTable,
     divide_exact,
     generic_rank,
     nullspace_exact,
@@ -34,6 +33,7 @@ from helpers import (
     bareiss_nullspace,
     bareiss_rank,
     determinant_by_permutations,
+    model_table,
     mul_vector,
     nullspace_symbolic_reference,
     parameter_only_generic_rank,
@@ -52,12 +52,12 @@ def constant_matrix(table, rows):
 
 
 def test_nullspace_zero_matrix():
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     assert nullspace_exact(PolyMatrix.zero(table, 2, 2)) == [[1, 0], [0, 1]]
 
 
 def test_matrix_without_rows_keeps_its_width():
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     assert PolyMatrix.zero(table, 0, 3).cols == 3
     assert nullspace_exact(PolyMatrix.zero(table, 0, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     system = build_system(builtin_model("euler").zeroed(["p1", "q1"]))  # no linear terms
@@ -81,7 +81,7 @@ def test_nullspace_single_gyrostat_system_at_euler_values():
 
 def test_random_invertible_matrix_has_trivial_nullspace():
     rng = random.Random(42)
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     while True:
         rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(5)] for _ in range(5)]
         if determinant_by_permutations(rows) != 0:
@@ -93,7 +93,7 @@ def test_random_invertible_matrix_has_trivial_nullspace():
 
 def test_rank_nullity_random_matrices():
     rng = random.Random(7)
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     for _ in range(25):
         n_rows, n_cols = rng.randrange(1, 6), rng.randrange(1, 6)
         rows = [[Fraction(rng.randrange(-4, 5)) for _ in range(n_cols)] for _ in range(n_rows)]
@@ -130,7 +130,7 @@ def test_nullspace_symbolic_frozen_mode_branch():
 
 
 def test_nullspace_symbolic_nonsingular_constant():
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     m = constant_matrix(table, [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]])
     assert nullspace_symbolic(m) == []
 
@@ -239,7 +239,7 @@ def test_sub_pfaffian_kernel_equals_the_elimination_kernel_term_by_term():
 
 def test_nullspace_symbolic_refuses_a_non_skew_matrix():
     # 3 x 3 of rank 2 (row 3 = row 1 + row 2) but not skew, and 2 x 3
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     rows = [["a1", "b1", "0"], ["0", "c1", "a1*x1"], ["a1", "b1 + c1", "a1*x1"]]
     for m in (
         PolyMatrix(table, [[parse(table, e) for e in row] for row in rows]),
@@ -251,7 +251,7 @@ def test_nullspace_symbolic_refuses_a_non_skew_matrix():
 
 
 def test_poly_gcd_finds_a_common_factor():
-    table = VarTable.for_model(3, 2)
+    table = model_table(3, 2)
     common = parse(table, "a1*x1 + b2*p1 - 2")
     a = parse(table, "x2^2*c1 + q2") * common
     b = parse(table, "p1*x3 - a2*c1 + 1/3") * parse(table, "x1") * common
@@ -294,13 +294,13 @@ def test_generic_rank_model2_system():
 
 
 def test_generic_rank_zero_matrix():
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     assert generic_rank(PolyMatrix.zero(table, 3, 3), seed=1) == 0
 
 
 def test_generic_rank_matches_exact_on_numeric():
     rng = random.Random(3)
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     for _ in range(10):
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)]
         m = constant_matrix(table, rows)
@@ -330,7 +330,7 @@ def test_generic_rank_is_exact_when_a_minor_vanishes_mod_p():
     # the determinant p * p1^2 (p = 2^61 - 1) is nonzero wherever p1 is, so
     # the generic rank is 2, though the rows scaled to coprime integers,
     # [1, 1] and [1, 1 + p], coincide mod p
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     m = PolyMatrix(table, [[parse(table, e) for e in row] for row in [["p1", "p1"], ["p1", f"{P61 + 1}*p1"]]])
     assert generic_rank(m, seed=0) == 2
 
@@ -349,7 +349,7 @@ class ScriptedRng:
 def test_generic_point_keeps_the_first_best_trial():
     # rank 2 of 3 where a1 != b1; trial 1 draws a1 = b1, trials 2 and 3
     # reach rank 2, and the earlier of the two is returned
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     rows = [["a1 - b1", "0", "0"], ["0", "b1", "0"], ["a1 - b1", "b1", "0"]]
     m = PolyMatrix(table, [[parse(table, e) for e in row] for row in rows])
     a1, b1 = table.index("a1"), table.index("b1")
@@ -362,7 +362,7 @@ def test_generic_point_keeps_the_first_best_trial():
 
 
 def test_generic_point_stops_at_full_rank():
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     m = PolyMatrix(table, [[parse(table, "a1 - b1"), table.zero()], [table.zero(), parse(table, "b1")]])
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
@@ -477,7 +477,7 @@ def test_generic_rank_deterministic():
 
 
 def test_divide_exact_roundtrip():
-    table = VarTable.for_model(3, 1)
+    table = model_table(3, 1)
     a = parse(table, "p1*x2 + b1")
     b = parse(table, "q1*x1 - a1 + x2")
     prod = a * b
@@ -488,7 +488,7 @@ def test_divide_exact_roundtrip():
 
 
 def test_proportional_cases():
-    table = VarTable.for_model(3, 2)
+    table = model_table(3, 2)
     v = parse_vector
     assert proportional(
         v(table, ["a2*(a1 - q1*x1)", "a2*c1"]), v(table, ["a1 - q1*x1", "c1"])

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from glomkit import models
-from glomkit.errors import ContractViolation
+from glomkit.cli import parse_model_config
+from glomkit.errors import ConfigError, ContractViolation
 from glomkit.hierarchy import FAMILY_MAX_K, member
 from glomkit.models import (
     Glom,
@@ -18,7 +20,8 @@ from glomkit.models import (
     no_linear_feedback,
 )
 
-from helpers import compose, divergence, is_sign_symmetry, parse_vector, state_degree
+from helpers import FAMILY_TOP_K, compose, divergence, is_sign_symmetry, parse_vector, state_degree
+from identity_corpus import CONFIGS
 
 MODEL1_COMPONENTS = [
     "p1*x2*x3 + b1*x3 - c1*x2",
@@ -293,12 +296,42 @@ def test_custom_symbol_with_own_index_is_an_extra():
     assert "z1" not in g.zeroed(["c1"]).free_symbols()
 
 
-@pytest.mark.parametrize("symbol, coeff", [("x1", 1), ("generic", 2), ("a b", 1)])
+@pytest.mark.parametrize("symbol, coeff", [("x1", 1), ("generic", 2), ("a b", 1), ("x7", 1), ("1bad", 1)])
 def test_model_refuses_a_symbol_its_config_echo_cannot_name(symbol, coeff):
-    # x1 would merge into the state variable, "generic" is the config keyword
-    # and "a b" is no identifier: the echo of such a model would not parse back
+    # x1 and x7 would merge into state variables, "generic" is the config keyword
+    # and "a b" and "1bad" are no identifiers: the echo of such a model would
+    # not parse back, whether a slot or extra_symbols names the symbol
+    message = rf"^extra symbol {re.escape(repr(symbol))} is not a parameter symbol$"
+    with pytest.raises(ContractViolation, match=message):
+        Glom(3, (generic_gyrostat((1, 2, 3)),), extra_symbols=(symbol,))
     gyro = generic_gyrostat((2, 3, 4), b=ParamSpec.scaled(symbol, coeff))
     with pytest.raises(ContractViolation, match=r"^b2: .* is not a parameter symbol$"):
         Glom(4, (generic_gyrostat((1, 2, 3)), gyro))
     with pytest.raises(ContractViolation, match=r"^b2: "):
         builtin_model("model1").with_params({"b2": ParamSpec.scaled(symbol, coeff)})
+
+
+def _layout_models():
+    gloms = [builtin_model(name) for name in (*models.BUILTIN_TRIPLES, "euler", "model5_numeric")]
+    gloms += [builtin_model(name, K) for name in ("sparse", "dense") for K in (1, 2, 6)]
+    for family, k_top in FAMILY_TOP_K.items():
+        gloms += [member(family, K, c) for K in range(1, k_top + 1) for c in (True, False)]
+    for doc in CONFIGS.values():
+        try:
+            gloms.append(parse_model_config(doc))
+        except ConfigError:
+            pass  # the corpus's malformed configs build no model
+    return gloms
+
+
+def test_variable_table_is_states_then_slots_then_new_extras():
+    for g in _layout_models():
+        slots = g.slots()
+        states = tuple(f"x{i}" for i in range(1, g.modes + 1))
+        extras = tuple(s for s in g.extra_symbols if s not in slots)
+        assert g.var_table.names == (*states, *slots, *extras)
+        assert g.var_table.state_count == g.modes
+    # r is derived, so a symbol named r1 or r2 is an extra after every slot
+    g = parse_model_config(CONFIGS["r_symbol"])
+    assert g.extra_symbols == ("r1", "r2")
+    assert g.var_table.names[-3:] == ("q2", "r1", "r2") and len(g.var_table) == 16

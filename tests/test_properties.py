@@ -13,16 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import Poly, PolyMatrix, VarTable, divide_exact, nullspace_symbolic
+from glomkit.exactmath import Poly, PolyMatrix, divide_exact, nullspace_symbolic
 from glomkit.exactmath.linalg import poly_gcd, proportional
 from glomkit.models import _gf2_nullspace
 
-from helpers import mul_vector, nullspace_symbolic_reference, parse, proportional_reference
+from helpers import model_table, mul_vector, nullspace_symbolic_reference, parse, proportional_reference
 
 # the same examples in every environment; no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
-TABLE = VarTable.for_model(3, 1)
+TABLE = model_table(3, 1)
 # two state variables and two parameters; the rest of the table stays unused
 VARIABLES = tuple(TABLE.index(name) for name in ("x1", "x2", "a1", "p1"))
 

@@ -9,14 +9,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from glomkit.exactmath import VarTable
 from glomkit.exactmath.linalg import poly_gcd
 from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.hierarchy import member
 from glomkit.invariants import build_system, count_invariants
 from glomkit.models import assemble_field, builtin_model, no_linear_feedback
 
-from helpers import hamiltonian_models
+from helpers import hamiltonian_models, model_table
 
 MODELS = ("model1", "model2", "model3", "model4", "model5", "euler")
 
@@ -181,7 +180,7 @@ def test_nullspace_and_casimirs_match_sympy(name):
 
 
 def test_poly_gcd_matches_sympy_on_products_with_a_common_factor():
-    table = VarTable.for_model(3, 2)
+    table = model_table(3, 2)
     names = ("x1", "x2", "x3", "a1", "b1", "c2", "p2")
     rng = random.Random(11)
 
