@@ -19,7 +19,6 @@ from .exactmath import (
     PolyMatrix,
     VarTable,
     generic_rank,
-    nullspace_exact,
     nullspace_symbolic,
     proportional,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "jacobi",
     "monotonicity_check",
     "no_linear_feedback",
-    "nullspace_exact",
     "nullspace_symbolic",
     "projection_consistency",
     "proportional",

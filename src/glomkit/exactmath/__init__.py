@@ -3,7 +3,6 @@
 from .linalg import (
     divide_exact,
     generic_rank,
-    nullspace_exact,
     nullspace_rational,
     nullspace_symbolic,
     poly_proportional,
@@ -21,7 +20,6 @@ __all__ = [
     "generic_rank",
     "grlex_key",
     "monomial_str",
-    "nullspace_exact",
     "nullspace_rational",
     "nullspace_symbolic",
     "poly_proportional",

@@ -184,11 +184,6 @@ def back_substitute(pivots: Mapping[int, Mapping[int, int]], n_cols: int) -> lis
 # public numeric operations
 
 
-def nullspace_exact(m: PolyMatrix) -> list[list[int]]:
-    """Nullspace basis of an all-rational matrix, integer entries, content 1."""
-    return nullspace_rational(evaluate_at(m, {}), m.cols)
-
-
 def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction | int]]:
     """Exact value of every entry with variable i set to the integer values[i].
 

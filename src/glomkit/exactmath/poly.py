@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from ..errors import ContractViolation
 
@@ -391,12 +391,6 @@ class PolyMatrix:
     def __getitem__(self, rc: tuple[int, int]) -> Poly:
         return self.entries[rc[0]][rc[1]]
 
-    def __iter__(self) -> Iterator[tuple[Poly, ...]]:
-        return iter(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def variables(self) -> set[int]:
         """Indices of the variables that occur in some entry."""
         monos: set[Monomial] = set()
@@ -404,7 +398,3 @@ class PolyMatrix:
             for e in row:
                 monos.update(e.terms)
         return {i for mono in monos for i, k in enumerate(mono) if k}
-
-    def parameter_names(self) -> set[str]:
-        M = self.table.state_count
-        return {self.table.names[i] for i in self.variables() if i >= M}

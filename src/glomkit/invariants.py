@@ -11,8 +11,8 @@ particular model structures emerges from the algebra instead of being
 imposed per configuration.  Constant terms are excluded from candidates
 because constants are invariants of any flow.
 
-`form_positions` owns the candidate layout: the system's columns, their
-labels and every QuadraticForm coefficient read or write follow it.
+`form_positions` owns the candidate layout: the system's columns and
+every QuadraticForm coefficient read or write follow it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ContractViolation
-from .exactmath import Poly, PolyMatrix, VarTable, grlex_key, monomial_str
+from .exactmath import Poly, PolyMatrix, VarTable, grlex_key
 from .exactmath.linalg import back_substitute, generic_point, rank_rational
 from .models import Glom, VectorField, assemble_field, builtin_model, no_linear_feedback
 
@@ -149,9 +149,6 @@ class QuadraticForm:
         vec = [c.subs(values) for c in self.coeffs]
         return QuadraticForm.from_coeff_vector(self.table, vec)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __str__(self) -> str:
         return str(self.value_poly())
 
@@ -164,15 +161,14 @@ class QuadraticForm:
 class InvariantSystem:
     """The homogeneous system forcing dC/dt = 0.
 
-    Rows are indexed by the state monomials that occur; columns by the
-    unknowns in `form_positions` order.  Entries are linear
-    polynomials in the parameters.
+    Rows are indexed by the state monomials that occur, given as exponent
+    tuples over x1..xM in `row_monomials`; columns by the unknowns in
+    `form_positions` order.  Entries are linear polynomials in the
+    parameters.
     """
 
     matrix: PolyMatrix
-    row_labels: tuple[str, ...]
     row_monomials: tuple[tuple[int, ...], ...]
-    col_labels: tuple[str, ...]
 
     @property
     def rows(self) -> int:
@@ -181,31 +177,6 @@ class InvariantSystem:
     @property
     def cols(self) -> int:
         return self.matrix.cols
-
-    def restricted(self, keep: Iterable[str]) -> "InvariantSystem":
-        """Sub-system on the named columns, with all-zero rows dropped."""
-        keep_set = set(keep)
-        col_idx = [i for i, lbl in enumerate(self.col_labels) if lbl in keep_set]
-        entries = []
-        labels = []
-        monos = []
-        for label, mono, row in zip(self.row_labels, self.row_monomials, self.matrix.entries):
-            sub = [row[i] for i in col_idx]
-            if any(sub):
-                entries.append(sub)
-                labels.append(label)
-                monos.append(mono)
-        table = self.matrix.table
-        return InvariantSystem(
-            PolyMatrix(table, entries) if entries else PolyMatrix.zero(table, 0, len(col_idx)),
-            tuple(labels),
-            tuple(monos),
-            tuple(self.col_labels[i] for i in col_idx),
-        )
-
-
-def unknown_labels(M: int) -> list[str]:
-    return [f"f{i}" if j is None else f"d{i}" if j == i else f"e{i}_{j}" for i, j in form_positions(M)]
 
 
 def build_system(g: Glom) -> InvariantSystem:
@@ -236,13 +207,9 @@ def build_system(g: Glom) -> InvariantSystem:
         (mono for mono, row in rows.items() if any(row)), key=grlex_key, reverse=True
     )
     entries = [rows[mono] for mono in ordered]
-    pad = (0,) * (len(table.names) - M)
-    labels = tuple(monomial_str(table, mono + pad) for mono in ordered)
     return InvariantSystem(
         PolyMatrix(table, entries) if entries else PolyMatrix.zero(table, 0, n_cols),
-        labels,
         tuple(ordered),
-        tuple(unknown_labels(M)),
     )
 
 

@@ -198,13 +198,14 @@ class Glom:
 
         Keys are standard names like 'q2'; values are ParamSpec replacements
         (Zero for subclass masking, scaled symbols for equality constraints).
+        The copy's extra symbols are those its slots use.
         """
         slots = self.slots()
         for name in assignments:
             if name not in slots:
                 raise ContractViolation(f"unknown parameter {name!r}")
         slots.update(assignments)
-        return Glom(self.modes, _refilled(self.gyrostats, slots.values()), self.extra_symbols)
+        return Glom(self.modes, _refilled(self.gyrostats, slots.values()))
 
     def zeroed(self, names: Iterable[str]) -> "Glom":
         """Set the named slots to zero.
@@ -453,7 +454,7 @@ def model5_numeric() -> Glom:
     )
     g4 = Gyrostat((3, 4, 7), a=zero, b=zero, c=zero, p=zero, q=ParamSpec.exact(Fraction(-1, 2)))
     g5 = Gyrostat((2, 5, 7), a=zero, b=zero, c=zero, p=ParamSpec.exact(Fraction(-1, 2)), q=zero)
-    return Glom(8, (g1, g2, g3, g4, g5), extra_symbols=("beta",))
+    return Glom(8, (g1, g2, g3, g4, g5))
 
 
 def no_linear_feedback(g: Glom) -> Glom:
@@ -474,4 +475,6 @@ def instantiate(g: Glom, values: Mapping[str, Fraction]) -> Glom:
             if spec.symbol not in values:
                 raise ContractViolation(f"no value for symbol {spec.symbol!r}")
             assignments[name] = ParamSpec.exact(spec.coeff * values[spec.symbol])
-    return g.with_params(assignments)
+    # the symbols stay in the table: `simulate --track casimirs` evaluates
+    # the instance's Casimirs with the symbolic model's assignment
+    return Glom(g.modes, g.with_params(assignments).gyrostats, g.extra_symbols)

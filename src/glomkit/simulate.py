@@ -192,6 +192,9 @@ def _stepper(g: Glom, assignment: frozenset, tracked: tuple[QuadraticForm, ...])
     form equality fix the source, and `Poly.subs` is exact, so pair order
     is free; sorting fixes which unknown name an error quotes."""
     values = dict(sorted(assignment))
+    for name in values:
+        if name in g.var_table.names[: g.modes]:
+            raise ContractViolation(f"cannot assign the state variable {name!r}")
     field_terms = compile_field(g, values)
     form_terms = [compile_form(f, values) for f in tracked]
     namespace = {"isfinite": math.isfinite, "IntegrationError": IntegrationError}

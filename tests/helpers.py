@@ -5,7 +5,8 @@ independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
 bilinear Jacobi residual, the interpreted RK4 stepper that generated code
 must match, the symbolic nullspace by denominator
-clearing and the sign-symmetry identity checked by substitution)."""
+clearing and the sign-symmetry identity checked by substitution), and the
+printed row and column labels of an invariant system."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from glomkit.errors import ContractViolation, IntegrationError
-from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg, monomial_str
 from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
@@ -27,6 +28,7 @@ from glomkit.exactmath.linalg import (
     divide_exact,
     evaluate_at,
     generic_rank,
+    nullspace_rational,
     rank_rational,
 )
 from glomkit.exactmath.poly import normalized_vector
@@ -155,6 +157,16 @@ def state_degree(poly: Poly) -> int:
 def rank_exact(m: PolyMatrix) -> int:
     """Rank of an all-rational matrix."""
     return rank_rational(evaluate_at(m, {}))
+
+
+def nullspace_exact(m: PolyMatrix) -> list[list[int]]:
+    """Nullspace basis of an all-rational matrix, integer entries, content 1."""
+    return nullspace_rational(evaluate_at(m, {}), m.cols)
+
+
+def parameter_names(m: PolyMatrix) -> set[str]:
+    """Names of the parameters that occur in some entry."""
+    return {m.table.names[i] for i in m.variables() if i >= m.table.state_count}
 
 
 def divergence(field: VectorField) -> Poly:
@@ -404,7 +416,7 @@ def bareiss_nullspace(rows: list[list[Fraction | int]], n_cols: int) -> list[lis
 def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dict[int, int]]]:
     """generic_rank as it was when it substituted parameters only: the rank
     and the points it drew, for checking that the draws did not move."""
-    names = sorted(m.parameter_names())
+    names = sorted(parameter_names(m))
     rng = random.Random(seed)
     full = min(m.rows, m.cols)
     best = 0
@@ -577,9 +589,38 @@ def map_signs(form: QuadraticForm, signs: Sequence[int]) -> QuadraticForm:
     return QuadraticForm(form.table, tuple(c.scale(s) for c, s in zip(form.coeffs, factors)))
 
 
+def unknown_labels(M: int) -> list[str]:
+    """The unknowns d1, e1_2, f1, ... in `form_positions` order."""
+    return [f"f{i}" if j is None else f"d{i}" if j == i else f"e{i}_{j}" for i, j in form_positions(M)]
+
+
+def row_labels(system: InvariantSystem) -> list[str]:
+    """The state monomial of each row of an invariant system, printed."""
+    table = system.matrix.table
+    pad = (0,) * (len(table.names) - table.state_count)
+    return [monomial_str(table, mono + pad) for mono in system.row_monomials]
+
+
 def row_by_label(system: InvariantSystem, label: str) -> tuple[Poly, ...]:
     """The row of an invariant system at the state monomial printed as label."""
-    return system.matrix.entries[system.row_labels.index(label)]
+    return system.matrix.entries[row_labels(system).index(label)]
+
+
+def restricted(system: InvariantSystem, keep: Sequence[str]) -> InvariantSystem:
+    """Sub-system on the unknowns named in `keep`, with all-zero rows dropped."""
+    table = system.matrix.table
+    cols = [c for c, label in enumerate(unknown_labels(table.state_count)) if label in keep]
+    entries = []
+    monos = []
+    for mono, row in zip(system.row_monomials, system.matrix.entries):
+        sub = [row[c] for c in cols]
+        if any(sub):
+            entries.append(sub)
+            monos.append(mono)
+    return InvariantSystem(
+        PolyMatrix(table, entries) if entries else PolyMatrix.zero(table, 0, len(cols)),
+        tuple(monos),
+    )
 
 
 def _conservation_fixture(tag, g, seed):

@@ -13,8 +13,10 @@ The entries: `invariants` (seeds 0 and 1) and `casimirs` on the six
 built-in models with every zero set of at most 2 slots, `jacobi` with at
 most 1, `hierarchy` on every family up to `FAMILY_TOP_K` (and K = 0),
 `enumerate model1 --vary b1,c1,a2,b2`, `check`/`invariants`/`casimirs`/
-`jacobi` on tied, custom-symbol, cross-gyrostat, explicit-`r`, `r<k>`-symbol
-and unreferenced-mode configs, malformed specs, short `simulate` runs (some
+`jacobi` on tied, custom-symbol (one with a Casimir), cross-gyrostat,
+explicit-`r`, `r<k>`-symbol and unreferenced-mode configs, malformed specs,
+`invariants` on a custom-symbol config with the symbol's slot zeroed,
+short `simulate` runs (one on the custom-symbol config with a Casimir; some
 repeat a model, assignment and tracked forms with another seed or initial
 state, and so reuse a compiled stepper), and usage errors and help text,
 which show that one parser serves every call in a process.  argparse
@@ -47,6 +49,8 @@ CONFIGS = {
         "modes": 5,
         "gyrostats": [_gyro((1, 2, 3), a="beta", b="2*beta", c="z1"), _gyro((3, 4, 5), q="-1/2*gamma")],
     },
+    # model2's triples with a custom symbol and a Casimir
+    "custom_casimir": {"modes": 5, "gyrostats": [_gyro((1, 2, 3), a="s"), _gyro((3, 4, 5), q="0")]},
     "cross_gyrostat": {"modes": 4, "gyrostats": [_gyro((1, 2, 3)), _gyro((2, 3, 4), b="a1", c="-3*c1")]},
     "explicit_r": {
         "modes": 4,
@@ -86,6 +90,8 @@ def entries() -> list[tuple[str, list[str]]]:
         for k in range(top + 1):
             out.append((f"hierarchy:{family}:{k}", ["hierarchy", "--family", family, "--k", str(k)]))
     out.append(("enumerate:model1", ["enumerate", "model1", "--vary", "b1,c1,a2,b2", "--seed", "3"]))
+    # zeroing c1 drops the custom symbol z1 from the model
+    out.append(("invariants:custom_symbol:c1", ["invariants", "custom_symbol.json", "--subclass", "c1"]))
     for name in CONFIGS:
         path = f"{name}.json"
         for cmd in ("check", "invariants", "casimirs", "jacobi"):
@@ -94,8 +100,11 @@ def entries() -> list[tuple[str, list[str]]]:
               "--assign", "a1=1/2,b1=-1,c1=2,p1=1,q1=-3,a2=1,b2=1/3,c2=0,p2=2,q2=1"]
     tied = ["simulate", "tied.json", "--t", "0.05", "--dt", "0.01",
             "--assign", "a1=1,b1=2,c1=-1/2,p1=3,a2=1,b2=1,p2=-1,q2=5/7"]
+    custom = ["simulate", "custom_casimir.json", "--t", "0.05", "--dt", "0.01", "--track", "all",
+              "--assign", "s=1/2,b1=-1,c1=2,p1=1,q1=-3,a2=1,b2=1/3,c2=1,p2=2"]
     out.append(("simulate:model1", model1))
     out.append(("simulate:tied", tied))
+    out.append(("simulate:custom_casimir", custom))
     # equal model, assignment and forms: these reuse the steppers compiled above
     out.append(("simulate:model1:seed7", [*model1, "--seed", "7"]))
     out.append(("simulate:model1:x0", [*model1, "--x0", "0.1,-0.2,0.3,-0.4"]))

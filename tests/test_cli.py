@@ -70,6 +70,17 @@ def test_api_built_model_echo_parses_back():
     assert parse_model_config(model_to_config(g)) == g
 
 
+def test_subclass_echo_parses_back_to_the_model_analysed(tmp_path):
+    # zeroing c1 drops z1, the custom symbol only c1 used, from the model
+    path = write(tmp_path, "custom_symbol.json", CONFIGS["custom_symbol"])
+    out = tmp_path / "report.json"
+    assert main(["invariants", path, "--subclass", "c1", "--out", str(out)]) == 0
+    echoed = parse_model_config(json.loads(out.read_text(encoding="utf-8"))["model"])
+    zeroed = parse_model_config(CONFIGS["custom_symbol"]).zeroed(["c1"])
+    assert echoed == zeroed
+    assert echoed.extra_symbols == ("beta", "gamma")
+
+
 def test_r_symbol_config_echoes_and_its_basis_is_conserved():
     # symbols named like the derived r coefficients are ordinary extras
     g = parse_model_config(CONFIGS["r_symbol"])

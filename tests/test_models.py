@@ -17,6 +17,7 @@ from glomkit.models import (
     check_energy,
     find_sign_symmetries,
     generic_gyrostat,
+    instantiate,
     no_linear_feedback,
 )
 
@@ -292,8 +293,21 @@ def test_custom_symbol_with_own_index_is_an_extra():
 
     jacobi(build_J(g))
     assert count_invariants(g).raw_count >= 1
-    assert g.zeroed(["c1"]).extra_symbols == ("z1", "b1")
+    assert g.zeroed(["c1"]).extra_symbols == ("b1",)
     assert "z1" not in g.zeroed(["c1"]).free_symbols()
+
+
+def test_an_edited_model_names_only_the_extra_symbols_its_slots_use():
+    # equality, and so a stepper cache hit, does not depend on the edit history
+    model1 = builtin_model("model1")
+    edited = model1.with_params({"a1": ParamSpec.scaled("s", 1)})
+    assert edited.extra_symbols == ("s",)
+    undone = edited.with_params({"a1": ParamSpec.generic()})
+    assert undone == model1 and undone.var_table is model1.var_table
+    # instantiate alone keeps the symbols, so the instance's forms take the
+    # symbolic model's assignment
+    exact = instantiate(builtin_model("model5_numeric"), {"beta": Fraction(2)})
+    assert exact.extra_symbols == ("beta",) and not exact.free_symbols()
 
 
 @pytest.mark.parametrize("symbol, coeff", [("x1", 1), ("generic", 2), ("a b", 1), ("x7", 1), ("1bad", 1)])

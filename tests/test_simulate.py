@@ -109,6 +109,19 @@ def test_unresolved_parameters_rejected():
     assert message == "unresolved parameters: ['p1']"
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [("x1", "cannot assign the state variable 'x1'"), ("zz", "unknown variable 'zz'")],
+)
+def test_assignment_names_only_parameters(name, message):
+    # x1 is a state variable: substituting x1 := 2 would hold it fixed in the field
+    g, energy = euler_energy()
+    values = {**EULER_ASSIGN, name: Fraction(2)}
+    cfg = SimConfig(t_end=1.0, dt=0.01, param_assignment=values, initial_state=(0.1, 0.2, 0.3))
+    assert raised_twice(ContractViolation, lambda: integrate(g, cfg, [energy])) == message
+    assert raised_twice(ContractViolation, lambda: dimension_probe(g, cfg, [energy])) == message
+
+
 def test_names_count_checked_on_a_cache_hit():
     g, energy = euler_energy()
     cfg = SimConfig(t_end=0.1, dt=0.01, param_assignment=EULER_ASSIGN, initial_state=EULER_X0)
