@@ -11,7 +11,7 @@ an exact rational like "3" or "-1/2", a symbol name like "b2" or "beta",
 or a rational multiple of one like "-1*a2"; slots naming one symbol are
 tied.  "r" may be omitted (derived as -p-q) or supplied as an exact
 value, in which case the energy constraint is validated rather than
-repaired.  Parsing is strict: unknown keys are rejected.
+repaired.  Parsing is strict: unknown and duplicate keys are rejected.
 
 Reports are emitted as JSON with sorted keys and normalized rationals,
 so a fixed command line and seed always produce identical bytes.  Exit
@@ -152,8 +152,17 @@ def load_model(path_or_name: str) -> Glom:
         raise UsageError(f"cannot read model file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        doc: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in doc:  # json.loads alone would keep the last value
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except RecursionError:

@@ -1,19 +1,20 @@
 """Fraction-free linear algebra over the rationals and over polynomial entries.
 
 Numeric matrices go through one sparse, fraction-free row reduction
-(`_pivot_rows`).  It first peels singleton rows: a row with one nonzero
-entry forces that unknown to zero, so its column becomes the unit pivot
-row {c: 1} and is struck from the other rows, which may cascade.  Peeled
-columns are pivot columns of the reduced row echelon form, so the rank,
-the pivot columns and the nullspace are those of the input.  The
-remaining rows, on the unpeeled columns, are taken one at a time, scaled
-to coprime integers and stored as {column: value} dicts.  An incoming row
-is reduced against the pivot row at its leading column by
-row <- a*row - b*pivot (a, b the two leading entries divided by their
-gcd) and divided by its content, until it vanishes or opens a new pivot
-column.  The rank is the pivot count; nullspaces back-substitute over the
-sparse pivot rows.  Generic ranks of polynomial matrices are exact ranks
-at the best of a few random integer points (`generic_point`).
+(`_pivot_rows`) of {column: value} rows, which `evaluate_at` makes of a
+PolyMatrix's sparse rows.  It first peels singleton rows: a row with one
+nonzero entry forces that unknown to zero, so its column becomes the
+unit pivot row {c: 1} and is struck from the other rows, which may
+cascade.  Peeled columns are pivot columns of the reduced row echelon
+form, so the rank, the pivot columns and the nullspace are those of the
+input.  The remaining rows, on the unpeeled columns, are taken one at a
+time, scaled to coprime integers and reduced against the pivot row at
+their leading column by row <- a*row - b*pivot (a, b the two leading
+entries divided by their gcd) and divided by the content, until they
+vanish or open a new pivot column.  The rank is the pivot count;
+nullspaces back-substitute over the sparse pivot rows.  Generic ranks of
+polynomial matrices are exact ranks at the best of a few random integer
+points (`generic_point`).
 
 Polynomial nullspaces are taken of square skew matrices only.  They are
 empty at once when the rank at integer points is full.  Otherwise every
@@ -68,9 +69,9 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _pivot_rows(rows: Sequence[Sequence[Fraction | int]]) -> dict[int, dict[int, int]]:
-    """Echelon form of the row space: primitive integer rows keyed by their
-    leading column.
+def _pivot_rows(rows: Sequence[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Echelon form of the row space of {column: nonzero value} rows:
+    primitive integer rows keyed by their leading column.
 
     Singleton rows are peeled first, in O(nnz): a row with one live entry,
     at column c, puts e_c in the row space, so c is stored as the unit row
@@ -93,26 +94,25 @@ def _pivot_rows(rows: Sequence[Sequence[Fraction | int]]) -> dict[int, dict[int,
     rows; so no entry exceeds the largest such minor in absolute value
     (Edmonds 1967).
     """
-    entries = [{j: v for j, v in enumerate(values) if v} for values in rows]
     holders: dict[int, list[int]] = {}  # column -> indices of the rows holding it
-    for i, row in enumerate(entries):
+    for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, []).append(i)
-    live = [len(row) for row in entries]
+    live = [len(row) for row in rows]
     stack = [i for i, n in enumerate(live) if n == 1]
     pivots: dict[int, dict[int, int]] = {}
     while stack:
         i = stack.pop()
         if live[i] != 1:  # emptied by a singleton on the same column
             continue
-        c = next(j for j in entries[i] if j not in pivots)
+        c = next(j for j in rows[i] if j not in pivots)
         pivots[c] = {c: 1}
         for k in holders[c]:
             live[k] -= 1
             if live[k] == 1:
                 stack.append(k)
     peeled = set(pivots)  # not `pivots`, which gains the elimination's own columns
-    for values, n in zip(entries, live):
+    for values, n in zip(rows, live):
         if not n:  # every entry peeled
             continue
         values = {j: v for j, v in values.items() if j not in peeled}
@@ -138,13 +138,17 @@ def _pivot_rows(rows: Sequence[Sequence[Fraction | int]]) -> dict[int, dict[int,
     return pivots
 
 
+def _sparse(rows: Sequence[Sequence[Fraction | int]]) -> list[dict[int, Fraction | int]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(_pivot_rows(rows))
+    return len(_pivot_rows(_sparse(rows)))
 
 
 def nullspace_rational(rows: Sequence[Sequence[Fraction | int]], n_cols: int) -> list[list[int]]:
     """Right nullspace basis with coprime integer entries (see back_substitute)."""
-    return back_substitute(_pivot_rows(rows), n_cols)
+    return back_substitute(_pivot_rows(_sparse(rows)), n_cols)
 
 
 def back_substitute(pivots: Mapping[int, Mapping[int, int]], n_cols: int) -> list[list[int]]:
@@ -184,20 +188,19 @@ def back_substitute(pivots: Mapping[int, Mapping[int, int]], n_cols: int) -> lis
 # public numeric operations
 
 
-def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction | int]]:
-    """Exact value of every entry with variable i set to the integer values[i].
+def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[dict[int, Fraction | int]]:
+    """Exact value of every stored entry with variable i set to the integer
+    values[i]: one {column: value} row per matrix row, zero values dropped.
 
     Entries whose coefficients are all integers come back as ints, the rest
-    as Fractions; both are accepted by the rational routines above.  A
-    variable that occurs without a value raises ContractViolation.
+    as Fractions; both are accepted by `_pivot_rows`.  A variable that
+    occurs without a value raises ContractViolation.
     """
     out = []
     powers: dict[tuple[int, ...], int] = {}  # value of each monomial met so far
     for row in m.entries:
-        vals: list[Fraction | int] = [0] * m.cols
-        for c, e in enumerate(row):
-            if not e.terms:
-                continue
+        vals: dict[int, Fraction | int] = {}
+        for c, e in row.items():
             total = 0
             for mono, coef in e.terms.items():
                 pv = powers.get(mono)
@@ -209,7 +212,8 @@ def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[list[Fraction 
                         raise ContractViolation(f"no value for variable {name!r}") from None
                     powers[mono] = pv
                 total += (coef.numerator if coef.denominator == 1 else coef) * pv
-            vals[c] = total
+            if total:
+                vals[c] = total
         out.append(vals)
     return out
 
@@ -305,7 +309,7 @@ def _echelon_poly(m: PolyMatrix) -> tuple[list[list[Poly]], list[tuple[int, Poly
     nonzero entries, lowest total degree, ties by column then row.
     """
     table = m.table
-    remaining = [list(row) for row in m.entries]
+    remaining = [[row.get(j, table.zero()) for j in range(m.cols)] for row in m.entries]
     done_rows: list[list[Poly]] = []
     pivots: list[tuple[int, Poly]] = []
     used_cols: set[int] = set()
@@ -381,11 +385,11 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
 
 
 def _is_skew(m: PolyMatrix) -> bool:
-    e = m.entries  # term dicts compared directly: no Poly built per pair
+    e = m.entries  # each stored (i, j) needs a negated (j, i), so a stored diagonal fails
     return m.rows == m.cols and all(
-        e[i][j].terms == {k: -c for k, c in e[j][i].terms.items()}
-        for i in range(m.rows)
-        for j in range(i, m.cols)
+        (t := e[j].get(i)) is not None and p.terms == {k: -c for k, c in t.terms.items()}
+        for i, row in enumerate(e)
+        for j, p in row.items()
     )
 
 
@@ -395,9 +399,9 @@ def _sub_pfaffians(m: PolyMatrix, s: int) -> list[Poly]:
     off S.  With m skew and |S| odd this is a kernel vector of m[S, S].
 
     Pf of an index set expands along its first index f:
-    Pf(T) = sum over t in T of (-1)^(k+1) m[f, t] Pf(T - {f, t}), t the
-    k-th member of T counted from 0; zero entries are skipped, and each
-    index set (a bitmask) is expanded once.
+    Pf(T) = sum over t in T of (-1)^(k+1) m[f, t] Pf(T - {f, t}), t the k-th
+    member of T counted from 0; only f's stored entries are walked, in
+    increasing t, and each index set (a bitmask) is expanded once.
     """
     n = m.cols
     memo = {0: m.table.const(1)}
@@ -405,11 +409,12 @@ def _sub_pfaffians(m: PolyMatrix, s: int) -> list[Poly]:
     def pf(mask: int) -> Poly:
         p = memo.get(mask)
         if p is None:
-            first, *rest = (i for i in range(n) if mask >> i & 1)
+            first = (mask & -mask).bit_length() - 1
             p = m.table.zero()
-            for k, j in enumerate(rest):
-                if (e := m[first, j]) and (sub := pf(mask ^ (1 << first | 1 << j))):
-                    p = p - e * sub if k % 2 else p + e * sub
+            for j, e in m.entries[first].items():
+                if mask >> j & 1 and (sub := pf(mask ^ (1 << first | 1 << j))):
+                    k = (mask & ((1 << j) - 1)).bit_count()  # j is the k-th member of T
+                    p = p + e * sub if k % 2 else p - e * sub
             memo[mask] = p
         return p
 

@@ -368,33 +368,27 @@ def monomial_str(table: VarTable, mono: Monomial) -> str:
 
 
 class PolyMatrix:
-    """Dense matrix of polynomials sharing one variable table."""
+    """Sparse matrix of polynomials sharing one variable table: row i is a
+    {column: Poly} dict of its nonzero entries in column order, and the
+    column count is given, so a matrix without rows keeps its width."""
 
-    __slots__ = ("table", "rows", "cols", "entries")
+    __slots__ = ("table", "cols", "entries")
 
-    def __init__(self, table: VarTable, entries: Iterable[Iterable[Poly]]):
+    def __init__(self, table: VarTable, cols: int, rows: Iterable[Mapping[int, Poly]]):
         self.table = table
-        self.entries = tuple(tuple(row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ContractViolation("ragged matrix")
+        self.cols = cols
+        self.entries = tuple({j: row[j] for j in sorted(row) if row[j]} for row in rows)
+        if any(row and not 0 <= min(row) <= max(row) < cols for row in self.entries):
+            raise ContractViolation(f"a matrix entry lies outside columns 0..{cols - 1}")
 
-    @classmethod
-    def zero(cls, table: VarTable, rows: int, cols: int) -> "PolyMatrix":
-        z = table.zero()
-        m = cls(table, [[z] * cols for _ in range(rows)])
-        m.cols = cols  # a matrix with no rows keeps its width
-        return m
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
     def __getitem__(self, rc: tuple[int, int]) -> Poly:
-        return self.entries[rc[0]][rc[1]]
+        return self.entries[rc[0]].get(rc[1], self.table._zero)
 
     def variables(self) -> set[int]:
-        """Indices of the variables that occur in some entry."""
-        monos: set[Monomial] = set()
-        for row in self.entries:
-            for e in row:
-                monos.update(e.terms)
+        """Indices of the variables that occur in some stored entry."""
+        monos = {mono for row in self.entries for e in row.values() for mono in e.terms}
         return {i for mono in monos for i, k in enumerate(mono) if k}

@@ -38,18 +38,18 @@ from .models import Glom, Gyrostat, check_energy
 
 
 def _superpose(table: VarTable, modes: int, gyrostats: Sequence[Gyrostat]) -> PolyMatrix:
-    """Add the six J entries of each gyrostat, in order, into one M x M grid."""
+    """Add the six J entries of each gyrostat, in order, into M sparse rows."""
     zero = table.zero()
-    grid = [[zero] * modes for _ in range(modes)]
+    rows: list[dict[int, Poly]] = [{} for _ in range(modes)]
     for gyro in gyrostats:
         m1, m2, m3 = (m - 1 for m in gyro.modes)
         c = gyro.c.to_poly(table)
         upper = gyro.p.to_poly(table) * table.x(m2 + 1) + gyro.b.to_poly(table)
         lower = gyro.q.to_poly(table) * table.x(m1 + 1) - gyro.a.to_poly(table)
         for r, s, entry in ((m1, m2, -c), (m1, m3, upper), (m2, m3, lower)):
-            grid[r][s] = grid[r][s] + entry
-            grid[s][r] = grid[s][r] - entry
-    return PolyMatrix(table, grid)
+            rows[r][s] = rows[r].get(s, zero) + entry
+            rows[s][r] = rows[s].get(r, zero) - entry
+    return PolyMatrix(table, modes, rows)
 
 
 def build_J(g: Glom) -> PolyMatrix:
@@ -104,9 +104,9 @@ class JacobiReport:
 
 def jacobi(J: PolyMatrix) -> JacobiReport:
     M = J.rows
-    # grads[j][k]: (m, dJ_jk/dx_m) for each state variable x_m in J_jk
+    # grads[j][k]: (m, dJ_jk/dx_m) for each state variable x_m in a stored J_jk
     grads = [
-        [[(m, e.diff(m)) for m in sorted(e.variables()) if m < M] for e in row]
+        {k: [(m, e.diff(m)) for m in sorted(e.variables()) if m < M] for k, e in row.items()}
         for row in J.entries
     ]
     residuals: dict[tuple[int, int, int], Poly] = {}
@@ -114,7 +114,7 @@ def jacobi(J: PolyMatrix) -> JacobiReport:
     for i, j, k in itertools.combinations(range(M), 3):
         r = J.table.zero()
         for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, d in grads[second][third]:
+            for m, d in grads[second].get(third, ()):
                 if J[first, m]:
                     r = r + J[first, m] * d
         if r:

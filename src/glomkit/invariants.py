@@ -193,24 +193,13 @@ def build_system(g: Glom) -> InvariantSystem:
             columns.append(x(i) * field[i - 1])
         else:
             columns.append(x(j) * field[i - 1] + x(i) * field[j - 1])
-    rows: dict[tuple[int, ...], list[Poly]] = {}
-    zero = table.zero()
-    n_cols = len(columns)
+    # each column meets each state monomial once, with a nonzero coefficient
+    rows: dict[tuple[int, ...], dict[int, Poly]] = {}
     for ci, contribution in enumerate(columns):
         for state_mono, coeff in contribution.split_by_state().items():
-            row = rows.get(state_mono)
-            if row is None:
-                row = [zero] * n_cols
-                rows[state_mono] = row
-            row[ci] = row[ci] + coeff
-    ordered = sorted(
-        (mono for mono, row in rows.items() if any(row)), key=grlex_key, reverse=True
-    )
-    entries = [rows[mono] for mono in ordered]
-    return InvariantSystem(
-        PolyMatrix(table, entries) if entries else PolyMatrix.zero(table, 0, n_cols),
-        tuple(ordered),
-    )
+            rows.setdefault(state_mono, {})[ci] = coeff
+    ordered = sorted(rows, key=grlex_key, reverse=True)
+    return InvariantSystem(PolyMatrix(table, len(columns), [rows[m] for m in ordered]), tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def independent_count(basis: Sequence[QuadraticForm], rng: random.Random) -> int
     best of GENERIC_TRIALS)."""
     if not basis:
         return 0
-    gradients = PolyMatrix(basis[0].table, [form.gradient() for form in basis])
+    gradients = PolyMatrix(basis[0].table, basis[0].M, [dict(enumerate(f.gradient())) for f in basis])
     return len(generic_point(gradients, rng)[1])
 
 

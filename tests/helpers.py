@@ -5,8 +5,9 @@ independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
 bilinear Jacobi residual, the interpreted RK4 stepper that generated code
 must match, the symbolic nullspace by denominator
-clearing and the sign-symmetry identity checked by substitution), and the
-printed row and column labels of an invariant system."""
+clearing and the sign-symmetry identity checked by substitution), the
+printed row and column labels of an invariant system, and the dense view
+of a sparse PolyMatrix (`dense_matrix`, `dense_rows`)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from glomkit.errors import ContractViolation, IntegrationError
 from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg, monomial_str
@@ -154,14 +155,31 @@ def state_degree(poly: Poly) -> int:
     return max((sum(m[:M]) for m in poly.terms), default=0)
 
 
+def dense_matrix(table: VarTable, rows: Sequence[Sequence[Poly]], cols: int | None = None) -> PolyMatrix:
+    """The PolyMatrix of dense rows of polynomials; the width is that of the
+    rows, or `cols` when there are none.  Ragged rows raise."""
+    width = len(rows[0]) if rows else cols
+    if any(len(row) != width for row in rows):
+        raise ContractViolation("ragged matrix")
+    return PolyMatrix(table, width, [dict(enumerate(row)) for row in rows])
+
+
+def dense_rows(m: PolyMatrix, values: Mapping[int, int] | None = None) -> list[list]:
+    """m's entries as dense lists of polynomials, or with `values` their
+    exact values there (through evaluate_at), zeros written out."""
+    if values is None:
+        return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+    return [[row.get(j, 0) for j in range(m.cols)] for row in evaluate_at(m, values)]
+
+
 def rank_exact(m: PolyMatrix) -> int:
     """Rank of an all-rational matrix."""
-    return rank_rational(evaluate_at(m, {}))
+    return rank_rational(dense_rows(m, {}))
 
 
 def nullspace_exact(m: PolyMatrix) -> list[list[int]]:
     """Nullspace basis of an all-rational matrix, integer entries, content 1."""
-    return nullspace_rational(evaluate_at(m, {}), m.cols)
+    return nullspace_rational(dense_rows(m, {}), m.cols)
 
 
 def parameter_names(m: PolyMatrix) -> set[str]:
@@ -185,7 +203,7 @@ def mul_vector(m: PolyMatrix, vec: Sequence[Poly]) -> list[Poly]:
     if len(vec) != m.cols:
         raise ContractViolation("vector length does not match column count")
     out = []
-    for row in m.entries:
+    for row in dense_rows(m):
         acc = m.table.zero()
         for e, x in zip(row, vec):
             if e and x:
@@ -310,11 +328,12 @@ def sparse_normal_form_scaled(K: int, m: int, table: VarTable) -> Poly:
 # brute-force oracles
 
 
-def oracle_raw_count(g: Glom, n_points: int = 40, seed: int = 0) -> int:
+def oracle_raw_count(g: Glom, n_points: int | None = None, seed: int = 0) -> int:
     """Invariant count for a fully numeric model, independent of the
     monomial-collection path: evaluate the dC/dt contribution of every
     candidate coefficient at random state points and take the nullspace
-    dimension of the resulting exact linear system."""
+    dimension of the resulting exact linear system.  The points default to
+    8 more than the columns: fewer points than columns cap the rank."""
     table = g.var_table
     M = g.modes
     field = assemble_field(g)
@@ -328,7 +347,7 @@ def oracle_raw_count(g: Glom, n_points: int = 40, seed: int = 0) -> int:
         columns.append(field[i - 1])
     rng = random.Random(seed)
     rows = []
-    for _ in range(n_points):
+    for _ in range(len(columns) + 8 if n_points is None else n_points):
         point = {
             table.index(f"x{i}"): Fraction(rng.randrange(1, 10**6))
             for i in range(1, M + 1)
@@ -424,7 +443,7 @@ def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dic
     for _ in range(GENERIC_TRIALS):
         values = {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
         points.append(values)
-        best = max(best, rank_rational(evaluate_at(m, values)))
+        best = max(best, rank_rational(dense_rows(m, values)))
         if best == full:
             break
     return best, points
@@ -490,7 +509,7 @@ def nullspace_symbolic_reference(m: PolyMatrix) -> list[list[Poly]]:
     free = [c for c in range(m.cols) if c not in pivot_cols]
     one = table.const(1)
     factor_pool = [p for _, p in pivots]
-    factor_pool.extend(e for row in m.entries for e in row if e)
+    factor_pool.extend(e for row in m.entries for e in row.values())
     basis: list[list[Poly]] = []
     for fc in free:
         w = [table.zero()] * m.cols
@@ -601,9 +620,9 @@ def row_labels(system: InvariantSystem) -> list[str]:
     return [monomial_str(table, mono + pad) for mono in system.row_monomials]
 
 
-def row_by_label(system: InvariantSystem, label: str) -> tuple[Poly, ...]:
+def row_by_label(system: InvariantSystem, label: str) -> list[Poly]:
     """The row of an invariant system at the state monomial printed as label."""
-    return system.matrix.entries[row_labels(system).index(label)]
+    return dense_rows(system.matrix)[row_labels(system).index(label)]
 
 
 def restricted(system: InvariantSystem, keep: Sequence[str]) -> InvariantSystem:
@@ -612,15 +631,12 @@ def restricted(system: InvariantSystem, keep: Sequence[str]) -> InvariantSystem:
     cols = [c for c, label in enumerate(unknown_labels(table.state_count)) if label in keep]
     entries = []
     monos = []
-    for mono, row in zip(system.row_monomials, system.matrix.entries):
+    for mono, row in zip(system.row_monomials, dense_rows(system.matrix)):
         sub = [row[c] for c in cols]
         if any(sub):
             entries.append(sub)
             monos.append(mono)
-    return InvariantSystem(
-        PolyMatrix(table, entries) if entries else PolyMatrix.zero(table, 0, len(cols)),
-        tuple(monos),
-    )
+    return InvariantSystem(dense_matrix(table, entries, len(cols)), tuple(monos))
 
 
 def _conservation_fixture(tag, g, seed):

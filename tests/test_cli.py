@@ -189,6 +189,29 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (
+            '{"modes": 3, "gyrostats": [{"modes": [1, 2, 3], "params":'
+            ' {"a": "0", "b": "0", "c": "0", "p": "1", "q": "1", "p": "generic"}}]}',
+            "p",
+        ),
+        (
+            '{"modes": 3, "gyrostats": [{"modes": [1, 2, 3], "params":'
+            ' {"a": "0", "b": "0", "c": "0", "p": "1", "q": "1"}}], "modes": 4}',
+            "modes",
+        ),
+    ],
+    ids=["params", "top"],
+)
+def test_duplicate_json_key_is_one_line_error(tmp_path, capsys, text, key):
+    # json.loads alone keeps the last value, which would run p1 generic
+    path = write(tmp_path, "dup.json", text)
+    assert main(["check", path]) == 1
+    assert f"duplicate key {key!r}" in one_line_error(capsys)
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/nowhere.json"]) == 2
 

@@ -12,6 +12,7 @@ from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field, builtin_mo
 
 from helpers import (
     FAMILY_TOP_K,
+    dense_rows,
     mul_vector,
     parse,
     parse_matrix,
@@ -48,13 +49,13 @@ def model3_hamiltonian_branch() -> Glom:
 def test_single_gyrostat_J_matches_printed_matrix():
     g = builtin_model("sparse", 1)
     J = build_J(g)
-    assert [list(r) for r in J.entries] == parse_matrix(g.var_table, SINGLE_J)
+    assert dense_rows(J) == parse_matrix(g.var_table, SINGLE_J)
 
 
 def test_model1_J_matches_printed_superposition():
     g = builtin_model("model1")
     J = build_J(g)
-    assert [list(r) for r in J.entries] == parse_matrix(g.var_table, MODEL1_J)
+    assert dense_rows(J) == parse_matrix(g.var_table, MODEL1_J)
 
 
 def test_J_times_x_recovers_field_and_skewness():
@@ -92,7 +93,7 @@ def test_J_times_x_recovers_field_and_skewness():
 def test_no_gyrostats_gives_zero_J():
     zero = ParamSpec.zero()
     g = Glom(3, (Gyrostat((1, 2, 3), a=zero, b=zero, c=zero, p=zero, q=zero),))
-    assert not any(e for row in build_J(g).entries for e in row)
+    assert not any(e for row in dense_rows(build_J(g)) for e in row)
 
 
 def test_build_J_refuses_energy_violation():

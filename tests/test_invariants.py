@@ -30,6 +30,7 @@ from glomkit.models import (
 )
 
 from helpers import (
+    dense_rows,
     map_signs,
     oracle_raw_count,
     parse_matrix,
@@ -156,13 +157,14 @@ def test_basis_members_conserved_at_exact_instantiation():
 
 
 def test_raw_count_matches_point_evaluation_oracle():
+    # model5 has 8 modes and 44 columns, a rank that 40 points cannot show
     rng = random.Random(11)
-    for name in ("model1", "euler"):
+    for name in ("model1", "euler", "model5"):
         g = builtin_model("sparse", 1) if name == "euler" else builtin_model(name)
         values = {n: ParamSpec.exact(Fraction(rng.randrange(1, 12))) for n in g.generic_param_names()}
         exact = g.with_params(values)
         report = count_invariants(exact, seed=6)
-        assert report.raw_count == oracle_raw_count(exact, n_points=40, seed=rng.randrange(1000))
+        assert report.raw_count == oracle_raw_count(exact, seed=rng.randrange(1000))
 
 
 def test_count_survives_a_coefficient_divisible_by_the_modulus():
@@ -188,7 +190,9 @@ def test_one_elimination_of_the_system_per_trial(monkeypatch):
     real = linalg._pivot_rows
 
     def recording(rows):
-        shapes.append((len(rows), len(rows[0])))
+        # dict rows carry no width: take one past the last column with a
+        # value, which is f_M's for these systems
+        shapes.append((len(rows), 1 + max(j for row in rows for j in row)))
         return real(rows)
 
     monkeypatch.setattr(linalg, "_pivot_rows", recording)
@@ -220,7 +224,7 @@ def test_system_columns_forms_and_labels_share_one_layout():
         for s in range(n):
             unit = QuadraticForm.from_coeff_vector(table, [int(t == s) for t in range(n)])
             column = table.zero()
-            for mono, row in zip(system.row_monomials, system.matrix.entries):
+            for mono, row in zip(system.row_monomials, dense_rows(system.matrix)):
                 column = column + row[s] * Poly(table, {mono + pad: 1})
             assert column == unit.time_derivative(field), labels[s]
             # the unit form is x_i^2/2, x_i*x_j or x_i, and its label names it

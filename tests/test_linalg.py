@@ -15,7 +15,6 @@ from glomkit.exactmath import (
 from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
-    evaluate_at,
     generic_point,
     nullspace_rational,
     poly_gcd,
@@ -31,6 +30,8 @@ from helpers import (
     FAMILY_TOP_K,
     bareiss_nullspace,
     bareiss_rank,
+    dense_matrix,
+    dense_rows,
     determinant_by_permutations,
     model_table,
     mul_vector,
@@ -50,18 +51,22 @@ P61 = (1 << 61) - 1
 
 
 def constant_matrix(table, rows):
-    return PolyMatrix(table, [[table.const(v) for v in row] for row in rows])
+    return dense_matrix(table, [[table.const(v) for v in row] for row in rows])
+
+
+def parsed_matrix(table, rows):
+    return dense_matrix(table, [[parse(table, e) for e in row] for row in rows])
 
 
 def test_nullspace_zero_matrix():
     table = model_table(3, 1)
-    assert nullspace_exact(PolyMatrix.zero(table, 2, 2)) == [[1, 0], [0, 1]]
+    assert nullspace_exact(constant_matrix(table, [[0, 0], [0, 0]])) == [[1, 0], [0, 1]]
 
 
 def test_matrix_without_rows_keeps_its_width():
     table = model_table(3, 1)
-    assert PolyMatrix.zero(table, 0, 3).cols == 3
-    assert nullspace_exact(PolyMatrix.zero(table, 0, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert PolyMatrix(table, 3, []).cols == 3
+    assert nullspace_exact(PolyMatrix(table, 3, [])) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     system = build_system(builtin_model("euler").zeroed(["p1", "q1"]))  # no linear terms
     assert (system.rows, system.cols) == (0, 9)
     assert restricted(system, ["f1", "d1"]).cols == 2
@@ -75,8 +80,8 @@ def test_nullspace_single_gyrostat_system_at_euler_values():
     table = g.var_table
     with pytest.raises(ContractViolation):
         nullspace_exact(system.matrix)  # entries still hold parameters
-    rows = [[e.subs(values) for e in row] for row in system.matrix.entries]
-    numeric = PolyMatrix(table, rows)
+    rows = [[e.subs(values) for e in row] for row in dense_rows(system.matrix)]
+    numeric = dense_matrix(table, rows)
     basis = nullspace_exact(numeric)
     assert len(basis) == 2
 
@@ -240,12 +245,17 @@ def test_sub_pfaffian_kernel_equals_the_elimination_kernel_term_by_term():
 
 
 def test_nullspace_symbolic_refuses_a_non_skew_matrix():
-    # 3 x 3 of rank 2 (row 3 = row 1 + row 2) but not skew, and 2 x 3
+    # 3 x 3 of rank 2 (row 3 = row 1 + row 2) but not skew, 2 x 3, an entry
+    # whose transpose is not stored, and a skew matrix plus a diagonal entry
     table = model_table(3, 1)
     rows = [["a1", "b1", "0"], ["0", "c1", "a1*x1"], ["a1", "b1 + c1", "a1*x1"]]
+    one_sided = [["0", "a1", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    diagonal = [["0", "a1", "b1"], ["-a1", "0", "c1"], ["-b1", "-c1", "p1*x1"]]
     for m in (
-        PolyMatrix(table, [[parse(table, e) for e in row] for row in rows]),
-        PolyMatrix(table, [[parse(table, e) for e in row] for row in rows[:2]]),
+        parsed_matrix(table, rows),
+        parsed_matrix(table, rows[:2]),
+        parsed_matrix(table, one_sided),
+        parsed_matrix(table, diagonal),
     ):
         with pytest.raises(ContractViolation) as info:
             nullspace_symbolic(m)
@@ -298,7 +308,7 @@ def test_generic_rank_model2_system():
 
 def test_generic_rank_zero_matrix():
     table = model_table(3, 1)
-    assert generic_rank(PolyMatrix.zero(table, 3, 3), seed=1) == 0
+    assert generic_rank(constant_matrix(table, [[0] * 3] * 3), seed=1) == 0
 
 
 def test_generic_rank_matches_exact_on_numeric():
@@ -320,7 +330,7 @@ def test_generic_rank_matches_exact_rank_at_the_same_points():
             rng = random.Random(seed)
             exact = max(
                 bareiss_rank(
-                    evaluate_at(
+                    dense_rows(
                         m, {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
                     )
                 )
@@ -334,7 +344,7 @@ def test_generic_rank_is_exact_when_a_minor_vanishes_mod_p():
     # the generic rank is 2, though the rows scaled to coprime integers,
     # [1, 1] and [1, 1 + p], coincide mod p
     table = model_table(3, 1)
-    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in [["p1", "p1"], ["p1", f"{P61 + 1}*p1"]]])
+    m = parsed_matrix(table, [["p1", "p1"], ["p1", f"{P61 + 1}*p1"]])
     assert generic_rank(m, seed=0) == 2
 
 
@@ -354,11 +364,11 @@ def test_generic_point_keeps_the_first_best_trial():
     # reach rank 2, and the earlier of the two is returned
     table = model_table(3, 1)
     rows = [["a1 - b1", "0", "0"], ["0", "b1", "0"], ["a1 - b1", "b1", "0"]]
-    m = PolyMatrix(table, [[parse(table, e) for e in row] for row in rows])
+    m = parsed_matrix(table, rows)
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
     rng = ScriptedRng([low, low, low + 1, low, low + 2, low])  # a1, b1 per trial
-    assert rank_rational(evaluate_at(m, {a1: low, b1: low})) == 1
+    assert rank_rational(dense_rows(m, {a1: low, b1: low})) == 1
     values, pivots = generic_point(m, rng)
     assert values == {a1: low + 1, b1: low}
     assert len(pivots) == 2 and rng.values == []
@@ -366,7 +376,7 @@ def test_generic_point_keeps_the_first_best_trial():
 
 def test_generic_point_stops_at_full_rank():
     table = model_table(3, 1)
-    m = PolyMatrix(table, [[parse(table, "a1 - b1"), table.zero()], [table.zero(), parse(table, "b1")]])
+    m = parsed_matrix(table, [["a1 - b1", "0"], ["0", "b1"]])
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
     rng = ScriptedRng([low, low, low + 1, low, low + 2, low])
@@ -426,10 +436,10 @@ def test_elimination_matches_bareiss_on_random_rank_r_products():
 
 
 def _cascading_rows(rng):
-    """Sparse rows whose singletons cascade: a chain of 2-entry rows started
-    by a singleton, repeated singletons on one column, zero rows and a few
-    rows of 2-4 entries, in shuffled row and column order, with Fraction
-    and int entries mixed."""
+    """Sparse {column: value} rows whose singletons cascade: a chain of
+    2-entry rows started by a singleton, repeated singletons on one column,
+    zero rows and a few rows of 2-4 entries, in shuffled row and column
+    order, with Fraction and int entries mixed."""
     n_cols = rng.randrange(1, 13)
     cols = rng.sample(range(n_cols), n_cols)
 
@@ -448,14 +458,14 @@ def _cascading_rows(rng):
         picked = rng.sample(cols, min(n_cols, rng.randrange(2, 5)))
         rows.append({j: value() for j in picked})
     rng.shuffle(rows)
-    return [[row.get(j, 0) for j in range(n_cols)] for row in rows], n_cols
+    return rows, n_cols
 
 
 def test_elimination_matches_bareiss_on_cascading_singletons():
     rng = random.Random(17)
     for _ in range(400):
         rows, n_cols = _cascading_rows(rng)
-        _matches_bareiss(rows, n_cols)
+        _matches_bareiss([[row.get(j, 0) for j in range(n_cols)] for row in rows], n_cols)
         for c, row in linalg._pivot_rows(rows).items():
             assert c == min(row) and all(type(v) is int for v in row.values())
 
@@ -471,7 +481,7 @@ def test_elimination_matches_bareiss_on_invariant_systems():
         m = build_system(g).matrix
         names = sorted(parameter_names(m))
         point = {m.table.index(n): rng.randrange(GENERIC_LOW, GENERIC_HIGH) for n in names}
-        _matches_bareiss(evaluate_at(m, point), m.cols)
+        _matches_bareiss(dense_rows(m, point), m.cols)
 
 
 def test_generic_rank_deterministic():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import Poly, VarTable
+from glomkit.exactmath import Poly, PolyMatrix, VarTable
 from glomkit.exactmath.poly import normalized_vector
 from glomkit.models import builtin_model
 
@@ -44,6 +44,19 @@ def test_substitute_hand_evaluated(table):
 def test_zero_coefficients_never_stored(table):
     p = parse(table, "x1 + x2") - parse(table, "x1")
     assert set(p.terms) == {(0, 1, 0) + (0,) * (len(table) - 3)}
+
+
+def test_matrix_stores_nonzero_entries_in_column_order(table):
+    a1, x1 = table.var("a1"), table.x(1)
+    m = PolyMatrix(table, 3, [{2: a1, 0: x1, 1: table.zero()}, {}, {1: a1 - a1}])
+    assert m.entries == ({0: x1, 2: a1}, {}, {})
+    assert list(m.entries[0]) == [0, 2]
+    assert (m.rows, m.cols) == (3, 3)
+    assert m[0, 2] == a1 and m[0, 1] is table.zero() and m[2, 1] is table.zero()
+    assert m.variables() == {table.index("x1"), table.index("a1")}
+    for bad in ({3: a1}, {-1: a1}):
+        with pytest.raises(ContractViolation, match="outside columns 0..2"):
+            PolyMatrix(table, 3, [{}, bad])
 
 
 def test_canonical_commutativity(table):

@@ -17,7 +17,14 @@ from glomkit.exactmath import Poly, PolyMatrix, divide_exact, nullspace_symbolic
 from glomkit.exactmath.linalg import poly_gcd, proportional
 from glomkit.models import _gf2_nullspace
 
-from helpers import model_table, mul_vector, nullspace_symbolic_reference, parse, proportional_reference
+from helpers import (
+    dense_matrix,
+    model_table,
+    mul_vector,
+    nullspace_symbolic_reference,
+    parse,
+    proportional_reference,
+)
 
 # the same examples in every environment; no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -166,7 +173,7 @@ def _skew(n: int, upper) -> PolyMatrix:
     cells = ((i, j) for i in range(n) for j in range(i + 1, n))
     for (i, j), e in zip(cells, upper):
         rows[i][j], rows[j][i] = e, -e
-    return PolyMatrix(TABLE, rows)
+    return dense_matrix(TABLE, rows)
 
 
 # M = 2..6; each entry above the diagonal is zero half the time, else affine

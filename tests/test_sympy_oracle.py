@@ -15,7 +15,7 @@ from glomkit.hierarchy import member
 from glomkit.invariants import build_system, count_invariants
 from glomkit.models import assemble_field, builtin_model, no_linear_feedback
 
-from helpers import hamiltonian_models, model_table
+from helpers import dense_rows, hamiltonian_models, model_table
 
 MODELS = ("model1", "model2", "model3", "model4", "model5", "euler")
 
@@ -25,7 +25,7 @@ def sympy_rows(system, point):
     names = system.matrix.table.names
     values = {name: sympy.Rational(v.numerator, v.denominator) for name, v in point.items()}
     rows = []
-    for row in system.matrix.entries:
+    for row in dense_rows(system.matrix):
         out = []
         for entry in row:
             total = sympy.Integer(0)
