@@ -301,49 +301,38 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     return Poly(table, quotient)
 
 
-def _echelon_poly(m: PolyMatrix) -> tuple[list[list[Poly]], list[tuple[int, Poly]]]:
-    """Forward Bareiss elimination over polynomial entries.
+def _echelon_poly(m: PolyMatrix) -> tuple[list[dict[int, Poly]], list[tuple[int, Poly]]]:
+    """Forward Bareiss elimination over the stored entries of a polynomial
+    matrix.
 
-    Returns the processed pivot rows (in elimination order) and the list of
-    (pivot column, pivot value) pairs.  Pivot choice: among all remaining
-    nonzero entries, lowest total degree, ties by column then row.
+    Returns the pivot rows, {column: Poly} dicts of their nonzero entries
+    in elimination order, and the (pivot column, pivot value) pairs.  Pivot
+    choice: among the stored entries of the remaining rows, lowest total
+    degree, ties by column then row order.  Each step zeroes the pivot
+    column in every remaining row, and a row that vanishes is dropped.
     """
-    table = m.table
-    remaining = [[row.get(j, table.zero()) for j in range(m.cols)] for row in m.entries]
-    done_rows: list[list[Poly]] = []
+    zero = m.table.zero()
+    remaining = [row for row in m.entries if row]
+    done_rows: list[dict[int, Poly]] = []
     pivots: list[tuple[int, Poly]] = []
-    used_cols: set[int] = set()
-    prev = table.const(1)
+    prev = m.table.const(1)
     while remaining:
-        best = None
-        for ri, row in enumerate(remaining):
-            for ci in range(m.cols):
-                if ci in used_cols:
-                    continue
-                e = row[ci]
-                if e:
-                    k = (e.total_degree(), ci, ri)
-                    if best is None or k < best[0]:
-                        best = (k, ri, ci)
-        if best is None:
-            break
-        _, ri, ci = best
+        _, ci, ri = min(
+            (e.total_degree(), c, r) for r, row in enumerate(remaining) for c, e in row.items()
+        )
         pivot_row = remaining.pop(ri)
         piv = pivot_row[ci]
-        new_remaining = []
+        reduced = []
         for row in remaining:
-            fac = row[ci]
-            new_row = []
-            for j in range(m.cols):
-                t = piv * row[j]
-                if fac and pivot_row[j]:
-                    t = t - fac * pivot_row[j]
-                new_row.append(divide_exact(t, prev) if t else t)
-            new_remaining.append(new_row)
-        remaining = new_remaining
+            t = {j: piv * e for j, e in row.items()}
+            if fac := row.get(ci):
+                for j, e in pivot_row.items():
+                    t[j] = t.get(j, zero) - fac * e
+            if new_row := {j: divide_exact(e, prev) for j, e in t.items() if e}:
+                reduced.append(new_row)
+        remaining = reduced
         done_rows.append(pivot_row)
         pivots.append((ci, piv))
-        used_cols.add(ci)
         prev = piv
     return done_rows, pivots
 

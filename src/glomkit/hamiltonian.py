@@ -15,8 +15,11 @@ Two Jacobi residual notions are computed.  The per-triple cyclic sums
 
     R_ijk = sum_m [J_im dJ_jk/dx_m + J_jm dJ_ki/dx_m + J_km dJ_ij/dx_m]
 
-are the exact Poisson-bracket condition; J is affine in the state, so
-each entry is differentiated once per J.  Their signed total over all
+are the exact Poisson-bracket condition.  They are summed over the
+stored entries only: each state variable x_m of a stored J_st adds
+J_fm dJ_st/dx_m, for every stored J_fm in column m, to the triple
+{f, s, t} in which (f, s, t) is in cyclic order, so the cost follows the
+nonzero structure of J, not the M^3 triples.  Their signed total over all
 triples (the contraction with the alternating symbol, halved) is the
 aggregate criterion used throughout the gyrostat-superposition analysis
 and by the hierarchy machinery; it is weaker for M > 3.  Reports carry
@@ -26,7 +29,6 @@ residual does not.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,23 +106,24 @@ class JacobiReport:
 
 def jacobi(J: PolyMatrix) -> JacobiReport:
     M = J.rows
-    # grads[j][k]: (m, dJ_jk/dx_m) for each state variable x_m in a stored J_jk
-    grads = [
-        {k: [(m, e.diff(m)) for m in sorted(e.variables()) if m < M] for k, e in row.items()}
-        for row in J.entries
-    ]
-    residuals: dict[tuple[int, int, int], Poly] = {}
-    aggregate = J.table.zero()
-    for i, j, k in itertools.combinations(range(M), 3):
-        r = J.table.zero()
-        for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, d in grads[second].get(third, ()):
-                if J[first, m]:
-                    r = r + J[first, m] * d
-        if r:
-            residuals[i + 1, j + 1, k + 1] = r
-            aggregate = aggregate + r
-    return JacobiReport(residuals, aggregate)
+    column: list[list[tuple[int, Poly]]] = [[] for _ in range(J.cols)]  # (f, J_fm) per m
+    for f, row in enumerate(J.entries):
+        for m, e in row.items():
+            column[m].append((f, e))
+    sums: dict[tuple[int, int, int], Poly] = {}
+    zero = J.table.zero()
+    for s, row in enumerate(J.entries):
+        for t, e in row.items():
+            for m in e.variables():
+                if m >= M:
+                    continue
+                d = e.diff(m)
+                for f, a in column[m]:
+                    if f < s < t or s < t < f or t < f < s:
+                        key = tuple(sorted((f + 1, s + 1, t + 1)))
+                        sums[key] = sums.get(key, zero) + a * d
+    residuals = {k: sums[k] for k in sorted(sums) if sums[k]}
+    return JacobiReport(residuals, sum(residuals.values(), zero))
 
 
 # ---------------------------------------------------------------------------

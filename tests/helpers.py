@@ -519,8 +519,8 @@ def nullspace_symbolic_reference(m: PolyMatrix) -> list[list[Poly]]:
             row = rows[i]
             s = table.zero()
             for j in range(m.cols):
-                if j != c and row[j] and w[j]:
-                    s = s + row[j] * w[j]
+                if j != c and (e := row.get(j)) and w[j]:
+                    s = s + e * w[j]
             w = [piv * w[j] if j != c else w[j] for j in range(m.cols)]
             w[c] = -s
         basis.append(_normalize_vector_reference(w, factor_pool))

@@ -1,21 +1,31 @@
 """Differential test over random models: the invariant count, the Casimir
-nullspace and the config echo, each against an independent oracle.
+nullspace, the Jacobi residuals and the config echo, each against an
+independent oracle.
 
 Standard library only.  The models come from fixed seeds, so every
 environment checks the same ones: M in 3..7 modes, 1..4 random triples of
 distinct modes in random order, and each slot zeroed with probability 0.3."""
 
 import functools
+import itertools
 import random
 
 import pytest
 
 from glomkit.cli import model_to_config, parse_model_config
-from glomkit.hamiltonian import build_J, casimirs
+from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.invariants import count_invariants, verify_conserved
 from glomkit.models import Glom, generic_gyrostat, instantiate
 
-from helpers import mul_vector, nullspace_symbolic_reference, oracle_raw_count
+from helpers import (
+    dense_matrix,
+    model_table,
+    mul_vector,
+    nullspace_symbolic_reference,
+    oracle_raw_count,
+    parse,
+    triple_residual,
+)
 
 SEEDS = range(16)
 
@@ -52,6 +62,39 @@ def test_random_model_matches_the_oracles(seed):
     assert parse_model_config(model_to_config(g)) == g
 
 
+def assert_jacobi_matches_the_triple_sums(J):
+    # every triple's cyclic sum, taken entry by entry, against the sums
+    # jacobi collects from the stored entries; keys come out sorted
+    expected = {}
+    for triple in itertools.combinations(range(J.rows), 3):
+        if r := triple_residual(J, J, triple):
+            expected[tuple(t + 1 for t in triple)] = r
+    report = jacobi(J)
+    assert report.residuals == expected
+    assert list(report.residuals) == sorted(report.residuals)
+    assert report.aggregate == sum(expected.values(), J.table.zero())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_model_jacobi_matches_the_triple_sums(seed):
+    assert_jacobi_matches_the_triple_sums(build_J(analysed(seed)[0]))
+
+
+def test_jacobi_matches_the_triple_sums_on_a_non_skew_matrix():
+    # jacobi reads column m as it is stored, never through row m, and
+    # differentiates entries that are not affine in the state
+    table = model_table(4, 1)
+    rows = [
+        ["x1", "a1*x2 + 1", "x3^2", "c1"],
+        ["0", "x4", "p1*x1*x3", "x2 - b1"],
+        ["q1", "x1 + x4", "0", "a1*x2"],
+        ["x3", "0", "c1*x4^2", "x1*x2"],
+    ]
+    assert_jacobi_matches_the_triple_sums(
+        dense_matrix(table, [[parse(table, e) for e in row] for row in rows])
+    )
+
+
 def test_the_random_models_cover_the_cases_they_are_for():
     # guards the seeds: every order 3..7, several gyrostats on shared modes,
     # models with and without Casimirs, and a range of invariant counts
@@ -60,4 +103,6 @@ def test_the_random_models_cover_the_cases_they_are_for():
     assert any(g.K >= 3 for g in models)
     nullities = [len(cas.nullspace_basis) for cas in sets]
     assert 0 in nullities and any(n >= 2 for n in nullities)
+    residual_counts = [len(jacobi(build_J(g)).residuals) for g in models]
+    assert 0 in residual_counts and max(residual_counts) >= 3
     assert len({report.raw_count for report in reports}) >= 4

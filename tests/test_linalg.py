@@ -24,7 +24,7 @@ from glomkit.exactmath import linalg
 from glomkit.hamiltonian import build_J
 from glomkit.hierarchy import member
 from glomkit.invariants import build_system
-from glomkit.models import builtin_model, no_linear_feedback
+from glomkit.models import Glom, builtin_model, generic_gyrostat, no_linear_feedback
 
 from helpers import (
     FAMILY_TOP_K,
@@ -203,12 +203,21 @@ def test_nullspace_symbolic_matches_reference(monkeypatch):
     models["model5_q1b3p3"] = g.zeroed(["q1", "b3", "p3"])
     for constrained in (True, False):
         models[f"model5_K3_{constrained}"] = member("model5", 3, constrained)
+    # J with empty rows (mode 4; mode 5), so Bareiss drops a zero row and
+    # breaks ties between rows that were not adjacent in J
+    models["empty_row_M4"] = Glom(4, (generic_gyrostat((1, 2, 3)),))
+    models["empty_row_M6"] = Glom(6, (generic_gyrostat((1, 2, 3)), generic_gyrostat((2, 4, 6))))
+    eliminated = set()
     for name, g in models.items():
         J = build_J(g)
+        misses = linalg._echelon_poly.cache_info().misses
         basis = nullspace_symbolic(J)
+        if linalg._echelon_poly.cache_info().misses > misses:
+            eliminated.add(name)
         assert basis == nullspace_symbolic_reference(J), name
         for vec in basis:
             assert all(e.is_zero() for e in mul_vector(J, vec)), name
+    assert {"empty_row_M4", "empty_row_M6"} <= eliminated
 
 
 def _odd_corank_one_members():
