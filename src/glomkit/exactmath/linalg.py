@@ -14,7 +14,8 @@ entries divided by their gcd) and divided by the content, until they
 vanish or open a new pivot column.  The rank is the pivot count;
 nullspaces back-substitute over the sparse pivot rows.  Generic ranks of
 polynomial matrices are exact ranks at the best of a few random integer
-points (`generic_point`).
+points (`generic_point`), stopping at the first to reach min(rows, cols),
+rounded down to even for a skew matrix (of even rank at any point).
 
 Polynomial nullspaces are taken of square skew matrices only.  They are
 empty at once when the rank at integer points is full.  Otherwise every
@@ -30,9 +31,9 @@ growth down) picks the pivot columns P, and S = P + {j} for each free
 column j.  Each vector is divided by the gcd of its entries, one
 deterministic `poly_gcd` fold from the smallest entry: the primitive
 kernel vector, content 1, its first nonzero entry with a positive
-leading coefficient.  The order of an entry's terms is not part of the
-result: polynomials compare as term dicts, and printing and the JSON
-reports sort the terms.
+leading coefficient; a step with a monomial costs a few exponent minima.
+The order of an entry's terms is not part of the result: polynomials
+compare as term dicts, and printing and the JSON reports sort the terms.
 """
 
 from __future__ import annotations
@@ -228,11 +229,13 @@ def generic_point(
     S = [2^20, 2^31), drawn from `rng` in the sorted order of the names, and
     reduces the matrix there exactly.  Returns the values (variable index ->
     integer) and the `_pivot_rows` of the trial of largest rank, the first
-    one on a tie, stopping early at full rank.  A matrix without variables
-    is reduced once, at the empty point.
+    one on a tie, stopping early at the largest rank possible: min(rows,
+    cols), rounded down to even for a skew matrix, whose value at any point
+    is a skew matrix, of even rank.  A matrix without variables is reduced
+    once, at the empty point.
 
     The rank found never exceeds the rank r over the field of rational
-    functions, and equals r whenever it is min(rows, cols).  Let Delta be a
+    functions, and equals r whenever it is that largest rank.  Let Delta be a
     nonzero r x r minor of the matrix and D its total degree (at most r
     times the largest entry degree).  A trial falls short only where Delta
     vanishes, which by Schwartz-Zippel happens with probability at most
@@ -243,6 +246,8 @@ def generic_point(
     if not indices:
         return {}, _pivot_rows(evaluate_at(m, {}))
     full = min(m.rows, m.cols)
+    if _is_skew(m):  # skew at every point, so of even rank there
+        full -= full % 2
     best: tuple[dict[int, int], dict[int, dict[int, int]]] | None = None
     for _ in range(GENERIC_TRIALS):
         values = {i: rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in indices}
@@ -437,15 +442,20 @@ def _gcd_all(polys: Iterable[Poly]) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd of two nonzero polynomials, content 1, positive leading coefficient.
 
-    The smaller one is the gcd if it divides the other.  A variable in only
-    one of them is dropped: the gcd divides each coefficient in it.  Else,
-    in the variable of lowest degree: the gcd of the contents times the last
-    member of the primitive pseudo-remainder sequence of the primitive parts.
+    If the one with fewer terms is a monomial, the gcd is the monomial of
+    the least exponents over it and every term of the other, coefficient 1:
+    a divisor of a monomial is a monomial.  Else the smaller one is the gcd
+    if it divides the other.  A variable in only one of them is dropped: the
+    gcd divides each coefficient in it.  Else, in the variable of lowest
+    degree: the gcd of the contents times the last member of the primitive
+    pseudo-remainder sequence of the primitive parts.
     """
     if len(a.terms) > len(b.terms):
         a, b = b, a
     if not a.total_degree():
         return a.table.const(1)
+    if len(a.terms) == 1:
+        return Poly(a.table, {tuple(map(min, *a.terms, *b.terms)): 1})
     with contextlib.suppress(ContractViolation):
         divide_exact(b, a)
         return a.normalized()

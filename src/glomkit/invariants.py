@@ -66,10 +66,15 @@ class QuadraticForm:
         """Pack a vector ordered as `form_positions`."""
         if len(vec) != len(form_positions(table.state_count)):
             raise ContractViolation("coefficient vector has wrong length")
-        shared: dict = {}  # equal values share one Poly, which keeps stored bases small
+        shared: dict = {}  # equal values share one Poly, made on a miss: stored bases stay small
         return cls(
             table,
-            tuple(v if isinstance(v, Poly) else shared.setdefault(v, table.const(v)) for v in vec),
+            tuple(
+                v if isinstance(v, Poly)
+                else shared[v] if v in shared
+                else shared.setdefault(v, table.const(v))
+                for v in vec
+            ),
         )
 
     @classmethod

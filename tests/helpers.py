@@ -4,8 +4,9 @@ criterion-11 conservation fixtures, the Hamiltonian test models, and
 independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
 bilinear Jacobi residual, the interpreted RK4 stepper that generated code
-must match, the symbolic nullspace by denominator
-clearing and the sign-symmetry identity checked by substitution), the
+must match, the symbolic nullspace by denominator clearing, the gcd of a
+monomial and generic_point without the even-rank stop, and the
+sign-symmetry identity checked by substitution), the
 printed row and column labels of an invariant system, and the dense view
 of a sparse PolyMatrix (`dense_matrix`, `dense_rows`)."""
 
@@ -447,6 +448,32 @@ def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dic
         if best == full:
             break
     return best, points
+
+
+def generic_point_to_full_rank(m: PolyMatrix, rng: random.Random):
+    """generic_point without the even-rank stop for skew matrices: the first
+    best of GENERIC_TRIALS points, stopping early only at min(rows, cols),
+    for checking that the stop changes no result."""
+    indices = sorted(m.variables(), key=m.table.names.__getitem__)
+    best = None
+    for _ in range(GENERIC_TRIALS):
+        values = {i: rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in indices}
+        pivots = linalg._pivot_rows(evaluate_at(m, values))
+        if best is None or len(pivots) > len(best[1]):
+            best = values, pivots
+            if len(pivots) == min(m.rows, m.cols):
+                break
+    return best
+
+
+def monomial_gcd_reference(m: Poly, p: Poly) -> Poly:
+    """gcd of the one-term m and a nonzero p, built variable by variable:
+    each to the least power it has in m and in the terms of p."""
+    (mono,) = m.terms
+    gcd_poly = m.table.const(1)
+    for i, name in enumerate(m.table.names):
+        gcd_poly = gcd_poly * m.table.var(name) ** min(mono[i], *(t[i] for t in p.terms))
+    return gcd_poly
 
 
 # The symbolic nullspace by denominator clearing: the back-substitution

@@ -33,7 +33,9 @@ from helpers import (
     dense_matrix,
     dense_rows,
     determinant_by_permutations,
+    generic_point_to_full_rank,
     model_table,
+    monomial_gcd_reference,
     mul_vector,
     nullspace_exact,
     nullspace_symbolic_reference,
@@ -282,6 +284,28 @@ def test_poly_gcd_finds_a_common_factor():
     assert poly_gcd(parse(table, "-3*x1*x2^2"), parse(table, "6*x1^2*c1")) == parse(table, "x1")
 
 
+def test_poly_gcd_of_a_monomial_takes_the_least_exponents():
+    # a signed rational monomial against a random p, a multiple of the
+    # monomial and a constant, in both operand orders
+    table = model_table(3, 2)
+    names = ("x1", "x2", "x3", "a1", "b1", "c2", "p2")
+    rng = random.Random(29)
+
+    def random_term():
+        term = table.const(Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 4)))
+        for _ in range(rng.randrange(4)):
+            term = term * table.var(rng.choice(names))
+        return term
+
+    for _ in range(200):
+        mono = random_term()
+        p = sum((random_term() for _ in range(rng.randrange(1, 6))), table.zero())
+        for q in (p, p * mono, table.const(Fraction(rng.randrange(1, 9), 7))):
+            if q:
+                want = monomial_gcd_reference(mono, q)
+                assert poly_gcd(mono, q) == want and poly_gcd(q, mono) == want, (str(mono), str(q))
+
+
 def test_generic_rank_draws_as_when_it_substituted_parameters_only(monkeypatch):
     # invariant systems hold no state variables, so the sorted names and the
     # seeded draws are those of the parameter-only loop
@@ -395,6 +419,39 @@ def test_generic_point_stops_at_full_rank():
     # without variables: one exact elimination and no draw
     values, pivots = generic_point(constant_matrix(table, [[1, 2], [2, 4]]), ScriptedRng([]))
     assert values == {} and len(pivots) == 1
+
+
+def test_generic_point_stops_at_the_even_rank_of_a_skew_matrix(monkeypatch):
+    # an odd J of corank 1 reaches M - 1, the largest rank of a skew matrix
+    # of odd order, at the first point; an even J of rank 2 of 4 tries all
+    points = []
+    real = linalg.evaluate_at
+    monkeypatch.setattr(linalg, "evaluate_at", lambda m, values: points.append(values) or real(m, values))
+    for g, rank, tried in (
+        (member("sparse", 3), 6, 1),
+        (builtin_model("model4"), 6, 1),
+        (builtin_model("model1").zeroed(["c1", "b2", "p2"]), 2, 3),
+    ):
+        points.clear()
+        assert generic_rank(build_J(g)) == rank
+        assert len(points) == tried
+
+
+def test_even_rank_stop_changes_no_point_and_no_nullspace(monkeypatch):
+    # on every reference J, generic_point returns the point and pivots of
+    # the loop that stops only at full rank, and nullspace_symbolic the
+    # basis it gives with that loop's rank
+    Js = {name: build_J(g) for name, g in reference_models().items()}
+    bases = {name: nullspace_symbolic(J) for name, J in Js.items()}
+    for name, J in Js.items():
+        for seed in (0, 1, 2):
+            got = generic_point(J, random.Random(seed))
+            assert got == generic_point_to_full_rank(J, random.Random(seed)), name
+    monkeypatch.setattr(
+        linalg, "generic_rank", lambda m, seed=0: len(generic_point_to_full_rank(m, random.Random(seed))[1])
+    )
+    for name, J in Js.items():
+        assert nullspace_symbolic(J) == bases[name], name
 
 
 def _matches_bareiss(rows, n_cols):

@@ -48,6 +48,8 @@ coefficients = st.one_of(
 )
 polys = st.dictionaries(monomials, coefficients, max_size=4).map(lambda terms: Poly(TABLE, terms))
 nonzero_polys = polys.filter(bool)
+# one nonzero term: the closed-form branch of poly_gcd
+nonzero_terms = st.builds(lambda m, c: Poly(TABLE, {m: c}), monomials, coefficients.filter(bool))
 
 
 def _canonical(p: Poly) -> bool:
@@ -89,7 +91,7 @@ def test_divide_exact_refuses_a_non_multiple(a, b, c):
 
 
 @settings(PROPERTY, max_examples=50)
-@given(nonzero_polys, nonzero_polys, nonzero_polys)
+@given(*[st.one_of(nonzero_terms, nonzero_polys)] * 3)
 def test_poly_gcd_divides_both_and_leaves_coprime_cofactors(a, b, h):
     left, right = a * h, b * h
     g = poly_gcd(left, right)

@@ -9,6 +9,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from glomkit.exactmath import Poly
 from glomkit.exactmath.linalg import poly_gcd
 from glomkit.hamiltonian import build_J, casimirs, jacobi
 from glomkit.hierarchy import member
@@ -193,14 +194,24 @@ def test_poly_gcd_matches_sympy_on_products_with_a_common_factor():
             p = p + term
         return p
 
-    checked = 0
+    def check(a, b):
+        got, want = to_sympy(poly_gcd(a, b)), sympy.gcd(to_sympy(a), to_sympy(b))
+        assert sympy.cancel(got / want).is_Rational, (str(a), str(b))
+
+    checked = monomials = 0
     for _ in range(40):
         common = random_poly(rng.randrange(1, 4))
         a = random_poly(rng.randrange(1, 5)) * common
         b = random_poly(rng.randrange(1, 5)) * common
         if not (a and b):
             continue
-        got, want = to_sympy(poly_gcd(a, b)), sympy.gcd(to_sympy(a), to_sympy(b))
-        assert sympy.cancel(got / want).is_Rational, (str(a), str(b))
+        check(a, b)
         checked += 1
-    assert checked >= 30
+        # a monomial operand: one term of a times a random term, either order
+        mono, coef = next(iter(a.terms.items()))
+        term = Poly(table, {mono: coef}) * random_poly(1)
+        if term:
+            check(term, b)
+            check(b, term)
+            monomials += 1
+    assert checked >= 30 and monomials >= 20
