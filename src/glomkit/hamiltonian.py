@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .errors import EnergyViolation
 from .exactmath import Poly, PolyMatrix, VarTable, nullspace_symbolic
-from .exactmath.poly import normalized_vector
 from .invariants import QuadraticForm
 from .models import Glom, Gyrostat, check_energy
 
@@ -175,13 +174,7 @@ def casimir_set(J: PolyMatrix, report: JacobiReport) -> CasimirSet:
     potentials, scaled to content 1 with a positive leading coefficient."""
     basis = nullspace_symbolic(J)
     flags = tuple(is_gradient(v) for v in basis)
-    potentials = tuple(
-        QuadraticForm.from_coeff_vector(
-            J.table, normalized_vector(QuadraticForm.from_gradient(v).coeff_vector())
-        )
-        for v, ok in zip(basis, flags)
-        if ok
-    )
+    potentials = tuple(QuadraticForm.from_gradient(v).normalized() for v, ok in zip(basis, flags) if ok)
     return CasimirSet(
         nullspace_basis=tuple(tuple(v) for v in basis),
         gradient_flags=flags,

@@ -12,7 +12,8 @@ imposed per configuration.  Constant terms are excluded from candidates
 because constants are invariants of any flow.
 
 `form_positions` owns the candidate layout: the system's columns and
-every QuadraticForm coefficient read or write follow it.
+every QuadraticForm coefficient read or write follow it.  A form stores
+only its nonzero coefficients, as PolyMatrix rows store their entries.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
 from .exactmath import Poly, PolyMatrix, VarTable, grlex_key
 from .exactmath.linalg import back_substitute, generic_point, rank_rational
+from .exactmath.poly import normalized_vector
 from .models import Glom, VectorField, assemble_field, builtin_model, no_linear_feedback
 
 SUBCLASS_VARY_LIMIT = 20
@@ -47,13 +50,14 @@ def form_positions(M: int) -> tuple[tuple[int, int | None], ...]:
 class QuadraticForm:
     """C = (1/2) sum d_i x_i^2 + sum_{i<j} e_ij x_i x_j + sum f_i x_i.
 
-    Stored as one coefficient per entry of `form_positions`.  Coefficients
-    are polynomials in the parameters (constants for numeric forms).  There
-    is no constant term.
+    Stored sparse: `entries` holds (position, coefficient) for each nonzero
+    coefficient, in `form_positions` order, so equal forms hold equal
+    entries.  Coefficients are polynomials in the parameters (constants
+    for numeric forms).  There is no constant term.
     """
 
     table: VarTable
-    coeffs: tuple[Poly, ...]
+    entries: tuple[tuple[tuple[int, int | None], Poly], ...]
 
     @classmethod
     def from_numeric(cls, table: VarTable, d: Sequence[Fraction]) -> "QuadraticForm":
@@ -63,19 +67,13 @@ class QuadraticForm:
 
     @classmethod
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
-        """Pack a vector ordered as `form_positions`."""
-        if len(vec) != len(form_positions(table.state_count)):
+        """Pack a vector ordered as `form_positions`, dropping its zeros."""
+        positions = form_positions(table.state_count)
+        if len(vec) != len(positions):
             raise ContractViolation("coefficient vector has wrong length")
-        shared: dict = {}  # equal values share one Poly, made on a miss: stored bases stay small
-        return cls(
-            table,
-            tuple(
-                v if isinstance(v, Poly)
-                else shared[v] if v in shared
-                else shared.setdefault(v, table.const(v))
-                for v in vec
-            ),
-        )
+        const = table.const
+        entries = ((p, v if isinstance(v, Poly) else const(v)) for p, v in zip(positions, vec) if v)
+        return cls(table, tuple(entries))
 
     @classmethod
     def from_gradient(cls, vector: Sequence[Poly]) -> "QuadraticForm":
@@ -85,16 +83,20 @@ class QuadraticForm:
         of v_i's `split_by_state`; v_j's x_i entry equals e_ij for a
         gradient and is not read.  A state degree above 1 raises.
         """
-        table = vector[0].table
-        coeffs = dict.fromkeys(form_positions(table.state_count), table.zero())
+        diagonal, mixed, linear = [], [], []  # the three blocks of `form_positions`
         for i, v in enumerate(vector, 1):
             for state, c in v.split_by_state().items():
                 if sum(state) > 1:
                     raise ContractViolation("potential is not quadratic")
                 j = state.index(1) + 1 if any(state) else None
-                if j is None or j >= i:
-                    coeffs[i, j] = c
-        return cls.from_coeff_vector(table, list(coeffs.values()))
+                if j is None:
+                    linear.append(((i, None), c))
+                elif j == i:
+                    diagonal.append(((i, i), c))
+                elif j > i:
+                    mixed.append(((i, j), c))
+        mixed.sort(key=itemgetter(0))
+        return cls(vector[0].table, tuple(diagonal + mixed + linear))
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":
@@ -105,34 +107,27 @@ class QuadraticForm:
         return self.table.state_count
 
     def coeff_vector(self) -> list[Poly]:
-        return list(self.coeffs)
+        """The dense coefficient vector, ordered as `form_positions`."""
+        stored, zero = dict(self.entries), self.table.zero()
+        return [stored.get(p, zero) for p in form_positions(self.M)]
 
     def value_poly(self) -> Poly:
-        x = self.table.x
+        """C as one polynomial, its terms added position by position."""
         half = Fraction(1, 2)
-        acc = self.table.zero()
-        for (i, j), c in zip(form_positions(self.M), self.coeffs):
-            if c:
-                if j is None:
-                    acc = acc + c * x(i)
-                elif j == i:
-                    acc = acc + (c * x(i) * x(i)).scale(half)
-                else:
-                    acc = acc + c * x(i) * x(j)
-        return acc
+        terms: dict = {}
+        for (i, j), c in self.entries:
+            for mono, a in c.terms.items():
+                exps = list(mono)
+                exps[i - 1] += 1
+                if j is not None:
+                    exps[j - 1] += 1
+                mono = tuple(exps)
+                terms[mono] = terms.get(mono, 0) + (a * half if j == i else a)
+        return Poly(self.table, terms)
 
     def gradient(self) -> list[Poly]:
-        x = self.table.x
-        out = [self.table.zero()] * self.M
-        for (i, j), c in zip(form_positions(self.M), self.coeffs):
-            if c:
-                if j is None:
-                    out[i - 1] = out[i - 1] + c
-                else:
-                    out[i - 1] = out[i - 1] + c * x(j)
-                    if j != i:
-                        out[j - 1] = out[j - 1] + c * x(i)
-        return out
+        value = self.value_poly()
+        return [value.diff(i) for i in range(self.M)]
 
     def time_derivative(self, field: VectorField) -> Poly:
         acc = self.table.zero()
@@ -142,17 +137,23 @@ class QuadraticForm:
         return acc
 
     def is_numeric(self) -> bool:
-        return all(c.total_degree() == 0 for c in self.coeffs)
+        return all(c.total_degree() == 0 for _, c in self.entries)
 
     def numeric_coeffs(self) -> list[Fraction]:
         zero_mono = (0,) * len(self.table.names)
         if not self.is_numeric():
             raise ContractViolation("form has symbolic coefficients")
-        return [c.coefficient(zero_mono) for c in self.coeffs]
+        return [c.terms.get(zero_mono, 0) for c in self.coeff_vector()]
 
     def instantiate(self, values: Mapping[str, Fraction]) -> "QuadraticForm":
-        vec = [c.subs(values) for c in self.coeffs]
-        return QuadraticForm.from_coeff_vector(self.table, vec)
+        instances = ((p, c.subs(values)) for p, c in self.entries)
+        return QuadraticForm(self.table, tuple((p, c) for p, c in instances if c))
+
+    def normalized(self) -> "QuadraticForm":
+        """Divided by the rational content of its coefficients, signed so the
+        first has a positive leading coefficient (`normalized_vector`)."""
+        coeffs = normalized_vector([c for _, c in self.entries])
+        return QuadraticForm(self.table, tuple(zip([p for p, _ in self.entries], coeffs)))
 
     def __str__(self) -> str:
         return str(self.value_poly())
@@ -244,9 +245,7 @@ def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
     vectors = back_substitute(pivots, system.cols)
     param_point = {table.names[i]: Fraction(v) for i, v in values.items()} or None
 
-    basis = tuple(
-        QuadraticForm.from_coeff_vector(table, [Fraction(v) for v in vec]) for vec in vectors
-    )
+    basis = tuple(QuadraticForm.from_coeff_vector(table, vec) for vec in vectors)
     independent = independent_count(basis, rng)
     energy_included = basis_contains(basis, QuadraticForm.energy(table))
     return InvariantReport(

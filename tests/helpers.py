@@ -5,8 +5,9 @@ independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
 bilinear Jacobi residual, the interpreted RK4 stepper that generated code
 must match, the symbolic nullspace by denominator clearing, the gcd of a
-monomial and generic_point without the even-rank stop, and the
-sign-symmetry identity checked by substitution), the
+monomial and generic_point without the even-rank stop, a form's value
+polynomial summed position by position, and the sign-symmetry identity
+checked by substitution), the
 printed row and column labels of an invariant system, and the dense view
 of a sparse PolyMatrix (`dense_matrix`, `dense_rows`)."""
 
@@ -631,8 +632,27 @@ def is_sign_symmetry(field: VectorField, signs: Sequence[int]) -> bool:
 
 def map_signs(form: QuadraticForm, signs: Sequence[int]) -> QuadraticForm:
     """The form x -> C(Sx) for a diagonal sign transformation S."""
-    factors = [signs[i - 1] * (1 if j is None else signs[j - 1]) for i, j in form_positions(form.M)]
-    return QuadraticForm(form.table, tuple(c.scale(s) for c, s in zip(form.coeffs, factors)))
+    mapped = []
+    for (i, j), c in form.entries:
+        mapped.append(((i, j), c.scale(signs[i - 1] * (1 if j is None else signs[j - 1]))))
+    return QuadraticForm(form.table, tuple(mapped))
+
+
+def value_poly_reference(form: QuadraticForm) -> Poly:
+    """C summed one position at a time with `Poly` addition: the term order
+    `QuadraticForm.value_poly` keeps, on which the compiled RK4 sums of
+    `simulate` depend."""
+    x = form.table.x
+    acc = form.table.zero()
+    for (i, j), c in zip(form_positions(form.M), form.coeff_vector()):
+        if c:
+            if j is None:
+                acc = acc + c * x(i)
+            elif j == i:
+                acc = acc + (c * x(i) * x(i)).scale(Fraction(1, 2))
+            else:
+                acc = acc + c * x(i) * x(j)
+    return acc
 
 
 def unknown_labels(M: int) -> list[str]:

@@ -6,6 +6,7 @@ import pytest
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import Poly, generic_rank, linalg
 from glomkit.exactmath.linalg import GENERIC_TRIALS
+from glomkit.hamiltonian import casimirs
 from glomkit.invariants import (
     QuadraticForm,
     basis_contains,
@@ -34,10 +35,12 @@ from helpers import (
     map_signs,
     oracle_raw_count,
     parse_matrix,
+    reference_models,
     restricted,
     row_by_label,
     sparse_normal_form_numeric,
     unknown_labels,
+    value_poly_reference,
 )
 
 D_F_COLUMNS_3 = ["d1", "d2", "d3", "f1", "f2", "f3"]
@@ -237,7 +240,39 @@ def test_system_columns_forms_and_labels_share_one_layout():
                 assert (labels[s], coeff) == (f"d{modes[0]}", Fraction(1, 2))
             else:
                 assert (labels[s], coeff) == (f"e{modes[0]}_{modes[1]}", 1)
-            assert QuadraticForm.from_gradient(unit.gradient()) == unit
+        # every form round-trips through its gradient, stores only its
+        # nonzero coefficients, in `form_positions` order, and instantiate
+        # drops the ones it zeroes
+        param = table.param_names()[0]
+        a = table.var(param)
+        symbolic = [a.scale(s % 3) - table.const(s % 2) for s in range(n)]
+        units = [[int(t == s) for t in range(n)] for s in range(n)]
+        index = {p: k for k, p in enumerate(form_positions(M))}
+        for vec in [[0] * n, symbolic, *units]:
+            form = QuadraticForm.from_coeff_vector(table, vec)
+            keys = [index[p] for p, _ in form.entries]
+            assert keys == sorted(set(keys)) and all(c for _, c in form.entries)
+            assert form.coeff_vector() == [v if isinstance(v, Poly) else table.const(v) for v in vec]
+            assert QuadraticForm.from_gradient(form.gradient()) == form
+            instance = form.instantiate({param: 1})
+            dense = [c.subs({param: 1}) for c in form.coeff_vector()]
+            assert instance == QuadraticForm.from_coeff_vector(table, dense)
+        zero = QuadraticForm.from_coeff_vector(table, [0] * n)
+        assert (zero.entries, zero.value_poly(), str(zero)) == ((), table.zero(), "0")
+        assert zero.gradient() == [table.zero()] * M
+        form = QuadraticForm.from_coeff_vector(table, symbolic)
+        assert len(form.instantiate({param: 1}).entries) < len(form.entries) < n
+
+
+def test_value_poly_adds_its_terms_position_by_position():
+    # simulate compiles value_poly's terms in dict order, so the RK4 drift
+    # floats depend on this order
+    symbolic = 0
+    for name, g in reference_models().items():
+        for form in count_invariants(g, seed=0).basis + casimirs(g).casimirs:
+            assert list(form.value_poly().terms) == list(value_poly_reference(form).terms), name
+            symbolic += not form.is_numeric()
+    assert symbolic
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +287,7 @@ def test_sparse_invariant_counts_grow_linearly():
 def test_sparse_basis_has_no_linear_or_mixed_terms():
     for K in range(1, 5):
         for form in sparse_invariants(K, seed=4):
-            positions = form_positions(form.M)
-            assert all(c.is_zero() for (i, j), c in zip(positions, form.coeffs) if j != i)
+            assert all(j == i for (i, j), _ in form.entries)
 
 
 def test_sparse_normal_forms_lie_in_basis_span():

@@ -144,14 +144,6 @@ def test_nullspace_symbolic_nonsingular_constant():
     assert nullspace_symbolic(m) == []
 
 
-def test_symbolic_vectors_annihilate_matrix():
-    for name in ("model2", "model3"):
-        g = builtin_model(name).zeroed(["q2"])
-        J = build_J(g)
-        for vec in nullspace_symbolic(J):
-            assert all(e.is_zero() for e in mul_vector(J, vec))
-
-
 def _fail(*args):
     raise AssertionError("symbolic elimination ran")
 
