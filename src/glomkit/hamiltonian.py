@@ -53,6 +53,17 @@ def _superpose(table: VarTable, modes: int, gyrostats: Sequence[Gyrostat]) -> Po
     return PolyMatrix(table, modes, rows)
 
 
+def gyrostat_increment(g: Glom, K: int) -> Poly:
+    """What gyrostat K of g adds to the aggregate Jacobi condition of
+    gyrostats 1..K-1, over g's table.  The residual is bilinear in
+    J = sum_k J_k and a lone gyrostat's block has none, so the aggregate of
+    J_old + J_new is the cross terms of the pair, and these vanish unless
+    the two share a mode: the increment sums the pairs that do."""
+    table, new = g.var_table, g.gyrostats[K - 1]
+    shared = (old for old in g.gyrostats[: K - 1] if set(old.modes) & set(new.modes))
+    return sum((jacobi(_superpose(table, g.modes, (old, new))).aggregate for old in shared), table.zero())
+
+
 def build_J(g: Glom) -> PolyMatrix:
     """Superpose the per-gyrostat blocks; refuses energy-violating models.
 
@@ -154,12 +165,17 @@ class CasimirSet:
 
 
 def is_gradient(vector: list[Poly]) -> bool:
-    """Jacobian-symmetry test dv_i/dx_j == dv_j/dx_i over the state variables."""
-    n = len(vector)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vector[i].diff(j) != vector[j].diff(i):
-                return False
+    """Jacobian-symmetry test dv_i/dx_j == dv_j/dx_i over the state variables,
+    term by term: a term c*x^m of v_i with m_j > 0 needs v_j to hold the term
+    at m - e_j + e_i with coefficient c*m_j/(m_i + 1)."""
+    for i, v in enumerate(vector):
+        for m, c in v.terms.items():
+            for j, e in enumerate(m[: len(vector)]):
+                if e and j != i:
+                    mate = list(m)
+                    mate[j], mate[i] = e - 1, m[i] + 1
+                    if vector[j].terms.get(tuple(mate), 0) * (m[i] + 1) != c * e:
+                        return False
     return True
 
 

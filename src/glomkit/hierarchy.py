@@ -14,6 +14,10 @@ satisfies the Jacobi condition:
   model5   q1 = q2 = 0; p3 = 0; q4 = 0, b4 = a4, c4 = -a4, c2 = -a2,
            b1 = a1; p5 = 0, b5 = c5 = a5, b2 = -a2, c1 = a1
 
+The aggregate Jacobi condition is bilinear in J = sum_k J_k and a lone
+gyrostat has none, so each step adds the cross terms of the new gyrostat
+with the earlier ones sharing a mode (`hamiltonian.gyrostat_increment`).
+
 The model5 schedule constrains earlier gyrostats when later ones arrive,
 so members are materialized with the whole schedule (restricted to the
 gyrostats present); that is the parameterization whose Casimir gradients
@@ -27,7 +31,7 @@ from typing import Literal
 
 from .errors import ContractViolation
 from .exactmath import Poly, poly_proportional, proportional
-from .hamiltonian import CasimirSet, JacobiReport, build_J, casimir_set, jacobi
+from .hamiltonian import CasimirSet, JacobiReport, build_J, casimir_set, gyrostat_increment, jacobi
 from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
@@ -140,20 +144,6 @@ class IncrementalJacobi:
     condition: Poly
 
 
-def _increment(aggregate: Poly, previous: Poly) -> Poly:
-    """Member K's aggregate condition minus member K-1's.
-
-    The residual is bilinear in J and a lone gyrostat's block has none, so
-    the difference is exactly the cross terms of the newest gyrostat
-    against the earlier ones.
-    """
-    return aggregate - previous.remapped(aggregate.table)
-
-
-def _aggregate(g: Glom) -> Poly:
-    return jacobi(build_J(g)).aggregate
-
-
 def _is_extension(g_big: Glom, g_small: Glom) -> bool:
     if g_big.K != g_small.K + 1 or g_big.modes < g_small.modes:
         return False
@@ -168,7 +158,9 @@ def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:
     (both must pass build_J)."""
     if not _is_extension(g_K, g_K_minus_1):
         raise ContractViolation("second model must be the first minus its last gyrostat")
-    return IncrementalJacobi(_increment(_aggregate(g_K), _aggregate(g_K_minus_1)))
+    for g in (g_K, g_K_minus_1):
+        build_J(g)  # refuses an energy violation
+    return IncrementalJacobi(gyrostat_increment(g_K, g_K.K))
 
 
 def incremental_condition(family: Family, K: int) -> Poly:
@@ -176,8 +168,7 @@ def incremental_condition(family: Family, K: int) -> Poly:
     family (K >= 2)."""
     if K < 2:
         raise ContractViolation("incremental conditions start at K = 2")
-    big = member(family, K, constrained=False)
-    return incremental_jacobi(big, member(family, K - 1, constrained=False)).condition
+    return gyrostat_increment(member(family, K, constrained=False), K)
 
 
 def check_recurrence(family: Family, k_max: int) -> bool:
@@ -187,35 +178,26 @@ def check_recurrence(family: Family, k_max: int) -> bool:
     stride.  Consecutive steps are compared from K = 3 on (the step from
     one to two gyrostats has no earlier coupling and its condition has a
     different shape even in the nested families).  Conditions are computed
-    on the unconstrained family, where they are nontrivial.
+    on the unconstrained k_max member, where they are nontrivial: its
+    first K gyrostats are member K, with the same slot names.
     """
     if k_max < 3:
         raise ContractViolation("recurrence checking needs k_max >= 3")
-    aggregates = [_aggregate(member(family, K, constrained=False)) for K in range(1, k_max + 1)]
+    g = member(family, k_max, constrained=False)
     stride = FAMILY_STRIDE[family]
-    # conditions[i] is the step to K = i + 2 gyrostats
-    conditions = [_increment(big, small) for small, big in zip(aggregates, aggregates[1:])]
-    for cur, nxt in zip(conditions[1:], conditions[2:]):
-        name_map = _shift_name_map(cur, stride)
-        try:
-            shifted = cur.remapped(nxt.table, name_map)
-        except ContractViolation:
-            return False
-        if not poly_proportional(shifted, nxt):
+    conditions = [gyrostat_increment(g, K) for K in range(3, k_max + 1)]
+    for cur, nxt in zip(conditions, conditions[1:]):
+        if not poly_proportional(cur.remapped(g.var_table, _shift_name_map(cur, stride)), nxt):
             return False
     return True
 
 
 def _shift_name_map(poly: Poly, stride: int) -> dict[str, str]:
-    table = poly.table
+    """x_m to x_(m + stride), and a parameter of gyrostat k to gyrostat k+1's."""
     out = {}
-    for i in sorted(poly.variables()):
-        name = table.names[i]
+    for name in (poly.table.names[i] for i in poly.variables()):
         kind, index = name[0], int(name[1:])
-        if kind == "x":
-            out[name] = f"x{index + stride}"
-        else:
-            out[name] = f"{kind}{index + 1}"
+        out[name] = f"x{index + stride}" if kind == "x" else f"{kind}{index + 1}"
     return out
 
 
@@ -312,7 +294,7 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
         cas = casimir_set(J, report)
         inc = None
         if reports:  # generate builds each member as an extension of the one before
-            inc = IncrementalJacobi(_increment(report.aggregate, reports[-1].jacobi.aggregate))
+            inc = IncrementalJacobi(report.aggregate - reports[-1].jacobi.aggregate.remapped(g.var_table))
         consistent: bool | None = None
         if cas.count and last is not None:
             small_glom, small_cas = last

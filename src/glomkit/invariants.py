@@ -83,20 +83,22 @@ class QuadraticForm:
         of v_i's `split_by_state`; v_j's x_i entry equals e_ij for a
         gradient and is not read.  A state degree above 1 raises.
         """
-        diagonal, mixed, linear = [], [], []  # the three blocks of `form_positions`
+        M = len(vector)
+        found = []  # (index into form_positions(M): M d_i, then M(M-1)/2 e_ij, then M f_i; coefficient)
         for i, v in enumerate(vector, 1):
             for state, c in v.split_by_state().items():
                 if sum(state) > 1:
                     raise ContractViolation("potential is not quadratic")
                 j = state.index(1) + 1 if any(state) else None
                 if j is None:
-                    linear.append(((i, None), c))
+                    found.append((M * (M + 1) // 2 + i - 1, c))
                 elif j == i:
-                    diagonal.append(((i, i), c))
+                    found.append((i - 1, c))
                 elif j > i:
-                    mixed.append(((i, j), c))
-        mixed.sort(key=itemgetter(0))
-        return cls(vector[0].table, tuple(diagonal + mixed + linear))
+                    found.append((M + (i - 1) * (2 * M - i) // 2 + j - i - 1, c))
+        found.sort(key=itemgetter(0))
+        positions = form_positions(M)
+        return cls(vector[0].table, tuple((positions[k], c) for k, c in found))
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":

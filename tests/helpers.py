@@ -3,13 +3,14 @@ closed-form invariants of the sparse feedback-free family, the
 criterion-11 conservation fixtures, the Hamiltonian test models, and
 independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
-bilinear Jacobi residual, the interpreted RK4 stepper that generated code
-must match, the symbolic nullspace by denominator clearing, the gcd of a
-monomial and generic_point without the even-rank stop, a form's value
-polynomial summed position by position, and the sign-symmetry identity
-checked by substitution), the
-printed row and column labels of an invariant system, and the dense view
-of a sparse PolyMatrix (`dense_matrix`, `dense_rows`)."""
+bilinear Jacobi residual, the O(M^2) gradient test, the hierarchy
+increments and recurrence flags from two whole-member Jacobi passes per
+step, the interpreted RK4 stepper that generated code must match, the
+symbolic nullspace by denominator clearing, the gcd of a monomial and
+generic_point without the even-rank stop, a form's value polynomial
+summed position by position, and the sign-symmetry identity checked by
+substitution), the printed row and column labels of an invariant system,
+and the dense view of a sparse PolyMatrix (`dense_matrix`, `dense_rows`)."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from glomkit.errors import ContractViolation, IntegrationError
-from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg, monomial_str
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg, monomial_str, poly_proportional
 from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
@@ -36,7 +37,7 @@ from glomkit.exactmath.linalg import (
 )
 from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import build_J, casimirs, jacobi
-from glomkit.hierarchy import member
+from glomkit.hierarchy import FAMILY_STRIDE, member
 from glomkit.invariants import (
     InvariantSystem,
     QuadraticForm,
@@ -246,6 +247,57 @@ def triple_residual(a: PolyMatrix, b: PolyMatrix, triple: tuple[int, int, int]) 
             if d and a[first, m]:
                 acc = acc + a[first, m] * d
     return acc
+
+
+def is_gradient_reference(vector: Sequence[Poly]) -> bool:
+    """dv_i/dx_j == dv_j/dx_i for every pair of state indices i < j: the
+    O(M^2) oracle for hamiltonian.is_gradient."""
+    n = len(vector)
+    return all(vector[i].diff(j) == vector[j].diff(i) for i, j in itertools.combinations(range(n), 2))
+
+
+def _aggregate_reference(g: Glom) -> Poly:
+    return jacobi(build_J(g)).aggregate
+
+
+def incremental_jacobi_reference(g_K: Glom, g_K_minus_1: Glom) -> Poly:
+    """g_K's aggregate Jacobi condition minus g_K_minus_1's, each from a
+    whole-model Jacobi pass, over g_K's table: the oracle for
+    hierarchy.incremental_jacobi."""
+    return _aggregate_reference(g_K) - _aggregate_reference(g_K_minus_1).remapped(g_K.var_table)
+
+
+def incremental_condition_reference(family: str, K: int) -> Poly:
+    """The two-aggregate difference at step K of the unconstrained family:
+    the oracle for hierarchy.incremental_condition."""
+    return incremental_jacobi_reference(*(member(family, k, constrained=False) for k in (K, K - 1)))
+
+
+def _shift_name_map_reference(poly: Poly, stride: int) -> dict[str, str]:
+    out = {}
+    for i in sorted(poly.variables()):
+        name = poly.table.names[i]
+        kind, index = name[0], int(name[1:])
+        out[name] = f"x{index + stride}" if kind == "x" else f"{kind}{index + 1}"
+    return out
+
+
+def check_recurrence_reference(family: str, k_max: int) -> bool:
+    """hierarchy.check_recurrence from one Jacobi pass per unconstrained
+    member K = 1..k_max, each step the difference of two aggregates in
+    member K's table, each shift a remap into the next member's table."""
+    aggregates = [_aggregate_reference(member(family, K, constrained=False)) for K in range(1, k_max + 1)]
+    stride = FAMILY_STRIDE[family]
+    # conditions[i] is the step to K = i + 2 gyrostats
+    conditions = [big - small.remapped(big.table) for small, big in zip(aggregates, aggregates[1:])]
+    for cur, nxt in zip(conditions[1:], conditions[2:]):
+        try:
+            shifted = cur.remapped(nxt.table, _shift_name_map_reference(cur, stride))
+        except ContractViolation:
+            return False
+        if not poly_proportional(shifted, nxt):
+            return False
+    return True
 
 
 def parse_vector(table: VarTable, exprs: list[str]) -> list[Poly]:

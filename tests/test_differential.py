@@ -1,6 +1,7 @@
 """Differential test over random models: the invariant count, the Casimir
 nullspace, the Jacobi residuals and the config echo, each against an
-independent oracle.
+independent oracle, and the aggregate Jacobi condition against the sum of
+the gyrostats' pair increments.
 
 Standard library only.  The models come from fixed seeds, so every
 environment checks the same ones: M in 3..7 modes, 1..4 random triples of
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from glomkit.cli import model_to_config, parse_model_config
-from glomkit.hamiltonian import build_J, casimirs, jacobi
+from glomkit.hamiltonian import build_J, casimirs, gyrostat_increment, jacobi
 from glomkit.invariants import count_invariants, verify_conserved
 from glomkit.models import Glom, generic_gyrostat, instantiate
 
@@ -78,6 +79,15 @@ def assert_jacobi_matches_the_triple_sums(J):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_model_jacobi_matches_the_triple_sums(seed):
     assert_jacobi_matches_the_triple_sums(build_J(analysed(seed)[0]))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_model_aggregate_sums_the_gyrostat_increments(seed):
+    # each gyrostat adds the cross terms of its mode-sharing pairs with the
+    # ones before it, and together they make the whole aggregate condition
+    g = analysed(seed)[0]
+    increments = [gyrostat_increment(g, K) for K in range(1, g.K + 1)]
+    assert sum(increments, g.var_table.zero()) == jacobi(build_J(g)).aggregate
 
 
 def test_jacobi_matches_the_triple_sums_on_a_non_skew_matrix():

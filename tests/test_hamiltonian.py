@@ -4,15 +4,22 @@ from fractions import Fraction
 import pytest
 
 from glomkit.errors import ContractViolation, EnergyViolation
-from glomkit.exactmath import poly_proportional, proportional
-from glomkit.hamiltonian import build_J, casimirs, is_gradient, jacobi
+from glomkit.exactmath import Poly, poly_proportional, proportional
+from glomkit.hamiltonian import build_J, casimirs, gyrostat_increment, is_gradient, jacobi
 from glomkit.hierarchy import member
-from glomkit.invariants import QuadraticForm, basis_contains, count_invariants, verify_conserved
+from glomkit.invariants import (
+    QuadraticForm,
+    basis_contains,
+    count_invariants,
+    form_positions,
+    verify_conserved,
+)
 from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field, builtin_model
 
 from helpers import (
     FAMILY_TOP_K,
     dense_rows,
+    is_gradient_reference,
     mul_vector,
     parse,
     parse_matrix,
@@ -242,7 +249,57 @@ def test_from_gradient_recovers_gradient():
             for k in range(1, g.modes * (g.modes + 3) // 2 + 1)
         ]
         form = QuadraticForm.from_coeff_vector(table, vec)
-        assert QuadraticForm.from_gradient(form.gradient()) == form, name
+        read = QuadraticForm.from_gradient(form.gradient())
+        assert read == form, name
+        # the positions are the cached layout's own tuples, not copies
+        layout = {id(p) for p in form_positions(g.modes)}
+        assert all(id(p) in layout for p, _ in read.entries), name
+
+
+def test_aggregate_sums_the_gyrostat_increments():
+    # by bilinearity the aggregate condition is the sum over gyrostats of
+    # their cross terms with the earlier ones sharing a mode
+    models = list(reference_models().values())
+    for family, top in FAMILY_TOP_K.items():
+        models += [member(family, top, c) for c in (False, True)]
+    for g in models:
+        increments = [gyrostat_increment(g, K) for K in range(1, g.K + 1)]
+        assert sum(increments, g.var_table.zero()) == jacobi(build_J(g)).aggregate
+
+
+def test_is_gradient_pairs_the_derivative_terms():
+    # the term-by-term test against the O(M^2) comparison of derivatives,
+    # on kernel vectors and on gradients of random potentials, half of
+    # them with one entry perturbed
+    models = list(reference_models().values())
+    for family, top in FAMILY_TOP_K.items():
+        models += [member(family, K, c) for K in range(1, top + 1) for c in (False, True)]
+    vectors = [list(v) for g in models for v in casimirs(g).nullspace_basis]
+    kernel = len(vectors)
+    rng = random.Random(5)
+    table = member("dense1", 3, constrained=False).var_table
+    M, width = table.state_count, len(table.names)
+
+    def random_term(max_state_degree):
+        exps = [0] * width
+        for _ in range(rng.randint(1, max_state_degree)):
+            exps[rng.randrange(M)] += 1
+        if rng.random() < 0.5:
+            exps[rng.randrange(M, width)] += 1
+        return Poly(table, {tuple(exps): Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3))})
+
+    for trial in range(200):
+        potential = sum((random_term(4) for _ in range(rng.randint(1, 6))), table.zero())
+        vector = [potential.diff(i) for i in range(M)]
+        if trial % 2:
+            i = rng.randrange(M)
+            vector[i] = vector[i] + random_term(3)
+        vectors.append(vector)
+    flags = [is_gradient(v) for v in vectors]
+    assert flags == [is_gradient_reference(v) for v in vectors]
+    # both answers occur among the kernel vectors and the random ones
+    assert 0 < sum(flags[:kernel]) < kernel
+    assert 0 < sum(flags[kernel:]) < len(flags) - kernel
 
 
 def test_from_gradient_refuses_state_degree_two():

@@ -5,6 +5,7 @@ import pytest
 from glomkit.errors import ContractViolation, EnergyViolation
 from glomkit.exactmath import poly_proportional, proportional
 from glomkit.hierarchy import (
+    FAMILY_MAX_K,
     HierarchySpec,
     check_recurrence,
     generate,
@@ -17,7 +18,15 @@ from glomkit.hierarchy import (
 from glomkit.hamiltonian import _superpose, build_J, jacobi
 from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field
 
-from helpers import FAMILY_TOP_K, parse, parse_vector, triple_residual as bilinear_residual
+from helpers import (
+    FAMILY_TOP_K,
+    check_recurrence_reference,
+    incremental_condition_reference,
+    incremental_jacobi_reference,
+    parse,
+    parse_vector,
+    triple_residual as bilinear_residual,
+)
 
 # gradients of the single Casimir of the sparse constrained family
 SPARSE_GRADIENTS = {
@@ -202,10 +211,9 @@ def test_incremental_refuses_energy_violation():
 
 
 def test_incremental_cross_terms_telescope():
-    # incremental conditions are read as differences of aggregate
-    # conditions: by bilinearity, and since a lone gyrostat's residual
-    # vanishes, each step's cross terms are the full residual minus the
-    # previous member's
+    # an increment is the cross terms of the newest gyrostat against the
+    # earlier ones: by bilinearity, and since a lone gyrostat's residual
+    # vanishes, they are the full residual minus the previous member's
     for family, K_top in FAMILY_TOP_K.items():
         for constrained in (False, True):
             members = generate(HierarchySpec(family, K_top, constrained))
@@ -256,6 +264,20 @@ def test_recurrence_flags():
         check_recurrence("model4", 4)
     with pytest.raises(ContractViolation, match="^unknown family 'bogus'$"):
         check_recurrence("bogus", 3)
+
+
+def test_pair_increments_match_the_two_aggregate_reference():
+    # each step sums the aggregates of the new gyrostat's mode-sharing
+    # pairs; the reference differences two whole-member aggregates
+    for family in ("sparse", "dense1", "dense2", "model4", "model5"):
+        top = FAMILY_MAX_K.get(family, 12)
+        for K in range(3, top + 1):
+            assert check_recurrence(family, K) == check_recurrence_reference(family, K), (family, K)
+        for K in range(2, min(top, 8) + 1):
+            assert incremental_condition(family, K) == incremental_condition_reference(family, K)
+            for constrained in (False, True):
+                g, small = (member(family, k, constrained) for k in (K, K - 1))
+                assert incremental_jacobi(g, small).condition == incremental_jacobi_reference(g, small)
 
 
 # ---------------------------------------------------------------------------
