@@ -265,9 +265,6 @@ class Poly:
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def split_by_state(self) -> dict[Monomial, "Poly"]:
         """Group terms by their state-variable part.
 

@@ -64,17 +64,25 @@ def gyrostat_increment(g: Glom, K: int) -> Poly:
     return sum((jacobi(_superpose(table, g.modes, (old, new))).aggregate for old in shared), table.zero())
 
 
+def refuse_energy_violation(g: Glom) -> None:
+    """Raise EnergyViolation unless every gyrostat has p + q + r = 0.
+
+    A gyrostat adds (p + q + r) x_m1 x_m2 x_m3 to x . f, so the field then
+    conserves energy as well; the full check_energy runs only to word the
+    refusal.
+    """
+    if not all(gyro.energy_ok() for gyro in g.gyrostats):
+        raise EnergyViolation("; ".join(check_energy(g).diagnostics))
+
+
 def build_J(g: Glom) -> PolyMatrix:
     """Superpose the per-gyrostat blocks; refuses energy-violating models.
 
     Returns J as built: J x equals the assembled field once every gyrostat
     has p + q + r = 0, which the tests prove, with skewness, on every
-    fixture and hierarchy member.  A gyrostat adds (p + q + r) x_m1 x_m2 x_m3
-    to x . f, so the field then conserves energy as well; the full
-    check_energy runs only to word the refusal.
+    fixture and hierarchy member.
     """
-    if not all(gyro.energy_ok() for gyro in g.gyrostats):
-        raise EnergyViolation("; ".join(check_energy(g).diagnostics))
+    refuse_energy_violation(g)
     return _superpose(g.var_table, g.modes, g.gyrostats)
 
 

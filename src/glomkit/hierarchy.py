@@ -5,23 +5,23 @@ triples (2k-1, 2k, 2k+1)) or one mode (dense, triples (k, k+1, k+2)).
 Coupled families reuse existing modes (the two convection-core models).
 
 Each family carries the parameter constraints under which every member
-satisfies the Jacobi condition:
+satisfies the Jacobi condition.  They are fixed gyrostat by gyrostat:
+each gyrostat carries its family's constraints from the first member
+that holds it, so member K's gyrostats are the first K of member K+1's.
 
   sparse   q_k = 0 for k >= 2
   dense1   q_k = 0 for k >= 2; p and b zero on even-numbered gyrostats
   dense2   q_k = 0 for k >= 2; p and b zero on odd-numbered gyrostats
   model4   p_k = q_k = 0 and c_k = b_k for k >= 2
-  model5   q1 = q2 = 0; p3 = 0; q4 = 0, b4 = a4, c4 = -a4, c2 = -a2,
-           b1 = a1; p5 = 0, b5 = c5 = a5, b2 = -a2, c1 = a1
+  model5   q1 = 0, b1 = c1 = a1; q2 = 0, b2 = c2 = -a2; p3 = 0;
+           q4 = 0, b4 = a4, c4 = -a4; p5 = 0, b5 = c5 = a5
+
+For model5 this is the parameterization whose Casimir gradients project
+consistently down the hierarchy.
 
 The aggregate Jacobi condition is bilinear in J = sum_k J_k and a lone
 gyrostat has none, so each step adds the cross terms of the new gyrostat
 with the earlier ones sharing a mode (`hamiltonian.gyrostat_increment`).
-
-The model5 schedule constrains earlier gyrostats when later ones arrive,
-so members are materialized with the whole schedule (restricted to the
-gyrostats present); that is the parameterization whose Casimir gradients
-project consistently down the hierarchy.
 """
 
 from __future__ import annotations
@@ -31,20 +31,28 @@ from typing import Literal
 
 from .errors import ContractViolation
 from .exactmath import Poly, poly_proportional, proportional
-from .hamiltonian import CasimirSet, JacobiReport, build_J, casimir_set, gyrostat_increment, jacobi
+from .hamiltonian import (
+    CasimirSet,
+    JacobiReport,
+    build_J,
+    casimir_set,
+    gyrostat_increment,
+    jacobi,
+    refuse_energy_violation,
+)
 from .models import (
     MODEL4_TRIPLES,
     MODEL5_TRIPLES,
     Glom,
     ParamSpec,
     dense_triples,
-    generic_model,
+    generic_gyrostat,
     sparse_triples,
 )
 
 Family = Literal["sparse", "dense1", "dense2", "model4", "model5"]
 
-FAMILY_MAX_K = {"model4": 3, "model5": 5}
+FAMILY_MAX_K = {"model4": len(MODEL4_TRIPLES), "model5": len(MODEL5_TRIPLES)}
 FAMILY_STRIDE = {"sparse": 2, "dense1": 1, "dense2": 1, "model4": 2, "model5": 0}
 
 
@@ -75,52 +83,38 @@ def family_triples(family: Family, K: int) -> tuple[tuple[int, int, int], ...]:
     raise ContractViolation(f"unknown family {family!r}")
 
 
-def family_constraints(family: Family, K: int) -> dict[str, ParamSpec]:
-    """The parameter substitutions applied to the K-gyrostat member."""
+# model5's overrides on gyrostat k: each slot is this multiple of a_k
+_MODEL5_A_MULTIPLES = (
+    {"q": 0, "b": 1, "c": 1},
+    {"q": 0, "b": -1, "c": -1},
+    {"p": 0},
+    {"q": 0, "b": 1, "c": -1},
+    {"p": 0, "b": 1, "c": 1},
+)
+
+
+def _gyrostat_constraints(family: Family, k: int) -> dict[str, ParamSpec]:
+    """The slots the family fixes on its k-th gyrostat, the same in every
+    member that holds it."""
+    if family == "model5":
+        return {slot: ParamSpec.scaled(f"a{k}", m) for slot, m in _MODEL5_A_MULTIPLES[k - 1].items()}
     zero = ParamSpec.zero()
-    out: dict[str, ParamSpec] = {}
-    if family == "sparse":
-        for k in range(2, K + 1):
-            out[f"q{k}"] = zero
-    elif family in ("dense1", "dense2"):
-        for k in range(2, K + 1):
-            out[f"q{k}"] = zero
-        parity = 0 if family == "dense1" else 1
-        for k in range(1, K + 1):
-            if k % 2 == parity:
-                out[f"p{k}"] = zero
-                out[f"b{k}"] = zero
-    elif family == "model4":
-        for k in range(2, K + 1):
-            out[f"p{k}"] = zero
-            out[f"q{k}"] = zero
-            out[f"c{k}"] = ParamSpec.scaled(f"b{k}", 1)
-    else:  # model5: family_triples has refused any other family
-        schedule = {
-            "q1": zero,
-            "q2": zero,
-            "p3": zero,
-            "q4": zero,
-            "b4": ParamSpec.scaled("a4", 1),
-            "c4": ParamSpec.scaled("a4", -1),
-            "c2": ParamSpec.scaled("a2", -1),
-            "b1": ParamSpec.scaled("a1", 1),
-            "p5": zero,
-            "b5": ParamSpec.scaled("a5", 1),
-            "c5": ParamSpec.scaled("a5", 1),
-            "b2": ParamSpec.scaled("a2", -1),
-            "c1": ParamSpec.scaled("a1", 1),
-        }
-        out = {name: spec for name, spec in schedule.items() if int(name[1:]) <= K}
+    out = {"q": zero} if k >= 2 else {}
+    if family == "model4" and k >= 2:
+        out.update(p=zero, c=ParamSpec.scaled(f"b{k}", 1))
+    elif family in ("dense1", "dense2") and k % 2 == (0 if family == "dense1" else 1):
+        out.update(p=zero, b=zero)
     return out
 
 
 def member(family: Family, K: int, constrained: bool = True) -> Glom:
     """The K-gyrostat member of a family."""
-    base = generic_model(family_triples(family, K))
-    if not constrained:
-        return base
-    return base.with_params(family_constraints(family, K))
+    triples = family_triples(family, K)
+    gyrostats = tuple(
+        generic_gyrostat(t, **(_gyrostat_constraints(family, k) if constrained else {}))
+        for k, t in enumerate(triples, start=1)
+    )
+    return Glom(max(m for t in triples for m in t), gyrostats)
 
 
 def generate(spec: HierarchySpec) -> list[Glom]:
@@ -155,11 +149,11 @@ def _is_extension(g_big: Glom, g_small: Glom) -> bool:
 
 def incremental_jacobi(g_K: Glom, g_K_minus_1: Glom) -> IncrementalJacobi:
     """The Jacobi condition the newest gyrostat of g_K adds to g_K_minus_1's
-    (both must pass build_J)."""
+    (both must pass build_J's energy check)."""
     if not _is_extension(g_K, g_K_minus_1):
         raise ContractViolation("second model must be the first minus its last gyrostat")
     for g in (g_K, g_K_minus_1):
-        build_J(g)  # refuses an energy violation
+        refuse_energy_violation(g)
     return IncrementalJacobi(gyrostat_increment(g_K, g_K.K))
 
 

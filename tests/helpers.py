@@ -300,6 +300,48 @@ def check_recurrence_reference(family: str, k_max: int) -> bool:
     return True
 
 
+def family_constraints_reference(family: str, K: int) -> dict[str, ParamSpec]:
+    """The slot substitutions of the constrained K-gyrostat member, spelled
+    member by member (model5's as a schedule filtered to gyrostats 1..K):
+    the oracle for hierarchy.member's per-gyrostat constraints."""
+    zero = ParamSpec.zero()
+    out: dict[str, ParamSpec] = {}
+    if family == "sparse":
+        for k in range(2, K + 1):
+            out[f"q{k}"] = zero
+    elif family in ("dense1", "dense2"):
+        for k in range(2, K + 1):
+            out[f"q{k}"] = zero
+        parity = 0 if family == "dense1" else 1
+        for k in range(1, K + 1):
+            if k % 2 == parity:
+                out[f"p{k}"] = zero
+                out[f"b{k}"] = zero
+    elif family == "model4":
+        for k in range(2, K + 1):
+            out[f"p{k}"] = zero
+            out[f"q{k}"] = zero
+            out[f"c{k}"] = ParamSpec.scaled(f"b{k}", 1)
+    else:
+        schedule = {
+            "q1": zero,
+            "q2": zero,
+            "p3": zero,
+            "q4": zero,
+            "b4": ParamSpec.scaled("a4", 1),
+            "c4": ParamSpec.scaled("a4", -1),
+            "c2": ParamSpec.scaled("a2", -1),
+            "b1": ParamSpec.scaled("a1", 1),
+            "p5": zero,
+            "b5": ParamSpec.scaled("a5", 1),
+            "c5": ParamSpec.scaled("a5", 1),
+            "b2": ParamSpec.scaled("a2", -1),
+            "c1": ParamSpec.scaled("a1", 1),
+        }
+        out = {name: spec for name, spec in schedule.items() if int(name[1:]) <= K}
+    return out
+
+
 def parse_vector(table: VarTable, exprs: list[str]) -> list[Poly]:
     return [parse(table, e) for e in exprs]
 

@@ -8,6 +8,7 @@ from glomkit.hierarchy import (
     FAMILY_MAX_K,
     HierarchySpec,
     check_recurrence,
+    family_triples,
     generate,
     hierarchy_report,
     incremental_condition,
@@ -16,11 +17,12 @@ from glomkit.hierarchy import (
     projection_consistency,
 )
 from glomkit.hamiltonian import _superpose, build_J, jacobi
-from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field
+from glomkit.models import Glom, Gyrostat, ParamSpec, assemble_field, generic_model
 
 from helpers import (
     FAMILY_TOP_K,
     check_recurrence_reference,
+    family_constraints_reference,
     incremental_condition_reference,
     incremental_jacobi_reference,
     parse,
@@ -159,6 +161,27 @@ def test_dense_unconstrained_member_matches_printed_model():
     assert list(field.components) == parse_vector(g.var_table, DENSE_K3_FIELD)
 
 
+@pytest.mark.parametrize("family", list(FAMILY_TOP_K))
+def test_member_matches_the_whole_member_constraints(family):
+    # each gyrostat carries its own constraints; the reference builds the
+    # generic member and substitutes the constraints spelled for all of it
+    for K in range(1, FAMILY_MAX_K.get(family, 20) + 1):
+        base = generic_model(family_triples(family, K))
+        for constrained in (False, True):
+            expected = base.with_params(family_constraints_reference(family, K)) if constrained else base
+            g = member(family, K, constrained)
+            assert g == expected, (family, K, constrained)
+            assert g.var_table is expected.var_table
+
+
+@pytest.mark.parametrize("family", list(FAMILY_TOP_K))
+def test_member_gyrostats_are_a_prefix_of_the_next_member(family):
+    for K in range(1, FAMILY_MAX_K.get(family, 20)):
+        for constrained in (False, True):
+            small, big = member(family, K, constrained), member(family, K + 1, constrained)
+            assert big.gyrostats[:K] == small.gyrostats, (family, K, constrained)
+
+
 def test_k1_member_is_single_gyrostat():
     for family in ("sparse", "dense1", "dense2", "model4", "model5"):
         g = member(family, 1)
@@ -202,7 +225,7 @@ def test_incremental_requires_extension():
 
 
 def test_incremental_refuses_energy_violation():
-    # the condition is read off build_J, which refuses the model
+    # build_J's refusal, worded by check_energy
     one = ParamSpec.exact(1)
     small = member("sparse", 1)
     bad = Gyrostat((3, 4, 5), a=one, b=one, c=one, p=one, q=one, r_explicit=one)
