@@ -15,7 +15,11 @@ vanish or open a new pivot column.  The rank is the pivot count;
 nullspaces back-substitute over the sparse pivot rows.  Generic ranks of
 polynomial matrices are exact ranks at the best of a few random integer
 points (`generic_point`), stopping at the first to reach min(rows, cols),
-rounded down to even for a skew matrix (of even rank at any point).
+rounded down to even for a skew matrix (of even rank at any point), or
+whose kernel lifts: each of its nullspace vectors annihilates the
+polynomial matrix identically, which makes the rank there the generic
+rank.  Either stop is exact; the Schwartz-Zippel bound covers only trials
+that run to the end.
 
 Polynomial nullspaces are taken of square skew matrices only.  They are
 empty at once when the rank at integer points is full.  Otherwise every
@@ -229,40 +233,75 @@ def generic_point(
     S = [2^20, 2^31), drawn from `rng` in the sorted order of the names, and
     reduces the matrix there exactly.  Returns the values (variable index ->
     integer) and the `_pivot_rows` of the trial of largest rank, the first
-    one on a tie, stopping early at the largest rank possible: min(rows,
-    cols), rounded down to even for a skew matrix, whose value at any point
-    is a skew matrix, of even rank.  A matrix without variables is reduced
-    once, at the empty point.
+    one on a tie.  A matrix without variables is reduced once, at the empty
+    point.  Two rules stop the trials early, each once a trial has become
+    the best:
+
+    - its rank is the largest possible: min(rows, cols), rounded down to
+      even for a skew matrix, whose value at any point is a skew matrix, of
+      even rank;
+    - its kernel lifts (`_kernel_lifts`): every nullspace vector at the
+      point annihilates the polynomial matrix identically.  Those vectors
+      are independent over Q, so over the field of rational functions too,
+      and the rank there is at most the rank at the point, which never
+      exceeds it: the two are equal, no later trial can be better, and the
+      skipped trials' values are still drawn, leaving `rng` where the
+      trials that were not needed would have left it.
 
     The rank found never exceeds the rank r over the field of rational
-    functions, and equals r whenever it is that largest rank.  Let Delta be a
-    nonzero r x r minor of the matrix and D its total degree (at most r
-    times the largest entry degree).  A trial falls short only where Delta
-    vanishes, which by Schwartz-Zippel happens with probability at most
-    D / |S| = D / (2^31 - 2^20); all three trials fall short with
-    probability at most (D / (2^31 - 2^20))^3.
+    functions, and equals r whenever either rule stopped the trials: both
+    are exact.  Otherwise let Delta be a nonzero r x r minor of the matrix
+    and D its total degree (at most r times the largest entry degree).  A
+    trial falls short only where Delta vanishes, which by Schwartz-Zippel
+    happens with probability at most D / |S| = D / (2^31 - 2^20); all three
+    trials fall short with probability at most (D / (2^31 - 2^20))^3.
     """
     indices = sorted(m.variables(), key=m.table.names.__getitem__)
     if not indices:
         return {}, _pivot_rows(evaluate_at(m, {}))
     full = min(m.rows, m.cols)
-    if _is_skew(m):  # skew at every point, so of even rank there
+    if m.is_skew():  # skew at every point, so of even rank there
         full -= full % 2
     best: tuple[dict[int, int], dict[int, dict[int, int]]] | None = None
-    for _ in range(GENERIC_TRIALS):
+    for trial in range(1, GENERIC_TRIALS + 1):
         values = {i: rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in indices}
         pivots = _pivot_rows(evaluate_at(m, values))
         if best is None or len(pivots) > len(best[1]):
             best = values, pivots
             if len(pivots) == full:
                 break
+            if trial < GENERIC_TRIALS and _kernel_lifts(m, pivots):
+                for _ in range((GENERIC_TRIALS - trial) * len(indices)):
+                    rng.randrange(GENERIC_LOW, GENERIC_HIGH)
+                break
     return best
+
+
+def _kernel_lifts(m: PolyMatrix, pivots: Mapping[int, Mapping[int, int]]) -> bool:
+    """True iff every vector of `back_substitute(pivots, m.cols)` annihilates
+    m identically: each row's stored entries, weighted by the vector, sum to
+    the zero polynomial term by term.  Rows go in the outer loop, so a
+    kernel that fails shows it at the first row where any vector fails,
+    even when some vector (the energy's, for an invariant system) always
+    lifts; the cost is O(stored terms) per vector."""
+    vectors = back_substitute(pivots, m.cols)
+    for row in m.entries:
+        for vec in vectors:
+            residual: dict[tuple[int, ...], Fraction | int] = {}
+            for c, e in row.items():
+                if w := vec[c]:
+                    for mono, coef in e.terms.items():
+                        residual[mono] = residual.get(mono, 0) + w * coef
+            if any(residual.values()):
+                return False
+    return True
 
 
 def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
     """Generic rank of a polynomial matrix: the rank at the point that
     `generic_point` picks with random.Random(seed), exact when the matrix
-    has no variables, with the failure bound stated there."""
+    has no variables or a stop rule ended the trials, with the failure
+    bound stated there otherwise."""
     return len(generic_point(m, random.Random(seed))[1])
 
 
@@ -361,7 +400,7 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
     for a fully dense matrix.  A non-square or non-skew matrix raises
     ContractViolation.
     """
-    if not _is_skew(m):
+    if not m.is_skew():
         raise ContractViolation(f"not a square skew matrix ({m.rows}x{m.cols})")
     # full column rank at one point means some maximal minor is a nonzero
     # polynomial, so the nullspace is {0}: a certificate, not a guess
@@ -376,15 +415,6 @@ def nullspace_symbolic(m: PolyMatrix) -> list[list[Poly]]:
         pivots = sum(1 << c for c, _ in _echelon_poly(m)[1])
         sets = [pivots | 1 << j for j in range(m.cols) if not pivots >> j & 1]
     return [normalized_vector(_divide_by_gcd(_sub_pfaffians(m, s))) for s in sets]
-
-
-def _is_skew(m: PolyMatrix) -> bool:
-    e = m.entries  # each stored (i, j) needs a negated (j, i), so a stored diagonal fails
-    return m.rows == m.cols and all(
-        (t := e[j].get(i)) is not None and p.terms == {k: -c for k, c in t.terms.items()}
-        for i, row in enumerate(e)
-        for j, p in row.items()
-    )
 
 
 def _sub_pfaffians(m: PolyMatrix, s: int) -> list[Poly]:

@@ -369,7 +369,7 @@ class PolyMatrix:
     {column: Poly} dict of its nonzero entries in column order, and the
     column count is given, so a matrix without rows keeps its width."""
 
-    __slots__ = ("table", "cols", "entries")
+    __slots__ = ("table", "cols", "entries", "_skew")
 
     def __init__(self, table: VarTable, cols: int, rows: Iterable[Mapping[int, Poly]]):
         self.table = table
@@ -377,6 +377,7 @@ class PolyMatrix:
         self.entries = tuple({j: row[j] for j in sorted(row) if row[j]} for row in rows)
         if any(row and not 0 <= min(row) <= max(row) < cols for row in self.entries):
             raise ContractViolation(f"a matrix entry lies outside columns 0..{cols - 1}")
+        self._skew: bool | None = None
 
     @property
     def rows(self) -> int:
@@ -384,6 +385,18 @@ class PolyMatrix:
 
     def __getitem__(self, rc: tuple[int, int]) -> Poly:
         return self.entries[rc[0]].get(rc[1], self.table._zero)
+
+    def is_skew(self) -> bool:
+        """Square, with every stored (i, j) entry the negation of the stored
+        (j, i) one, so a stored diagonal entry fails; checked once per matrix."""
+        if self._skew is None:
+            e = self.entries
+            self._skew = self.rows == self.cols and all(
+                (t := e[j].get(i)) is not None and p.terms == {k: -c for k, c in t.terms.items()}
+                for i, row in enumerate(e)
+                for j, p in row.items()
+            )
+        return self._skew
 
     def variables(self) -> set[int]:
         """Indices of the variables that occur in some stored entry."""

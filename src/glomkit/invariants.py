@@ -67,12 +67,17 @@ class QuadraticForm:
 
     @classmethod
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
-        """Pack a vector ordered as `form_positions`, dropping its zeros."""
+        """Pack a vector ordered as `form_positions`, dropping its zeros; equal
+        numbers share one constant Poly."""
         positions = form_positions(table.state_count)
         if len(vec) != len(positions):
             raise ContractViolation("coefficient vector has wrong length")
-        const = table.const
-        entries = ((p, v if isinstance(v, Poly) else const(v)) for p, v in zip(positions, vec) if v)
+        consts: dict = {}
+        entries = (
+            (p, v if isinstance(v, Poly) else consts.get(v) or consts.setdefault(v, table.const(v)))
+            for p, v in zip(positions, vec)
+            if v
+        )
         return cls(table, tuple(entries))
 
     @classmethod

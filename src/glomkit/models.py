@@ -41,6 +41,8 @@ _TABLES: dict[tuple[tuple[str, ...], int], VarTable] = {}
 # a parameter symbol: neither a state variable x1, x2, ... nor the config keyword "generic"
 SYMBOL = re.compile(r"(?!x\d+$|generic$)[A-Za-z_][A-Za-z0-9_]*")
 
+_ONE = Fraction(1)  # Fractions are immutable: every generic slot shares this one
+
 
 @dataclass(frozen=True)
 class ParamSpec:
@@ -59,7 +61,7 @@ class ParamSpec:
 
     @classmethod
     def generic(cls) -> "ParamSpec":
-        return cls(Fraction(1), "?")
+        return cls(_ONE, "?")
 
     @classmethod
     def scaled(cls, symbol: str, coeff) -> "ParamSpec":
@@ -154,20 +156,25 @@ class Glom:
         for symbol in self.extra_symbols:
             if not SYMBOL.fullmatch(symbol):
                 raise ContractViolation(f"extra symbol {symbol!r} is not a parameter symbol")
-        slots = self.slots()
-        named = []
+        slots: list[str] = []
+        gyrostats = []
         extras = list(dict.fromkeys(self.extra_symbols))
-        for name, spec in slots.items():
-            spec = spec.named(name)
+        for k, g in enumerate(self.gyrostats, start=1):
+            own = [f"{letter}{k}" for letter in SLOT_LETTERS]
+            specs = [g.param(letter) for letter in SLOT_LETTERS]
+            if any(spec.symbol == "?" for spec in specs):  # name the placeholders
+                specs = [spec.named(name) for spec, name in zip(specs, own)]
+                g = Gyrostat(g.modes, *specs, r_explicit=g.r_explicit)
             # an extra is a symbol that is none of this gyrostat's own slot names
-            own = {letter + name[1:] for letter in SLOT_LETTERS}
-            if spec.is_symbolic and spec.symbol not in own:
-                if not SYMBOL.fullmatch(spec.symbol):
-                    raise ContractViolation(f"{name}: {spec.symbol!r} is not a parameter symbol")
-                if spec.symbol not in extras:
-                    extras.append(spec.symbol)
-            named.append(spec)
-        object.__setattr__(self, "gyrostats", _refilled(self.gyrostats, named))
+            for name, spec in zip(own, specs):
+                if spec.is_symbolic and spec.symbol not in own:
+                    if not SYMBOL.fullmatch(spec.symbol):
+                        raise ContractViolation(f"{name}: {spec.symbol!r} is not a parameter symbol")
+                    if spec.symbol not in extras:
+                        extras.append(spec.symbol)
+            slots += own
+            gyrostats.append(g)
+        object.__setattr__(self, "gyrostats", tuple(gyrostats))
         object.__setattr__(self, "extra_symbols", tuple(extras))
         names = [f"x{i}" for i in range(1, self.modes + 1)]
         names += slots

@@ -7,10 +7,12 @@ bilinear Jacobi residual, the O(M^2) gradient test, the hierarchy
 increments and recurrence flags from two whole-member Jacobi passes per
 step, the interpreted RK4 stepper that generated code must match, the
 symbolic nullspace by denominator clearing, the gcd of a monomial and
-generic_point without the even-rank stop, a form's value polynomial
+generic_point without its even-rank and lift stops, a form's value polynomial
 summed position by position, and the sign-symmetry identity checked by
 substitution), the printed row and column labels of an invariant system,
-and the dense view of a sparse PolyMatrix (`dense_matrix`, `dense_rows`)."""
+the dense view of a sparse PolyMatrix (`dense_matrix`, `dense_rows`), and
+the model sets the tests sweep (`reference_models`, `ladder_models`,
+`random_glom`)."""
 
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from glomkit.models import (
     builtin_model,
     generic_gyrostat,
     instantiate,
+    no_linear_feedback,
 )
 from glomkit.simulate import SimConfig, compile_field, compile_form, initial_state
 
@@ -546,9 +549,10 @@ def parameter_only_generic_rank(m: PolyMatrix, seed: int) -> tuple[int, list[dic
 
 
 def generic_point_to_full_rank(m: PolyMatrix, rng: random.Random):
-    """generic_point without the even-rank stop for skew matrices: the first
-    best of GENERIC_TRIALS points, stopping early only at min(rows, cols),
-    for checking that the stop changes no result."""
+    """generic_point without the even-rank stop for skew matrices and the
+    stop at a kernel that lifts: the first best of GENERIC_TRIALS points,
+    stopping early only at min(rows, cols), for checking that those stops
+    change no result."""
     indices = sorted(m.variables(), key=m.table.names.__getitem__)
     best = None
     for _ in range(GENERIC_TRIALS):
@@ -688,6 +692,28 @@ def hamiltonian_models():
     )
     for K in range(1, 5):
         models[f"sparse{K}"] = member("sparse", K)
+    return models
+
+
+def random_glom(seed: int) -> Glom:
+    """The random model of a seed: M in 3..7 modes, 1..4 random triples of
+    distinct modes in random order, and each slot zeroed with probability 0.3."""
+    rng = random.Random(seed)
+    M = rng.randint(3, 7)
+    triples = [tuple(rng.sample(range(1, M + 1), 3)) for _ in range(rng.randint(1, 4))]
+    g = Glom(M, tuple(generic_gyrostat(t) for t in triples))
+    return g.zeroed([name for name in g.slots() if rng.random() < 0.3])
+
+
+def ladder_models() -> dict[str, Glom]:
+    """The benchmark's invariant ladder: sparse K=3..6 and dense K=4..8,
+    each general and without linear feedback."""
+    models = {}
+    for name, ks in (("sparse", range(3, 7)), ("dense", range(4, 9))):
+        for K in ks:
+            g = builtin_model(name, K)
+            models[f"{name}{K}"] = g
+            models[f"{name}{K}_nlf"] = no_linear_feedback(g)
     return models
 
 

@@ -4,19 +4,19 @@ independent oracle, and the aggregate Jacobi condition against the sum of
 the gyrostats' pair increments.
 
 Standard library only.  The models come from fixed seeds, so every
-environment checks the same ones: M in 3..7 modes, 1..4 random triples of
-distinct modes in random order, and each slot zeroed with probability 0.3."""
+environment checks the same ones (`helpers.random_glom`): M in 3..7 modes,
+1..4 random triples of distinct modes in random order, and each slot zeroed
+with probability 0.3."""
 
 import functools
 import itertools
-import random
 
 import pytest
 
 from glomkit.cli import model_to_config, parse_model_config
 from glomkit.hamiltonian import build_J, casimirs, gyrostat_increment, jacobi
 from glomkit.invariants import count_invariants, verify_conserved
-from glomkit.models import Glom, generic_gyrostat, instantiate
+from glomkit.models import instantiate
 
 from helpers import (
     dense_matrix,
@@ -25,6 +25,7 @@ from helpers import (
     nullspace_symbolic_reference,
     oracle_raw_count,
     parse,
+    random_glom,
     triple_residual,
 )
 
@@ -34,11 +35,7 @@ SEEDS = range(16)
 @functools.lru_cache(maxsize=None)
 def analysed(seed: int):
     """The random model of this seed, its invariant report and its Casimirs."""
-    rng = random.Random(seed)
-    M = rng.randint(3, 7)
-    triples = [tuple(rng.sample(range(1, M + 1), 3)) for _ in range(rng.randint(1, 4))]
-    g = Glom(M, tuple(generic_gyrostat(t) for t in triples))
-    g = g.zeroed([name for name in g.slots() if rng.random() < 0.3])
+    g = random_glom(seed)
     return g, count_invariants(g), casimirs(g)
 
 

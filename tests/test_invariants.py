@@ -187,7 +187,9 @@ def test_count_survives_a_coefficient_divisible_by_the_modulus():
 
 def test_one_elimination_of_the_system_per_trial(monkeypatch):
     # the basis comes from the best trial of generic_point, not from one more
-    # elimination: model1's system is never of full column rank, so all
+    # elimination.  No system here is of full column rank: where the kernel
+    # at the first point lifts to the symbolic system (dense K=4, model1),
+    # that point ends the trials; where it does not (sparse K=3), all
     # GENERIC_TRIALS points are tried; a numeric system is reduced once
     shapes = []
     real = linalg._pivot_rows
@@ -203,11 +205,27 @@ def test_one_elimination_of_the_system_per_trial(monkeypatch):
     numeric = model1.with_params(
         {n: ParamSpec.exact(Fraction(k + 2)) for k, n in enumerate(model1.generic_param_names())}
     )
-    for g, eliminations in ((model1, GENERIC_TRIALS), (numeric, 1)):
+    for g, eliminations in (
+        (builtin_model("dense", 4), 1),
+        (model1, 1),
+        (builtin_model("sparse", 3), GENERIC_TRIALS),
+        (numeric, 1),
+    ):
         system = build_system(g)
         shapes.clear()
         count_invariants(g, seed=3)
         assert shapes.count((system.rows, system.cols)) == eliminations
+
+
+def test_equal_numbers_of_a_form_share_one_constant():
+    table = builtin_model("sparse", 6).var_table
+    energy = QuadraticForm.energy(table)
+    assert len(energy.entries) == table.state_count
+    assert len({id(c) for _, c in energy.entries}) == 1
+    zeros = [0] * (len(form_positions(table.state_count)) - 4)
+    form = QuadraticForm.from_coeff_vector(table, [2, Fraction(2), 0, 3, *zeros])
+    assert [str(c) for _, c in form.entries] == ["2", "2", "3"]
+    assert form.entries[0][1] is form.entries[1][1]
 
 
 def test_enumerate_rejects_a_repeated_name():

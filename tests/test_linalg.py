@@ -34,6 +34,7 @@ from helpers import (
     dense_rows,
     determinant_by_permutations,
     generic_point_to_full_rank,
+    ladder_models,
     model_table,
     monomial_gcd_reference,
     mul_vector,
@@ -43,6 +44,7 @@ from helpers import (
     parameter_only_generic_rank,
     parse,
     parse_vector,
+    random_glom,
     rank_exact,
     reference_models,
     restricted,
@@ -300,7 +302,10 @@ def test_poly_gcd_of_a_monomial_takes_the_least_exponents():
 
 def test_generic_rank_draws_as_when_it_substituted_parameters_only(monkeypatch):
     # invariant systems hold no state variables, so the sorted names and the
-    # seeded draws are those of the parameter-only loop
+    # seeded draws are those of the parameter-only loop.  Its trials run to
+    # the end, as none of these systems is of full column rank; generic_rank
+    # reduces the first of them only where the kernel there lifts to the
+    # symbolic system (model1, model3, model5), all three where it does not
     drawn = []
     real = linalg.evaluate_at
 
@@ -309,12 +314,13 @@ def test_generic_rank_draws_as_when_it_substituted_parameters_only(monkeypatch):
         return real(m, values)
 
     monkeypatch.setattr(linalg, "evaluate_at", recording)
-    for name in ("model1", "model2", "model3", "model4", "model5"):
+    for name, tried in (("model1", 1), ("model2", 3), ("model3", 1), ("model4", 3), ("model5", 1)):
         m = build_system(builtin_model(name)).matrix
         for seed in (0, 7, 20251):
             drawn.clear()
-            rank = generic_rank(m, seed=seed)
-            assert (rank, drawn) == parameter_only_generic_rank(m, seed)
+            rank, points = parameter_only_generic_rank(m, seed)
+            assert generic_rank(m, seed=seed) == rank
+            assert drawn == points[:tried]
 
 
 def test_generic_rank_single_gyrostat_system():
@@ -411,6 +417,38 @@ def test_generic_point_stops_at_full_rank():
     # without variables: one exact elimination and no draw
     values, pivots = generic_point(constant_matrix(table, [[1, 2], [2, 4]]), ScriptedRng([]))
     assert values == {} and len(pivots) == 1
+
+
+def test_generic_point_does_not_stop_at_a_kernel_that_does_not_lift(monkeypatch):
+    # rank 1 where a1 != b1.  Trial 1 draws a1 = b1: rank 0, and its kernel
+    # vector e1 leaves a1 - b1 in the first row, so the trials go on; trial
+    # 2's kernel vector e2 annihilates the zero second column, which ends
+    # them, with trial 3's values still drawn
+    points = []
+    real = linalg.evaluate_at
+    monkeypatch.setattr(linalg, "evaluate_at", lambda m, values: points.append(values) or real(m, values))
+    table = model_table(3, 1)
+    m = parsed_matrix(table, [["a1 - b1", "0"], ["0", "0"]])
+    a1, b1 = table.index("a1"), table.index("b1")
+    low = GENERIC_LOW
+    rng = ScriptedRng([low, low, low + 1, low, low + 2, low])
+    values, pivots = generic_point(m, rng)
+    assert values == {a1: low + 1, b1: low}
+    assert len(pivots) == 1 and rng.values == []
+    assert len(points) == 2
+
+
+def test_lift_stop_changes_no_point_and_no_draw():
+    # on the invariant systems of the reference, ladder and random models,
+    # generic_point returns the point and pivots of the loop that stops
+    # only at full rank, and leaves its rng in the same state
+    models = [*reference_models().values(), *ladder_models().values(), *map(random_glom, range(16))]
+    for g in models:
+        m = build_system(g).matrix
+        for seed in (0, 1):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            assert generic_point(m, rng) == generic_point_to_full_rank(m, reference_rng)
+            assert rng.getstate() == reference_rng.getstate()
 
 
 def test_generic_point_stops_at_the_even_rank_of_a_skew_matrix(monkeypatch):

@@ -275,6 +275,17 @@ def test_slots_name_every_stored_coefficient_gyrostat_by_gyrostat():
     assert g.with_params(slots) == g
 
 
+def test_a_model_rebuilds_only_the_gyrostats_with_placeholders():
+    g = builtin_model("model5_numeric")
+    assert all(spec.symbol != "?" for spec in g.slots().values())
+    assert all(a is b for a, b in zip(Glom(g.modes, g.gyrostats).gyrostats, g.gyrostats))
+    named = builtin_model("model1").gyrostats[0]
+    raw = generic_gyrostat((2, 3, 4), q=ParamSpec.zero())
+    h = Glom(4, (named, raw))
+    assert h.gyrostats[0] is named and h.gyrostats[1] != raw
+    assert [str(h.gyrostats[1].param(letter)) for letter in "abcpq"] == ["a2", "b2", "c2", "p2", "0"]
+
+
 def test_custom_symbol_with_own_index_is_an_extra():
     # z1 ends in gyrostat 1's index but is none of its standard names; b1 on
     # gyrostat 2 ties a standard name of gyrostat 1; a1 on gyrostat 1 is its own
