@@ -111,7 +111,7 @@ def member(family: Family, K: int, constrained: bool = True) -> Glom:
     """The K-gyrostat member of a family."""
     triples = family_triples(family, K)
     gyrostats = tuple(
-        generic_gyrostat(t, **(_gyrostat_constraints(family, k) if constrained else {}))
+        generic_gyrostat(t, k, **(_gyrostat_constraints(family, k) if constrained else {}))
         for k, t in enumerate(triples, start=1)
     )
     return Glom(max(m for t in triples for m in t), gyrostats)

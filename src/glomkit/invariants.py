@@ -12,8 +12,8 @@ imposed per configuration.  Constant terms are excluded from candidates
 because constants are invariants of any flow.
 
 `form_positions` owns the candidate layout: the system's columns and
-every QuadraticForm coefficient read or write follow it.  A form stores
-only its nonzero coefficients, as PolyMatrix rows store their entries.
+every QuadraticForm coefficient read or write follow it.  A form is
+stored as its value polynomial C, whose terms hold its nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from operator import itemgetter
+from itertools import takewhile
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
 from .exactmath import Poly, PolyMatrix, VarTable, grlex_key
 from .exactmath.linalg import back_substitute, generic_point, rank_rational
-from .exactmath.poly import normalized_vector
 from .models import Glom, VectorField, assemble_field, builtin_model, no_linear_feedback
 
 SUBCLASS_VARY_LIMIT = 20
@@ -46,18 +46,24 @@ def form_positions(M: int) -> tuple[tuple[int, int | None], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def position_index(M: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The state monomial of each `form_positions` entry -> (its index, the
+    factor from C's coefficient to the entry: 2 for d_i at x_i^2, else 1)."""
+    return {
+        tuple((m == i) + (m == j) for m in range(1, M + 1)): (k, 2 if j == i else 1)
+        for k, (i, j) in enumerate(form_positions(M))
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class QuadraticForm:
-    """C = (1/2) sum d_i x_i^2 + sum_{i<j} e_ij x_i x_j + sum f_i x_i.
+    """C = (1/2) sum d_i x_i^2 + sum_{i<j} e_ij x_i x_j + sum f_i x_i, stored
+    as `value`, C itself, its terms in `form_positions` order.  A coefficient
+    (a polynomial in the parameters, constant for numeric forms) is read off
+    the terms at its position's state monomial through `position_index`."""
 
-    Stored sparse: `entries` holds (position, coefficient) for each nonzero
-    coefficient, in `form_positions` order, so equal forms hold equal
-    entries.  Coefficients are polynomials in the parameters (constants
-    for numeric forms).  There is no constant term.
-    """
-
-    table: VarTable
-    entries: tuple[tuple[tuple[int, int | None], Poly], ...]
+    value: Poly
 
     @classmethod
     def from_numeric(cls, table: VarTable, d: Sequence[Fraction]) -> "QuadraticForm":
@@ -67,74 +73,71 @@ class QuadraticForm:
 
     @classmethod
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
-        """Pack a vector ordered as `form_positions`, dropping its zeros; equal
-        numbers share one constant Poly."""
-        positions = form_positions(table.state_count)
-        if len(vec) != len(positions):
+        """The form of a vector ordered as `form_positions`, whose entries are
+        numbers or polynomials in the parameters."""
+        M, states = table.state_count, position_index(table.state_count)
+        if len(vec) != len(states):
             raise ContractViolation("coefficient vector has wrong length")
-        consts: dict = {}
-        entries = (
-            (p, v if isinstance(v, Poly) else consts.get(v) or consts.setdefault(v, table.const(v)))
-            for p, v in zip(positions, vec)
-            if v
-        )
-        return cls(table, tuple(entries))
+        constant = (0,) * len(table.names)
+        terms = {}
+        for (state, (_, factor)), v in zip(states.items(), vec):
+            if v:
+                for mono, c in v.terms.items() if isinstance(v, Poly) else ((constant, v),):
+                    terms[state + mono[M:]] = Fraction(c, factor) if factor == 2 else c
+        return cls(Poly(table, terms))
 
     @classmethod
     def from_gradient(cls, vector: Sequence[Poly]) -> "QuadraticForm":
-        """The form whose gradient is `vector`, read off its coefficients.
-
-        d_i, e_ij (i < j) and f_i are the x_i, x_j and state-free entries
-        of v_i's `split_by_state`; v_j's x_i entry equals e_ij for a
-        gradient and is not read.  A state degree above 1 raises.
-        """
-        M = len(vector)
-        found = []  # (index into form_positions(M): M d_i, then M(M-1)/2 e_ij, then M f_i; coefficient)
-        for i, v in enumerate(vector, 1):
-            for state, c in v.split_by_state().items():
-                if sum(state) > 1:
+        """The form whose gradient is `vector`: a term of v_i at state s is C's
+        term at s + e_i, halved when s = e_i, and one at x_j with j < i repeats
+        v_j's x_i term and is not read.  A state degree above 1 raises."""
+        M, states = len(vector), position_index(len(vector))
+        found: dict[int, dict] = {}  # position index -> C's terms there
+        for i, v in enumerate(vector):
+            for mono, c in v.terms.items():
+                state = mono[:M]
+                degree = sum(state)
+                if degree > 1:
                     raise ContractViolation("potential is not quadratic")
-                j = state.index(1) + 1 if any(state) else None
-                if j is None:
-                    found.append((M * (M + 1) // 2 + i - 1, c))
-                elif j == i:
-                    found.append((i - 1, c))
-                elif j > i:
-                    found.append((M + (i - 1) * (2 * M - i) // 2 + j - i - 1, c))
-        found.sort(key=itemgetter(0))
-        positions = form_positions(M)
-        return cls(vector[0].table, tuple((positions[k], c) for k, c in found))
+                if degree and state.index(1) < i:
+                    continue
+                state = state[:i] + (state[i] + 1,) + state[i + 1:]
+                k, factor = states[state]
+                found.setdefault(k, {})[state + mono[M:]] = Fraction(c, factor) if factor == 2 else c
+        return cls(Poly(vector[0].table, {m: c for k in sorted(found) for m, c in found[k].items()}))
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":
         return cls.from_numeric(table, [Fraction(1)] * table.state_count)
 
     @property
+    def table(self) -> VarTable:
+        return self.value.table
+
+    @property
     def M(self) -> int:
         return self.table.state_count
 
+    def _coefficient_terms(self):
+        """(position index, parameter monomial, coefficient) of each term of C."""
+        M, states = self.M, position_index(self.M)
+        for mono, c in self.value.terms.items():
+            k, factor = states[mono[:M]]
+            yield k, (0,) * M + mono[M:], c * factor
+
     def coeff_vector(self) -> list[Poly]:
         """The dense coefficient vector, ordered as `form_positions`."""
-        stored, zero = dict(self.entries), self.table.zero()
-        return [stored.get(p, zero) for p in form_positions(self.M)]
+        zero, found = self.table.zero(), [{} for _ in form_positions(self.M)]
+        for k, mono, c in self._coefficient_terms():
+            found[k][mono] = c
+        return [Poly(self.table, terms) if terms else zero for terms in found]
 
     def value_poly(self) -> Poly:
-        """C as one polynomial, its terms added position by position."""
-        half = Fraction(1, 2)
-        terms: dict = {}
-        for (i, j), c in self.entries:
-            for mono, a in c.terms.items():
-                exps = list(mono)
-                exps[i - 1] += 1
-                if j is not None:
-                    exps[j - 1] += 1
-                mono = tuple(exps)
-                terms[mono] = terms.get(mono, 0) + (a * half if j == i else a)
-        return Poly(self.table, terms)
+        """C as one polynomial, its terms in `form_positions` order."""
+        return self.value
 
     def gradient(self) -> list[Poly]:
-        value = self.value_poly()
-        return [value.diff(i) for i in range(self.M)]
+        return [self.value.diff(i) for i in range(self.M)]
 
     def time_derivative(self, field: VectorField) -> Poly:
         acc = self.table.zero()
@@ -144,26 +147,35 @@ class QuadraticForm:
         return acc
 
     def is_numeric(self) -> bool:
-        return all(c.total_degree() == 0 for _, c in self.entries)
+        return not any(any(mono[self.M:]) for mono in self.value.terms)
 
     def numeric_coeffs(self) -> list[Fraction]:
-        zero_mono = (0,) * len(self.table.names)
         if not self.is_numeric():
             raise ContractViolation("form has symbolic coefficients")
-        return [c.terms.get(zero_mono, 0) for c in self.coeff_vector()]
+        vec = [0] * len(form_positions(self.M))
+        for k, _, c in self._coefficient_terms():
+            vec[k] = c if c.denominator != 1 else c.numerator
+        return vec
 
     def instantiate(self, values: Mapping[str, Fraction]) -> "QuadraticForm":
-        instances = ((p, c.subs(values)) for p, c in self.entries)
-        return QuadraticForm(self.table, tuple((p, c) for p, c in instances if c))
+        """The named parameters replaced.  A key whose sum cancels and returns
+        moves only within its position's terms, the positions' states being disjoint."""
+        return QuadraticForm(self.value.subs(values))
 
     def normalized(self) -> "QuadraticForm":
         """Divided by the rational content of its coefficients, signed so the
-        first has a positive leading coefficient (`normalized_vector`)."""
-        coeffs = normalized_vector([c for _, c in self.entries])
-        return QuadraticForm(self.table, tuple(zip([p for p, _ in self.entries], coeffs)))
+        first has a positive leading coefficient (as `normalized_vector`)."""
+        terms = self.value.terms
+        if not terms:
+            return self
+        coeffs = [c for _, _, c in self._coefficient_terms()]
+        content = Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
+        M, first = self.M, next(iter(terms))[: self.M]
+        lead = max(takewhile(lambda mono: mono[:M] == first, terms), key=grlex_key)
+        return QuadraticForm(self.value.scale((-1 if terms[lead] < 0 else 1) / content))
 
     def __str__(self) -> str:
-        return str(self.value_poly())
+        return str(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +205,31 @@ class InvariantSystem:
 
 
 def build_system(g: Glom) -> InvariantSystem:
-    """Collect the coefficient of every state monomial in dC/dt."""
-    table = g.var_table
+    """Collect the coefficient of every state monomial in dC/dt.
+
+    f_i, d_i and e_ij contribute f_i, x_i*f_i and x_j*f_i + x_i*f_j, so a
+    term of f_i at state m lands in f_i's column at row m and, for each j,
+    in d_i's or e_ij's at row m + e_j; a cell's two halves are added, and
+    dropped if they cancel."""
     M = g.modes
-    field = assemble_field(g)
-    x = table.x
-    columns: list[Poly] = []  # contribution of each unknown to dC/dt
-    for i, j in form_positions(M):
-        if j is None:
-            columns.append(field[i - 1])
-        elif j == i:
-            columns.append(x(i) * field[i - 1])
-        else:
-            columns.append(x(j) * field[i - 1] + x(i) * field[j - 1])
-    # each column meets each state monomial once, with a nonzero coefficient
+    columns = {p: ci for ci, p in enumerate(form_positions(M))}
     rows: dict[tuple[int, ...], dict[int, Poly]] = {}
-    for ci, contribution in enumerate(columns):
-        for state_mono, coeff in contribution.split_by_state().items():
-            rows.setdefault(state_mono, {})[ci] = coeff
-    ordered = sorted(rows, key=grlex_key, reverse=True)
-    return InvariantSystem(PolyMatrix(table, len(columns), [rows[m] for m in ordered]), tuple(ordered))
+    for i, component in enumerate(assemble_field(g), 1):
+        parts = component.split_by_state().items()
+        ci = columns[i, None]
+        for state, coeff in parts:
+            rows.setdefault(state, {})[ci] = coeff
+        for j in range(M):
+            ci = columns[min(i, j + 1), max(i, j + 1)]
+            for state, coeff in parts:
+                row = rows.setdefault(state[:j] + (state[j] + 1,) + state[j + 1:], {})
+                total = coeff if (held := row.get(ci)) is None else held + coeff
+                if total:
+                    row[ci] = total
+                else:
+                    del row[ci]
+    ordered = sorted((m for m, row in rows.items() if row), key=grlex_key, reverse=True)
+    return InvariantSystem(PolyMatrix(g.var_table, len(columns), [rows[m] for m in ordered]), tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -391,8 +391,9 @@ def _gf2_nullspace(equations: list[int], n_bits: int) -> list[int]:
 # built-in models
 
 
-def generic_gyrostat(modes: tuple[int, int, int], **overrides: ParamSpec) -> Gyrostat:
-    params = {letter: ParamSpec.generic() for letter in SLOT_LETTERS}
+def generic_gyrostat(modes: tuple[int, int, int], index: int, **overrides: ParamSpec) -> Gyrostat:
+    """Gyrostat `index` of a model, its generic slots already named ("b2")."""
+    params = {letter: ParamSpec(_ONE, f"{letter}{index}") for letter in SLOT_LETTERS}
     params.update(overrides)
     return Gyrostat(modes, **params)
 
@@ -411,7 +412,8 @@ def dense_triples(K: int) -> tuple[tuple[int, int, int], ...]:
 
 def generic_model(triples: tuple[tuple[int, int, int], ...]) -> Glom:
     """A generic gyrostat on each triple, over modes 1 .. the largest index."""
-    return Glom(max(m for t in triples for m in t), tuple(generic_gyrostat(t) for t in triples))
+    gyrostats = tuple(generic_gyrostat(t, k) for k, t in enumerate(triples, 1))
+    return Glom(max(m for t in triples for m in t), gyrostats)
 
 
 BUILTIN_TRIPLES = {
@@ -436,7 +438,7 @@ def builtin_model(name: str, K: int | None = None) -> Glom:
         return model5_numeric()
     if name == "euler":
         zero = ParamSpec.zero()
-        return Glom(3, (generic_gyrostat((1, 2, 3), a=zero, b=zero, c=zero),))
+        return Glom(3, (generic_gyrostat((1, 2, 3), 1, a=zero, b=zero, c=zero),))
     if name in ("sparse", "dense"):
         if K is None or K < 1:
             raise ContractViolation(f"{name} models need K >= 1")

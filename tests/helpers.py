@@ -8,10 +8,11 @@ increments and recurrence flags from two whole-member Jacobi passes per
 step, the interpreted RK4 stepper that generated code must match, the
 symbolic nullspace by denominator clearing, the gcd of a monomial and
 generic_point without its even-rank and lift stops, a form's value polynomial
-summed position by position, and the sign-symmetry identity checked by
-substitution), the printed row and column labels of an invariant system,
-the dense view of a sparse PolyMatrix (`dense_matrix`, `dense_rows`), and
-the model sets the tests sweep (`reference_models`, `ladder_models`,
+summed position by position, the form stored as per-position coefficients,
+the invariant system assembled from Poly products, and the sign-symmetry
+identity checked by substitution), the printed row and column labels of an
+invariant system, the dense view of a sparse PolyMatrix (`dense_matrix`,
+`dense_rows`), and the model sets the tests sweep (`reference_models`, `ladder_models`,
 `random_glom`)."""
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from glomkit.errors import ContractViolation, IntegrationError
-from glomkit.exactmath import Poly, PolyMatrix, VarTable, linalg, monomial_str, poly_proportional
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, grlex_key, linalg, monomial_str, poly_proportional
 from glomkit.exactmath.linalg import (
     GENERIC_HIGH,
     GENERIC_LOW,
@@ -68,7 +70,8 @@ FAMILY_TOP_K = {"sparse": 6, "dense1": 6, "dense2": 6, "model4": 3, "model5": 5}
 def model_table(modes: int, gyrostats: int, extra: Sequence[str] = ()) -> VarTable:
     """The variable table of a model of `gyrostats` generic gyrostats over
     `modes` modes with the given extra symbols: x1..xM, a1..q1, a2..q2, ..."""
-    return Glom(modes, (generic_gyrostat((1, 2, 3)),) * gyrostats, tuple(extra)).var_table
+    gyros = tuple(generic_gyrostat((1, 2, 3), k) for k in range(1, gyrostats + 1))
+    return Glom(modes, gyros, tuple(extra)).var_table
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*^()])")
@@ -701,7 +704,7 @@ def random_glom(seed: int) -> Glom:
     rng = random.Random(seed)
     M = rng.randint(3, 7)
     triples = [tuple(rng.sample(range(1, M + 1), 3)) for _ in range(rng.randint(1, 4))]
-    g = Glom(M, tuple(generic_gyrostat(t) for t in triples))
+    g = Glom(M, tuple(generic_gyrostat(t, k) for k, t in enumerate(triples, 1)))
     return g.zeroed([name for name in g.slots() if rng.random() < 0.3])
 
 
@@ -752,10 +755,7 @@ def is_sign_symmetry(field: VectorField, signs: Sequence[int]) -> bool:
 
 def map_signs(form: QuadraticForm, signs: Sequence[int]) -> QuadraticForm:
     """The form x -> C(Sx) for a diagonal sign transformation S."""
-    mapped = []
-    for (i, j), c in form.entries:
-        mapped.append(((i, j), c.scale(signs[i - 1] * (1 if j is None else signs[j - 1]))))
-    return QuadraticForm(form.table, tuple(mapped))
+    return QuadraticForm(apply_signs(form.value_poly(), signs))
 
 
 def value_poly_reference(form: QuadraticForm) -> Poly:
@@ -773,6 +773,99 @@ def value_poly_reference(form: QuadraticForm) -> Poly:
             else:
                 acc = acc + c * x(i) * x(j)
     return acc
+
+
+@dataclass(frozen=True, slots=True)
+class EntriesForm:
+    """The reference for `QuadraticForm`: the form stored as (position,
+    coefficient) pairs of its nonzero coefficients in `form_positions`
+    order, each coefficient its own `Poly`, with the same readers."""
+
+    table: VarTable
+    entries: tuple[tuple[tuple[int, int | None], Poly], ...]
+
+    @classmethod
+    def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "EntriesForm":
+        positions = form_positions(table.state_count)
+        assert len(vec) == len(positions)
+        entries = ((p, v if isinstance(v, Poly) else table.const(v)) for p, v in zip(positions, vec) if v)
+        return cls(table, tuple(entries))
+
+    @classmethod
+    def from_gradient(cls, vector: Sequence[Poly]) -> "EntriesForm":
+        """d_i, e_ij (i < j) and f_i are the x_i, x_j and state-free entries
+        of v_i's `split_by_state`."""
+        M = len(vector)
+        index = {p: k for k, p in enumerate(form_positions(M))}
+        found = []
+        for i, v in enumerate(vector, 1):
+            for state, c in v.split_by_state().items():
+                if sum(state) > 1:
+                    raise ContractViolation("potential is not quadratic")
+                j = state.index(1) + 1 if any(state) else None
+                if j is None or j >= i:
+                    found.append(((i, j), c))
+        found.sort(key=lambda entry: index[entry[0]])
+        return cls(vector[0].table, tuple(found))
+
+    @property
+    def M(self) -> int:
+        return self.table.state_count
+
+    def coeff_vector(self) -> list[Poly]:
+        stored, zero = dict(self.entries), self.table.zero()
+        return [stored.get(p, zero) for p in form_positions(self.M)]
+
+    def value_poly(self) -> Poly:
+        terms: dict = {}
+        for (i, j), c in self.entries:
+            for mono, a in c.terms.items():
+                exps = list(mono)
+                exps[i - 1] += 1
+                if j is not None:
+                    exps[j - 1] += 1
+                mono = tuple(exps)
+                terms[mono] = terms.get(mono, 0) + (a * Fraction(1, 2) if j == i else a)
+        return Poly(self.table, terms)
+
+    def is_numeric(self) -> bool:
+        return all(c.total_degree() == 0 for _, c in self.entries)
+
+    def numeric_coeffs(self) -> list[Fraction]:
+        zero_mono = (0,) * len(self.table.names)
+        assert self.is_numeric()
+        return [c.terms.get(zero_mono, 0) for c in self.coeff_vector()]
+
+    def instantiate(self, values: Mapping[str, Fraction]) -> "EntriesForm":
+        instances = ((p, c.subs(values)) for p, c in self.entries)
+        return EntriesForm(self.table, tuple((p, c) for p, c in instances if c))
+
+    def normalized(self) -> "EntriesForm":
+        coeffs = normalized_vector([c for _, c in self.entries])
+        return EntriesForm(self.table, tuple(zip([p for p, _ in self.entries], coeffs)))
+
+
+def build_system_reference(g: Glom, field: VectorField | None = None) -> InvariantSystem:
+    """The invariant system from one `Poly` product per unknown (x_i*f_i for
+    d_i, x_j*f_i + x_i*f_j for e_ij, f_i for f_i), each split by state;
+    `field` stands in for g's own when given."""
+    table = g.var_table
+    field = field or assemble_field(g)
+    x = table.x
+    columns: list[Poly] = []
+    for i, j in form_positions(g.modes):
+        if j is None:
+            columns.append(field[i - 1])
+        elif j == i:
+            columns.append(x(i) * field[i - 1])
+        else:
+            columns.append(x(j) * field[i - 1] + x(i) * field[j - 1])
+    rows: dict[tuple[int, ...], dict[int, Poly]] = {}
+    for ci, contribution in enumerate(columns):
+        for state_mono, coeff in contribution.split_by_state().items():
+            rows.setdefault(state_mono, {})[ci] = coeff
+    ordered = sorted(rows, key=grlex_key, reverse=True)
+    return InvariantSystem(PolyMatrix(table, len(columns), [rows[m] for m in ordered]), tuple(ordered))
 
 
 def unknown_labels(M: int) -> list[str]:

@@ -182,6 +182,21 @@ def test_member_gyrostats_are_a_prefix_of_the_next_member(family):
             assert big.gyrostats[:K] == small.gyrostats, (family, K, constrained)
 
 
+@pytest.mark.parametrize("family", list(FAMILY_TOP_K))
+def test_member_builds_each_gyrostat_once(family, monkeypatch):
+    # generic_gyrostat names the slots itself, so the model keeps every
+    # gyrostat as built instead of rebuilding it to name placeholders
+    built = []
+    check = Gyrostat.__post_init__
+    monkeypatch.setattr(Gyrostat, "__post_init__", lambda self: (built.append(self), check(self))[1])
+    for K in range(1, FAMILY_MAX_K.get(family, 8) + 1):
+        for constrained in (False, True):
+            built.clear()
+            g = member(family, K, constrained)
+            assert len(built) == g.K == K, (family, K, constrained)
+            assert all(a is b for a, b in zip(built, g.gyrostats)), (family, K, constrained)
+
+
 def test_k1_member_is_single_gyrostat():
     for family in ("sparse", "dense1", "dense2", "model4", "model5"):
         g = member(family, 1)

@@ -1,11 +1,14 @@
+import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from glomkit import invariants
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import Poly, generic_rank, linalg
-from glomkit.exactmath.linalg import GENERIC_TRIALS
+from glomkit.exactmath.linalg import GENERIC_TRIALS, back_substitute, generic_point
 from glomkit.hamiltonian import casimirs
 from glomkit.invariants import (
     QuadraticForm,
@@ -15,6 +18,7 @@ from glomkit.invariants import (
     enumerate_subclasses,
     form_positions,
     monotonicity_check,
+    position_index,
     span_rank,
     sparse_feedback_free,
     sparse_invariants,
@@ -24,6 +28,7 @@ from glomkit.models import (
     Glom,
     Gyrostat,
     ParamSpec,
+    VectorField,
     assemble_field,
     builtin_model,
     find_sign_symmetries,
@@ -31,13 +36,19 @@ from glomkit.models import (
 )
 
 from helpers import (
+    EntriesForm,
+    build_system_reference,
     dense_rows,
+    ladder_models,
     map_signs,
     oracle_raw_count,
+    parse,
     parse_matrix,
+    random_glom,
     reference_models,
     restricted,
     row_by_label,
+    row_labels,
     sparse_normal_form_numeric,
     unknown_labels,
     value_poly_reference,
@@ -217,20 +228,117 @@ def test_one_elimination_of_the_system_per_trial(monkeypatch):
         assert shapes.count((system.rows, system.cols)) == eliminations
 
 
-def test_equal_numbers_of_a_form_share_one_constant():
-    table = builtin_model("sparse", 6).var_table
-    energy = QuadraticForm.energy(table)
-    assert len(energy.entries) == table.state_count
-    assert len({id(c) for _, c in energy.entries}) == 1
-    zeros = [0] * (len(form_positions(table.state_count)) - 4)
-    form = QuadraticForm.from_coeff_vector(table, [2, Fraction(2), 0, 3, *zeros])
-    assert [str(c) for _, c in form.entries] == ["2", "2", "3"]
-    assert form.entries[0][1] is form.entries[1][1]
+def test_a_numeric_form_is_one_polynomial():
+    g = builtin_model("sparse", 6)
+    forms = [*count_invariants(g, seed=0).basis, QuadraticForm.energy(g.var_table)]
+    for form in forms:
+        held = [o for o in gc.get_referents(form) if isinstance(o, Poly)]
+        assert len(held) == 1 and form.value_poly() is held[0]
+        assert form.is_numeric() and not any(isinstance(c, Poly) for c in held[0].terms.values())
+
+
+def _invariant_vectors(g: Glom) -> list[list]:
+    """The nullspace vectors that `count_invariants(g, seed=0)` packs into forms."""
+    rng = random.Random(0)
+    rng.randrange(1 << 30)
+    system = build_system(g)
+    return back_substitute(generic_point(system.matrix, rng)[1], system.cols)
+
+
+def _assert_same_form(form: QuadraticForm, ref: EntriesForm) -> None:
+    assert form.coeff_vector() == ref.coeff_vector()
+    assert list(form.value_poly().terms.items()) == list(ref.value_poly().terms.items())
+    assert form.is_numeric() == ref.is_numeric()
+    if ref.is_numeric():
+        assert form.numeric_coeffs() == ref.numeric_coeffs()
+        assert list(map(type, form.numeric_coeffs())) == list(map(type, ref.numeric_coeffs()))
+    assert form == QuadraticForm.from_coeff_vector(form.table, ref.coeff_vector())
+
+
+def test_forms_match_the_entries_reference():
+    # each reader of the value polynomial against the per-position
+    # coefficients it replaced, on the invariant bases and Casimirs
+    models = {**reference_models(), **{f"random{s}": random_glom(s) for s in range(16)}}
+    checked = 0
+    for name, g in models.items():
+        table = g.var_table
+        pairs = [
+            (QuadraticForm.from_coeff_vector(table, vec), EntriesForm.from_coeff_vector(table, vec))
+            for vec in _invariant_vectors(g)
+        ]
+        assert tuple(form for form, _ in pairs) == count_invariants(g, seed=0).basis, name
+        cs = casimirs(g)
+        gradients = [v for v, ok in zip(cs.nullspace_basis, cs.gradient_flags) if ok]
+        read = [(QuadraticForm.from_gradient(v), EntriesForm.from_gradient(v)) for v in gradients]
+        assert tuple(form.normalized() for form, _ in read) == cs.casimirs, name
+        pairs += read
+        point = {p: Fraction(k + 2, 3) for k, p in enumerate(table.param_names()[::2])}
+        for form, ref in pairs:
+            for f, r in ((form, ref), (form.normalized(), ref.normalized())):
+                _assert_same_form(f, r)
+                _assert_same_form(f.instantiate(point), r.instantiate(point))
+            checked += 1
+        for (a, ref_a), (b, ref_b) in itertools.combinations(pairs, 2):
+            assert (a == b) == (ref_a == ref_b), name
+    assert checked > 100
+    # the sign follows the leading term of the first coefficient (-a1*q1),
+    # neither its first term nor C's leading term (e1_2's)
+    table = builtin_model("model1").var_table
+    vec = [parse(table, "p1 - a1*q1"), 0, 0, 0, parse(table, "a1*b1*c1")]
+    vec += [0] * (len(form_positions(table.state_count)) - len(vec))
+    form, ref = QuadraticForm.from_coeff_vector(table, vec), EntriesForm.from_coeff_vector(table, vec)
+    _assert_same_form(form.normalized(), ref.normalized())
+    assert str(form.normalized()) == "-x1*x2*a1*b1*c1 + 1/2*x1^2*a1*q1 - 1/2*x1^2*p1"
+
+
+def test_instantiate_keeps_position_order_through_a_partial_cancellation():
+    # at a1 = b1 = 1 the constant of d1's coefficient cancels after two
+    # terms and returns with the fourth, so Poly.subs moves it behind p1's
+    # term; the instance must still list d1's terms before d2's and e1_2's,
+    # since dimension_probe's RK4 sums follow value_poly's order
+    table = builtin_model("model1").var_table
+    M, n = table.state_count, len(form_positions(table.state_count))
+    vec = [parse(table, "a1 - b1 + 2*p1 + 3*c1"), parse(table, "a1 + p1"), 0, 0, parse(table, "q1 - 5*c1")]
+    vec += [0] * (n - len(vec))
+    values = {"a1": 1, "b1": 1, "c1": Fraction(1, 3)}
+    ref = EntriesForm.from_coeff_vector(table, vec)
+    moved = list(ref.entries[0][1].subs(values).terms)
+    assert moved == [next(iter(table.var("p1").terms)), (0,) * len(table.names)]
+    instance = QuadraticForm.from_coeff_vector(table, vec).instantiate(values)
+    _assert_same_form(instance, ref.instantiate(values))
+    assert [position_index(M)[m[:M]][0] for m in instance.value_poly().terms] == [0, 0, 1, 1, 4, 4]
 
 
 def test_enumerate_rejects_a_repeated_name():
     with pytest.raises(ContractViolation, match="'b1'"):
         enumerate_subclasses(builtin_model("model1"), ["b1", "c1", "b1"], seed=0)
+
+
+def test_direct_assembly_matches_the_product_reference():
+    models = [
+        *reference_models().values(),
+        *ladder_models().values(),
+        *map(random_glom, range(16)),
+        builtin_model("sparse", 40),
+    ]
+    for g in models:
+        system, reference = build_system(g), build_system_reference(g)
+        assert system.row_monomials == reference.row_monomials
+        assert system.matrix.entries == reference.matrix.entries
+
+
+def test_direct_assembly_drops_a_cell_whose_halves_cancel(monkeypatch):
+    # a GLOM's f_i never holds x_i, so the halves x2*f1 and x1*f2 of e1_2's
+    # column never meet on one; in this field they meet at x1*x2 and cancel,
+    # and no other cell lies in that row
+    g = builtin_model("model1")
+    table = g.var_table
+    field = VectorField(table, tuple(parse(table, c) for c in ("a1*x1 + b1*x3", "-a1*x2", "0", "0")))
+    monkeypatch.setattr(invariants, "assemble_field", lambda _: field)
+    system, reference = build_system(g), build_system_reference(g, field)
+    assert system.row_monomials == reference.row_monomials
+    assert system.matrix.entries == reference.matrix.entries
+    assert "x1*x2" not in row_labels(system) and "x2*x3" in row_labels(system)
 
 
 def test_system_columns_forms_and_labels_share_one_layout():
@@ -265,21 +373,22 @@ def test_system_columns_forms_and_labels_share_one_layout():
         a = table.var(param)
         symbolic = [a.scale(s % 3) - table.const(s % 2) for s in range(n)]
         units = [[int(t == s) for t in range(n)] for s in range(n)]
-        index = {p: k for k, p in enumerate(form_positions(M))}
+        states = position_index(M)
         for vec in [[0] * n, symbolic, *units]:
             form = QuadraticForm.from_coeff_vector(table, vec)
-            keys = [index[p] for p, _ in form.entries]
-            assert keys == sorted(set(keys)) and all(c for _, c in form.entries)
+            keys = [states[mono[:M]][0] for mono in form.value_poly().terms]
+            assert keys == sorted(keys) and len(set(keys)) == sum(map(bool, vec))
             assert form.coeff_vector() == [v if isinstance(v, Poly) else table.const(v) for v in vec]
             assert QuadraticForm.from_gradient(form.gradient()) == form
             instance = form.instantiate({param: 1})
             dense = [c.subs({param: 1}) for c in form.coeff_vector()]
             assert instance == QuadraticForm.from_coeff_vector(table, dense)
         zero = QuadraticForm.from_coeff_vector(table, [0] * n)
-        assert (zero.entries, zero.value_poly(), str(zero)) == ((), table.zero(), "0")
+        assert (zero.value_poly(), str(zero)) == (table.zero(), "0")
         assert zero.gradient() == [table.zero()] * M
         form = QuadraticForm.from_coeff_vector(table, symbolic)
-        assert len(form.instantiate({param: 1}).entries) < len(form.entries) < n
+        instance = form.instantiate({param: 1})
+        assert sum(map(bool, instance.coeff_vector())) < sum(map(bool, form.coeff_vector())) < n
 
 
 def test_value_poly_adds_its_terms_position_by_position():
@@ -305,7 +414,8 @@ def test_sparse_invariant_counts_grow_linearly():
 def test_sparse_basis_has_no_linear_or_mixed_terms():
     for K in range(1, 5):
         for form in sparse_invariants(K, seed=4):
-            assert all(j == i for (i, j), _ in form.entries)
+            coeffs = zip(form_positions(form.M), form.coeff_vector())
+            assert all(j == i for (i, j), c in coeffs if c)
 
 
 def test_sparse_normal_forms_lie_in_basis_span():

@@ -201,8 +201,8 @@ def test_nullspace_symbolic_matches_reference(monkeypatch):
         models[f"model5_K3_{constrained}"] = member("model5", 3, constrained)
     # J with empty rows (mode 4; mode 5), so Bareiss drops a zero row and
     # breaks ties between rows that were not adjacent in J
-    models["empty_row_M4"] = Glom(4, (generic_gyrostat((1, 2, 3)),))
-    models["empty_row_M6"] = Glom(6, (generic_gyrostat((1, 2, 3)), generic_gyrostat((2, 4, 6))))
+    models["empty_row_M4"] = Glom(4, (generic_gyrostat((1, 2, 3), 1),))
+    models["empty_row_M6"] = Glom(6, (generic_gyrostat((1, 2, 3), 1), generic_gyrostat((2, 4, 6), 2)))
     eliminated = set()
     for name, g in models.items():
         J = build_J(g)

@@ -280,7 +280,7 @@ def test_a_model_rebuilds_only_the_gyrostats_with_placeholders():
     assert all(spec.symbol != "?" for spec in g.slots().values())
     assert all(a is b for a, b in zip(Glom(g.modes, g.gyrostats).gyrostats, g.gyrostats))
     named = builtin_model("model1").gyrostats[0]
-    raw = generic_gyrostat((2, 3, 4), q=ParamSpec.zero())
+    raw = Gyrostat((2, 3, 4), *[ParamSpec.generic()] * 4, q=ParamSpec.zero())
     h = Glom(4, (named, raw))
     assert h.gyrostats[0] is named and h.gyrostats[1] != raw
     assert [str(h.gyrostats[1].param(letter)) for letter in "abcpq"] == ["a2", "b2", "c2", "p2", "0"]
@@ -292,8 +292,8 @@ def test_custom_symbol_with_own_index_is_an_extra():
     g = Glom(
         4,
         (
-            generic_gyrostat((1, 2, 3), c=ParamSpec.scaled("z1", 1), q=ParamSpec.scaled("a1", 2)),
-            generic_gyrostat((2, 3, 4), b=ParamSpec.scaled("b1", -1)),
+            generic_gyrostat((1, 2, 3), 1, c=ParamSpec.scaled("z1", 1), q=ParamSpec.scaled("a1", 2)),
+            generic_gyrostat((2, 3, 4), 2, b=ParamSpec.scaled("b1", -1)),
         ),
     )
     assert g.extra_symbols == ("z1", "b1")
@@ -328,10 +328,10 @@ def test_model_refuses_a_symbol_its_config_echo_cannot_name(symbol, coeff):
     # not parse back, whether a slot or extra_symbols names the symbol
     message = rf"^extra symbol {re.escape(repr(symbol))} is not a parameter symbol$"
     with pytest.raises(ContractViolation, match=message):
-        Glom(3, (generic_gyrostat((1, 2, 3)),), extra_symbols=(symbol,))
-    gyro = generic_gyrostat((2, 3, 4), b=ParamSpec.scaled(symbol, coeff))
+        Glom(3, (generic_gyrostat((1, 2, 3), 1),), extra_symbols=(symbol,))
+    gyro = generic_gyrostat((2, 3, 4), 2, b=ParamSpec.scaled(symbol, coeff))
     with pytest.raises(ContractViolation, match=r"^b2: .* is not a parameter symbol$"):
-        Glom(4, (generic_gyrostat((1, 2, 3)), gyro))
+        Glom(4, (generic_gyrostat((1, 2, 3), 1), gyro))
     with pytest.raises(ContractViolation, match=r"^b2: "):
         builtin_model("model1").with_params({"b2": ParamSpec.scaled(symbol, coeff)})
 
