@@ -11,9 +11,9 @@ particular model structures emerges from the algebra instead of being
 imposed per configuration.  Constant terms are excluded from candidates
 because constants are invariants of any flow.
 
-`form_positions` owns the candidate layout: the system's columns and
-every QuadraticForm coefficient read or write follow it.  A form is
-stored as its value polynomial C, whose terms hold its nonzero coefficients.
+`column` gives the candidate layout in closed form, `form_positions` lists
+it: the system's columns and every QuadraticForm coefficient follow it.  A
+form is stored as its value polynomial C, whose terms hold its nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -46,14 +46,19 @@ def form_positions(M: int) -> tuple[tuple[int, int | None], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def position_index(M: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The state monomial of each `form_positions` entry -> (its index, the
-    factor from C's coefficient to the entry: 2 for d_i at x_i^2, else 1)."""
-    return {
-        tuple((m == i) + (m == j) for m in range(1, M + 1)): (k, 2 if j == i else 1)
-        for k, (i, j) in enumerate(form_positions(M))
-    }
+def column(i: int, j: int | None, M: int) -> int:
+    """The index in `form_positions(M)` of d_i, e_ij or f_i (j = i, i < j, None), modes from 0."""
+    if j is None:
+        return M * (M + 1) // 2 + i
+    return i if j == i else M + i * (2 * M - i - 1) // 2 + j - i - 1
+
+
+def position_index(state: tuple[int, ...]) -> tuple[int, int]:
+    """The `column` of the state x_i^2, x_i*x_j or x_i, and the factor 2 from C to d_i (else 1)."""
+    if 2 in state:
+        return column(state.index(2), state.index(2), len(state)), 2
+    i = state.index(1)
+    return column(i, state.index(1, i + 1) if 1 in state[i + 1:] else None, len(state)), 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,15 +80,16 @@ class QuadraticForm:
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
         """The form of a vector ordered as `form_positions`, whose entries are
         numbers or polynomials in the parameters."""
-        M, states = table.state_count, position_index(table.state_count)
-        if len(vec) != len(states):
+        M, positions = table.state_count, form_positions(table.state_count)
+        if len(vec) != len(positions):
             raise ContractViolation("coefficient vector has wrong length")
         constant = (0,) * len(table.names)
         terms = {}
-        for (state, (_, factor)), v in zip(states.items(), vec):
+        for (i, j), v in zip(positions, vec):
             if v:
+                state = tuple((m == i) + (m == j) for m in range(1, M + 1))
                 for mono, c in v.terms.items() if isinstance(v, Poly) else ((constant, v),):
-                    terms[state + mono[M:]] = Fraction(c, factor) if factor == 2 else c
+                    terms[state + mono[M:]] = Fraction(c, 2) if j == i else c
         return cls(Poly(table, terms))
 
     @classmethod
@@ -91,7 +97,7 @@ class QuadraticForm:
         """The form whose gradient is `vector`: a term of v_i at state s is C's
         term at s + e_i, halved when s = e_i, and one at x_j with j < i repeats
         v_j's x_i term and is not read.  A state degree above 1 raises."""
-        M, states = len(vector), position_index(len(vector))
+        M = len(vector)
         found: dict[int, dict] = {}  # position index -> C's terms there
         for i, v in enumerate(vector):
             for mono, c in v.terms.items():
@@ -102,7 +108,7 @@ class QuadraticForm:
                 if degree and state.index(1) < i:
                     continue
                 state = state[:i] + (state[i] + 1,) + state[i + 1:]
-                k, factor = states[state]
+                k, factor = position_index(state)
                 found.setdefault(k, {})[state + mono[M:]] = Fraction(c, factor) if factor == 2 else c
         return cls(Poly(vector[0].table, {m: c for k in sorted(found) for m, c in found[k].items()}))
 
@@ -120,9 +126,9 @@ class QuadraticForm:
 
     def _coefficient_terms(self):
         """(position index, parameter monomial, coefficient) of each term of C."""
-        M, states = self.M, position_index(self.M)
+        M = self.M
         for mono, c in self.value.terms.items():
-            k, factor = states[mono[:M]]
+            k, factor = position_index(mono[:M])
             yield k, (0,) * M + mono[M:], c * factor
 
     def coeff_vector(self) -> list[Poly]:
@@ -212,15 +218,14 @@ def build_system(g: Glom) -> InvariantSystem:
     in d_i's or e_ij's at row m + e_j; a cell's two halves are added, and
     dropped if they cancel."""
     M = g.modes
-    columns = {p: ci for ci, p in enumerate(form_positions(M))}
     rows: dict[tuple[int, ...], dict[int, Poly]] = {}
-    for i, component in enumerate(assemble_field(g), 1):
+    for i, component in enumerate(assemble_field(g)):
         parts = component.split_by_state().items()
-        ci = columns[i, None]
+        ci = column(i, None, M)
         for state, coeff in parts:
             rows.setdefault(state, {})[ci] = coeff
         for j in range(M):
-            ci = columns[min(i, j + 1), max(i, j + 1)]
+            ci = column(min(i, j), max(i, j), M)
             for state, coeff in parts:
                 row = rows.setdefault(state[:j] + (state[j] + 1,) + state[j + 1:], {})
                 total = coeff if (held := row.get(ci)) is None else held + coeff
@@ -229,7 +234,7 @@ def build_system(g: Glom) -> InvariantSystem:
                 else:
                     del row[ci]
     ordered = sorted((m for m, row in rows.items() if row), key=grlex_key, reverse=True)
-    return InvariantSystem(PolyMatrix(g.var_table, len(columns), [rows[m] for m in ordered]), tuple(ordered))
+    return InvariantSystem(PolyMatrix(g.var_table, M * (M + 3) // 2, [rows[m] for m in ordered]), tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from glomkit import invariants
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import Poly, generic_rank, linalg
+from glomkit.exactmath import Poly, VarTable, generic_rank, linalg
 from glomkit.exactmath.linalg import GENERIC_TRIALS, back_substitute, generic_point
 from glomkit.hamiltonian import casimirs
 from glomkit.invariants import (
@@ -306,7 +307,7 @@ def test_instantiate_keeps_position_order_through_a_partial_cancellation():
     assert moved == [next(iter(table.var("p1").terms)), (0,) * len(table.names)]
     instance = QuadraticForm.from_coeff_vector(table, vec).instantiate(values)
     _assert_same_form(instance, ref.instantiate(values))
-    assert [position_index(M)[m[:M]][0] for m in instance.value_poly().terms] == [0, 0, 1, 1, 4, 4]
+    assert [position_index(m[:M])[0] for m in instance.value_poly().terms] == [0, 0, 1, 1, 4, 4]
 
 
 def test_enumerate_rejects_a_repeated_name():
@@ -373,10 +374,9 @@ def test_system_columns_forms_and_labels_share_one_layout():
         a = table.var(param)
         symbolic = [a.scale(s % 3) - table.const(s % 2) for s in range(n)]
         units = [[int(t == s) for t in range(n)] for s in range(n)]
-        states = position_index(M)
         for vec in [[0] * n, symbolic, *units]:
             form = QuadraticForm.from_coeff_vector(table, vec)
-            keys = [states[mono[:M]][0] for mono in form.value_poly().terms]
+            keys = [position_index(mono[:M])[0] for mono in form.value_poly().terms]
             assert keys == sorted(keys) and len(set(keys)) == sum(map(bool, vec))
             assert form.coeff_vector() == [v if isinstance(v, Poly) else table.const(v) for v in vec]
             assert QuadraticForm.from_gradient(form.gradient()) == form
@@ -389,6 +389,30 @@ def test_system_columns_forms_and_labels_share_one_layout():
         form = QuadraticForm.from_coeff_vector(table, symbolic)
         instance = form.instantiate({param: 1})
         assert sum(map(bool, instance.coeff_vector())) < sum(map(bool, form.coeff_vector())) < n
+    # the closed form agrees with the enumerated layout, up to the sparse
+    # K=60 member's M = 121
+    for M in (*range(1, 13), 121):
+        for k, (i, j) in enumerate(form_positions(M)):
+            state = tuple((m == i) + (m == j) for m in range(1, M + 1))
+            assert position_index(state) == (k, 2 if j == i else 1)
+            assert invariants.column(i - 1, None if j is None else j - 1, M) == k
+
+
+def test_position_lookup_keeps_no_table_per_mode_count():
+    # a form's readers find each term's position in closed form, so a round
+    # trip at M = 200 touches a few terms, not a table of its 20,300 positions
+    table = VarTable([f"x{i}" for i in range(1, 201)] + ["a"], 200)
+    n = len(form_positions(200))
+    vec = [0] * n
+    vec[3], vec[n - 1] = table.var("a"), 5
+    tracemalloc.start()
+    try:
+        form = QuadraticForm.from_coeff_vector(table, vec)
+        assert QuadraticForm.from_gradient(form.gradient()) == form
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_value_poly_adds_its_terms_position_by_position():
