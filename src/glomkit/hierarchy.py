@@ -207,6 +207,8 @@ def projection_consistency(
     """Is the big gradient, restricted to the small model's modes with the
     absent parameters zeroed, collinear with the small gradient?"""
     m_small = len(casimir_small)
+    if not m_small:
+        raise ContractViolation("gradients must not be empty")
     if m_small > len(casimir_big):
         raise ContractViolation("first vector must belong to the larger model")
     zeros = {name: 0 for name in absent_params}
@@ -253,21 +255,10 @@ def _projection_zero_set(slice_polys: list[Poly], absent: set[str]) -> set[str]:
     occurs in only some components genuinely obstructs collinearity and is
     the kind the projection rule sets to zero.
     """
-    per_comp = [
-        {v.table.names[i] for i in v.variables()} & absent for v in slice_polys if v
-    ]
+    per_comp = [{v.table.names[i] for i in v.variables()} & absent for v in slice_polys if v]
     if not per_comp:
         return set()
-    everywhere = set.intersection(*per_comp)
-    somewhere = set.union(*per_comp)
-    return somewhere - everywhere
-
-
-def _projects_onto(big: list[Poly], small: list[Poly], absent: set[str]) -> bool:
-    if projection_consistency(big, small, frozenset()):
-        return True
-    zeros = _projection_zero_set(big[: len(small)], absent)
-    return bool(zeros) and projection_consistency(big, small, zeros)
+    return set.union(*per_comp) - set.intersection(*per_comp)
 
 
 def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
@@ -276,12 +267,19 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
 
     Projection consistency compares each member with the latest earlier
     member owning Casimirs: every earlier gradient must be collinear with
-    the restriction of some current gradient (zeroing the absent non-factor
-    parameters where the plain restriction is not already collinear).
+    the restriction of some current gradient, with the absent parameters
+    that occur in some but not all of its components zeroed.
+
+    One zeroed test per pair decides what the plain restriction would too.
+    The earlier gradient s is primitive (`nullspace_symbolic` divides by the
+    gcd), so a plain restriction collinear with s is lambda*s for some
+    polynomial lambda.  An absent parameter in lambda occurs in every nonzero
+    component, so the zero set never holds it; s holds no absent parameter;
+    so zeroing keeps lambda*s.  With an empty zero set the tests coincide.
     """
     reports: list[MemberReport] = []
-    # the latest earlier member owning Casimirs, with its Casimir set
-    last: tuple[Glom, CasimirSet] | None = None
+    # the latest earlier member owning Casimirs: its parameter names and Casimir set
+    last: tuple[tuple[str, ...], CasimirSet] | None = None
     for K, g in enumerate(generate(spec), start=1):
         J = build_J(g)
         report = jacobi(J)
@@ -291,13 +289,16 @@ def hierarchy_report(spec: HierarchySpec) -> HierarchyReport:
             inc = IncrementalJacobi(report.aggregate - reports[-1].jacobi.aggregate.remapped(g.var_table))
         consistent: bool | None = None
         if cas.count and last is not None:
-            small_glom, small_cas = last
-            absent = set(g.var_table.param_names()) - set(small_glom.var_table.param_names())
+            small_params, small_cas = last
+            absent = set(g.var_table.param_names()) - set(small_params)
             consistent = all(
-                any(_projects_onto(list(big), list(small), absent) for big in cas.gradients())
+                any(
+                    projection_consistency(big, small, _projection_zero_set(big[: len(small)], absent))
+                    for big in cas.gradients()
+                )
                 for small in small_cas.gradients()
             )
         reports.append(MemberReport(K, g.modes, report, cas, inc, consistent))
         if cas.count:
-            last = (g, cas)
+            last = (g.var_table.param_names(), cas)
     return HierarchyReport(spec, tuple(reports))

@@ -93,14 +93,12 @@ def _compile_poly(poly, assignment: Mapping[str, Fraction]) -> list[Term]:
     leftover = resolved.parameter_names()
     if leftover:
         raise ContractViolation(f"unresolved parameters: {sorted(leftover)}")
-    merged: dict[tuple[int, ...], Fraction] = {}
+    # no parameter is left, so distinct terms have distinct state monomials
+    terms = []
     for mono, coeff in resolved.terms.items():
-        idx = []
-        for i in range(M):
-            idx.extend([i] * mono[i])
-        key = tuple(idx)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    return [(_to_float(c, idx), idx) for idx, c in merged.items() if c]
+        idx = tuple(i for i in range(M) for _ in range(mono[i]))
+        terms.append((_to_float(coeff, idx), idx))
+    return terms
 
 
 def _to_float(c: Fraction, idx: tuple[int, ...]) -> float:

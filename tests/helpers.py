@@ -5,8 +5,9 @@ independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
 bilinear Jacobi residual, the O(M^2) gradient test, the hierarchy
 increments and recurrence flags from two whole-member Jacobi passes per
-step, the interpreted RK4 stepper that generated code must match, the
-symbolic nullspace by denominator clearing, the gcd of a monomial and
+step, the two-attempt Casimir projection rule, the interpreted RK4
+stepper that generated code must match, the symbolic nullspace by
+denominator clearing, the gcd of a monomial and
 generic_point without its even-rank and lift stops, a form's value polynomial
 summed position by position, the form stored as per-position coefficients,
 the invariant system assembled from Poly products, and the sign-symmetry
@@ -41,7 +42,7 @@ from glomkit.exactmath.linalg import (
 )
 from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import build_J, casimirs, jacobi
-from glomkit.hierarchy import FAMILY_STRIDE, member
+from glomkit.hierarchy import FAMILY_STRIDE, member, projection_consistency
 from glomkit.invariants import (
     InvariantSystem,
     QuadraticForm,
@@ -304,6 +305,18 @@ def check_recurrence_reference(family: str, k_max: int) -> bool:
         if not poly_proportional(shifted, nxt):
             return False
     return True
+
+
+def projects_onto_reference(big: list[Poly], small: list[Poly], absent: set[str]) -> bool:
+    """The two-attempt projection rule: the plain restriction of `big` to
+    `small`'s modes first; where that is not collinear with `small`, the
+    restriction with the absent parameters zeroed that occur in some but
+    not all of its nonzero components."""
+    if projection_consistency(big, small):
+        return True
+    per_comp = [{v.table.names[i] for i in v.variables()} & absent for v in big[: len(small)] if v]
+    zeros = set().union(*per_comp) - set.intersection(*per_comp) if per_comp else set()
+    return bool(zeros) and projection_consistency(big, small, zeros)
 
 
 def family_constraints_reference(family: str, K: int) -> dict[str, ParamSpec]:

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from glomkit.errors import ContractViolation, EnergyViolation
-from glomkit.exactmath import poly_proportional, proportional
+from glomkit.exactmath import linalg, poly_proportional, proportional
+from glomkit.exactmath.poly import normalized_vector
 from glomkit.hierarchy import (
     FAMILY_MAX_K,
     HierarchySpec,
@@ -27,6 +28,7 @@ from helpers import (
     incremental_jacobi_reference,
     parse,
     parse_vector,
+    projects_onto_reference,
     triple_residual as bilinear_residual,
 )
 
@@ -420,3 +422,39 @@ def test_projection_consistency_identical_vectors():
     table = member("sparse", 1).var_table
     v = parse_vector(table, SPARSE_GRADIENTS[1])
     assert projection_consistency(v, v)
+
+
+def test_projection_consistency_refuses_empty_vectors():
+    v = parse_vector(member("sparse", 1).var_table, SPARSE_GRADIENTS[1])
+    for big, small in (([], []), (v, [])):
+        with pytest.raises(ContractViolation, match="^gradients must not be empty$"):
+            projection_consistency(big, small)
+
+
+@pytest.mark.parametrize(
+    "family, K, constrained",
+    [(f, K, c) for f, K in FAMILY_TOP_K.items() for c in (True, False)]
+    + [("dense1", 12, True), ("dense2", 12, True)],
+)
+def test_one_zeroed_projection_test_matches_the_two_attempt_rule(family, K, constrained):
+    # the report tests each pair once, with the non-factor absent parameters
+    # zeroed; the reference tries the plain restriction first.  They agree
+    # because every earlier gradient is primitive, the premise checked here
+    rep = hierarchy_report(HierarchySpec(family, K, constrained))
+    expected, last = [], None
+    for m, g in zip(rep.members, generate(rep.spec)):
+        flag = None
+        for v in m.casimir_set.gradients():
+            assert not linalg._gcd_all(p for p in v if p).total_degree(), (family, m.K)
+            assert normalized_vector(v) == v, (family, m.K)
+        if m.casimir_count and last is not None:
+            small_g, small_cas = last
+            absent = set(g.var_table.param_names()) - set(small_g.var_table.param_names())
+            flag = all(
+                any(projects_onto_reference(big, small, absent) for big in m.casimir_set.gradients())
+                for small in small_cas.gradients()
+            )
+        expected.append(flag)
+        if m.casimir_count:
+            last = (g, m.casimir_set)
+    assert [m.projection_consistent for m in rep.members] == expected
