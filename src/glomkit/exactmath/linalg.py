@@ -47,11 +47,11 @@ import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, attrgetter, neg, sub
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
-from .poly import Poly, PolyMatrix, normalized_vector
+from .poly import FIELD_MASK, Monomial, Poly, PolyMatrix, normalized_vector
 
 # Range for the random integer values that generic_point gives every
 # variable of a matrix (count_invariants, independent_count, the
@@ -202,7 +202,8 @@ def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[dict[int, Frac
     occurs without a value raises ContractViolation.
     """
     out = []
-    powers: dict[tuple[int, ...], int] = {}  # value of each monomial met so far
+    factors = m.table.factors
+    powers: dict[Monomial, int] = {}  # value of each monomial met so far
     for row in m.entries:
         vals: dict[int, Fraction | int] = {}
         for c, e in row.items():
@@ -211,7 +212,7 @@ def evaluate_at(m: PolyMatrix, values: Mapping[int, int]) -> list[dict[int, Frac
                 pv = powers.get(mono)
                 if pv is None:
                     try:
-                        pv = prod(values[i] ** k for i, k in enumerate(mono) if k)
+                        pv = prod(values[i] ** k for i, k in factors(mono))
                     except KeyError as exc:
                         name = m.table.names[exc.args[0]]
                         raise ContractViolation(f"no value for variable {name!r}") from None
@@ -287,7 +288,7 @@ def _kernel_lifts(m: PolyMatrix, pivots: Mapping[int, Mapping[int, int]]) -> boo
     vectors = back_substitute(pivots, m.cols)
     for row in m.entries:
         for vec in vectors:
-            residual: dict[tuple[int, ...], Fraction | int] = {}
+            residual: dict[Monomial, Fraction | int] = {}
             for c, e in row.items():
                 if w := vec[c]:
                     for mono, coef in e.terms.items():
@@ -318,30 +319,33 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     table = a.table
     b_lead = b.leading_monomial()
     b_coeff = b.terms[b_lead]
-    quotient: dict[tuple[int, ...], Fraction] = {}
+    quotient: dict[Monomial, Fraction] = {}
     rest = dict(a.terms)
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rest]  # largest monomial first
+    heap = [-m for m in rest]  # largest monomial first
     heapq.heapify(heap)
     while rest:
-        lead = heapq.heappop(heap)[2]
+        lead = -heapq.heappop(heap)
         if lead not in rest:  # cancelled after it was pushed
             continue
-        q_mono = tuple(map(sub, lead, b_lead))
-        if min(q_mono) < 0:
+        q_mono = table.quotient(lead, b_lead)
+        if q_mono is None:
             raise ContractViolation("polynomial division is not exact")
         q_coeff, r = divmod(rest[lead], b_coeff)  # an int whenever it is integral
         if r:
             q_coeff = Fraction(rest[lead], b_coeff)
         quotient[q_mono] = q_coeff
+        fold = 0
         for m, c in b.terms.items():
-            t = tuple(map(add, q_mono, m))
+            t = q_mono + m
+            fold |= t
             if t not in rest:
-                heapq.heappush(heap, (-sum(t), tuple(map(neg, t)), t))
+                heapq.heappush(heap, -t)
             s = rest.get(t, 0) - q_coeff * c
             if s:
                 rest[t] = s
             else:
                 rest.pop(t, None)
+        table.check_exponents(fold)
     return Poly(table, quotient)
 
 
@@ -484,12 +488,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if not a.total_degree():
         return a.table.const(1)
+    table = a.table
     if len(a.terms) == 1:
-        return Poly(a.table, {tuple(map(min, *a.terms, *b.terms)): 1})
+        (mono,) = a.terms
+        least = 0
+        for i, e in table.factors(mono):
+            shift = table.shift(i)
+            least += min(e, *(m >> shift & FIELD_MASK for m in b.terms)) * table.unit(i)
+        return Poly(table, {least: 1})
     with contextlib.suppress(ContractViolation):
         divide_exact(b, a)
         return a.normalized()
-    da, db = ({i: max(mono[i] for mono in p.terms) for i in p.variables()} for p in (a, b))
+    da, db = _degrees(a), _degrees(b)
     if lone := da.keys() ^ db.keys():
         i = min(lone)
         p, q = (a, b) if i in da else (b, a)
@@ -500,15 +510,23 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     pa, pb = sorted((_primitive_in_var(pa), _primitive_in_var(pb)), key=max, reverse=True)
     while max(pb) and (r := _prem(pa, pb)):
         pa, pb = pb, _primitive_in_var(r)
-    xi = a.table.var(a.table.names[i])
-    return (g * sum((c * xi**k for k, c in pb.items()), a.table.zero())).normalized()
+    xi = table.var(table.names[i])
+    return (g * sum((c * xi**k for k, c in pb.items()), table.zero())).normalized()
+
+
+def _degrees(p: Poly) -> dict[int, int]:
+    """The degree of p in each variable that occurs in it."""
+    shift = p.table.shift
+    return {i: max(m >> s & FIELD_MASK for m in p.terms) for i in p.variables() for s in (shift(i),)}
 
 
 def _in_var(p: Poly, i: int) -> dict[int, Poly]:
     """p as a polynomial in variable i: degree -> coefficient free of it."""
-    parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    shift, unit = p.table.shift(i), p.table.unit(i)
+    parts: dict[int, dict[Monomial, Fraction]] = {}
     for mono, c in p.terms.items():
-        parts.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1:]] = c
+        e = mono >> shift & FIELD_MASK
+        parts.setdefault(e, {})[mono - e * unit] = c
     return {k: Poly(p.table, t) for k, t in parts.items()}
 
 
@@ -535,10 +553,13 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
 def proportional(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:
     """True iff two polynomial vectors are parallel.
 
-    The zero patterns must agree.  Then, for one index k where both are
-    nonzero, v1 is parallel to v2 iff v1_i * v2_k == v2_i * v1_k for every
-    i; k is the index whose two entries have the fewest terms together.
-    Two all-zero vectors count as proportional by convention.
+    The zero patterns must agree.  Then take one index k where both are
+    nonzero, the one whose two entries have the fewest terms together.  If
+    v2_k divides v1_k exactly, with quotient q, v1 is parallel to v2 iff
+    v1_i == q * v2_i for every i: the ratio of parallel vectors is v1_k / v2_k.
+    Likewise with the roles swapped.  Else, v1 is parallel to v2 iff
+    v1_i * v2_k == v2_i * v1_k for every i.  Two all-zero vectors count as
+    proportional by convention.
     """
     if len(v1) != len(v2):
         raise ContractViolation("vectors must have equal length")
@@ -546,6 +567,14 @@ def proportional(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:
         return False
     nonzero = [i for i, a in enumerate(v1) if a]
     k = min(nonzero, key=lambda i: len(v1[i].terms) + len(v2[i].terms), default=None)
+    if k is None:
+        return True
+    for a, b in ((v1, v2), (v2, v1)):
+        try:
+            q = divide_exact(a[k], b[k])
+        except ContractViolation:
+            continue
+        return all(a[i] == q * b[i] for i in nonzero if i != k)
     return all(v1[i] * v2[k] == v2[i] * v1[k] for i in nonzero if i != k)
 
 

@@ -1,11 +1,24 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to rational coefficients, each
+A polynomial is a map from monomials to rational coefficients, each
 stored as an int when it is integral and as a Fraction otherwise.
-Exponent tuples run over the variables of a VarTable: an ordered list
-of names whose first `state_count` entries are the state variables and
-whose rest are parameter symbols.  The caller fixes the names and their
-order.
+Monomials run over the variables of a VarTable: an ordered list of names
+whose first `state_count` entries are the state variables and whose rest
+are parameter symbols.  The caller fixes the names and their order.
+
+A monomial is one packed int (after Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007): a FIELD_BITS-wide field per variable, variable 0 in the most
+significant one, and the total degree in an unbounded field above them
+all.  Each field holds an exponent of at most EXPONENT_MAX and a guard
+bit on top, which is clear in every stored monomial.  So int order is
+graded lexicographic order (`grlex_key` of the exponent tuples), a
+product of monomials is one int addition, whose guard bits show an
+exponent that outgrew its field, and b divides a iff (a with its guard
+bits set) - b keeps every guard bit.
+The table packs, unpacks and splits monomials (`pack`, `unpack`,
+`factors`, `split`); every product that raises an exponent passes
+`VarTable.check_exponents`, which refuses an exponent above EXPONENT_MAX.
 
 Zero coefficients are never stored, so equal polynomials always hold
 identical maps.  The monomial order used for display, pivot selection
@@ -16,17 +29,26 @@ before parameters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
-from typing import Iterable, Mapping
+from operator import or_
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
 
-Monomial = tuple[int, ...]
+Monomial = int
+
+# Width of a variable's field in a packed monomial: the exponent bits and
+# the guard bit.  One byte, so `pack`, `unpack` and `split` convert through
+# `bytes`; wider fields also make every monomial operation slower.
+FIELD_BITS = 8
+FIELD_MASK = (1 << FIELD_BITS) - 1
+EXPONENT_MAX = FIELD_MASK >> 1
 
 
-def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
-    """Sort key for graded lexicographic order (larger key = larger monomial)."""
+def grlex_key(mono: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of an exponent tuple for graded lexicographic order (larger
+    key = larger monomial): the order of the packed ints."""
     return (sum(mono), mono)
 
 
@@ -34,9 +56,18 @@ class VarTable:
     """Ordered registry of state variables and parameter symbols: the
     first `state_count` names are the state variables, the rest parameters.
     A table is never changed, so polynomials over equal layouts may share one.
+
+    It owns the monomial layout: variable i's field starts at bit
+    `shift(i)`, the degree field at `degree_shift`; `unit(i)` is x_i
+    packed, `guard` has every guard bit set, `fields` every exponent field,
+    `state_mask` and `param_mask` those of the state variables and of the
+    parameters.
     """
 
-    __slots__ = ("names", "state_count", "_index", "_hash", "_monos", "_zero_mono", "_zero")
+    __slots__ = (
+        "names", "state_count", "_index", "_hash", "_monos", "_zero",
+        "degree_shift", "guard", "fields", "state_mask", "param_mask",
+    )
 
     def __init__(self, names: Iterable[str], state_count: int):
         self.names = tuple(names)
@@ -45,8 +76,13 @@ class VarTable:
             raise ContractViolation("variable names must be unique")
         self._index = {name: i for i, name in enumerate(self.names)}
         self._hash = hash((self.names, self.state_count))
-        self._monos: dict[Monomial, Monomial] = {}  # equal monomials share one tuple: kept results stay small
-        self._zero_mono = (0,) * len(self.names)  # shared by every constant
+        self._monos: dict[Monomial, Monomial] = {}  # equal monomials share one int: kept results stay small
+        n = len(self.names)
+        self.degree_shift = FIELD_BITS * n
+        self.guard = int.from_bytes(bytes([1 << FIELD_BITS - 1]) * n, "big")
+        self.fields = (1 << self.degree_shift) - 1
+        self.param_mask = (1 << FIELD_BITS * (n - state_count)) - 1
+        self.state_mask = self.fields ^ self.param_mask
         self._zero = Poly(self, {})  # Poly is immutable, so one zero serves all
 
     def __len__(self) -> int:
@@ -74,6 +110,66 @@ class VarTable:
     def param_names(self) -> tuple[str, ...]:
         return self.names[self.state_count:]
 
+    # -- monomial layout -----------------------------------------------------
+
+    def shift(self, i: int) -> int:
+        """The lowest bit of variable i's field."""
+        return FIELD_BITS * (len(self.names) - 1 - i)
+
+    def unit(self, i: int) -> Monomial:
+        """The monomial x_i: a 1 in its field and in the degree field."""
+        return 1 << self.degree_shift | 1 << self.shift(i)
+
+    def exponent(self, mono: Monomial, i: int) -> int:
+        """The exponent of variable i in the monomial."""
+        return mono >> self.shift(i) & FIELD_MASK
+
+    def pack(self, exponents: Sequence[int]) -> Monomial:
+        """The monomial of one exponent per variable, in table order."""
+        if len(exponents) != len(self.names):
+            raise ContractViolation(f"{len(exponents)} exponents for {len(self.names)} variables")
+        if not all(0 <= e <= EXPONENT_MAX for e in exponents):
+            raise ContractViolation(f"exponents must lie in 0..{EXPONENT_MAX}")
+        return int.from_bytes(bytes(exponents), "big") | sum(exponents) << self.degree_shift
+
+    def unpack(self, mono: Monomial) -> tuple[int, ...]:
+        """The exponent of every variable, in table order."""
+        return tuple((mono & self.fields).to_bytes(len(self.names), "big"))
+
+    def factors(self, mono: Monomial) -> list[tuple[int, int]]:
+        """(index, exponent) of each variable of the monomial, in table
+        order; the cost grows with the variables present, not the table."""
+        out = []
+        m = mono & self.fields
+        last = len(self.names) - 1
+        while m:
+            field = (m.bit_length() - 1) // FIELD_BITS
+            e = m >> field * FIELD_BITS
+            out.append((last - field, e))
+            m -= e << field * FIELD_BITS
+        return out
+
+    def split(self, mono: Monomial) -> tuple[tuple[int, ...], Monomial]:
+        """The state exponents of a monomial, a length-M tuple, and its
+        parameter part, packed."""
+        low = FIELD_BITS * (len(self.names) - self.state_count)
+        state = tuple(((mono & self.state_mask) >> low).to_bytes(self.state_count, "big"))
+        return state, (mono & self.param_mask) | ((mono >> self.degree_shift) - sum(state)) << self.degree_shift
+
+    def quotient(self, num: Monomial, den: Monomial) -> Monomial | None:
+        """num / den, or None when den does not divide num: with num's guard
+        bits set, no field of the difference borrows from the next, and a
+        field keeps its guard bit iff num's exponent there is at least den's."""
+        t = (num | self.guard) - den
+        return t ^ self.guard if t & self.guard == self.guard else None
+
+    def check_exponents(self, fold: Monomial) -> None:
+        """Refuse a product, or an OR of products, of monomials with an
+        exponent above EXPONENT_MAX: fields of at most EXPONENT_MAX add up
+        without a carry, so such an exponent shows as a set guard bit."""
+        if fold & self.guard:
+            raise ContractViolation(f"an exponent exceeds {EXPONENT_MAX}")
+
     # -- polynomial constructors -------------------------------------------
 
     def zero(self) -> "Poly":
@@ -83,13 +179,10 @@ class VarTable:
         c = Fraction(value)
         if c == 0:
             return self._zero
-        return Poly(self, {self._zero_mono: c})
+        return Poly(self, {0: c})
 
     def var(self, name: str) -> "Poly":
-        i = self.index(name)
-        exp = [0] * len(self.names)
-        exp[i] = 1
-        return Poly(self, {tuple(exp): 1})
+        return Poly(self, {self.unit(self.index(name)): 1})
 
     def x(self, i: int) -> "Poly":
         """State variable x_i (1-based)."""
@@ -100,7 +193,8 @@ class VarTable:
 
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients: an
-    integral coefficient is stored as an int, any other as a Fraction."""
+    integral coefficient is stored as an int, any other as a Fraction.
+    `terms` maps packed monomials (see VarTable) to the coefficients."""
 
     __slots__ = ("table", "terms")
 
@@ -130,8 +224,10 @@ class Poly:
         return hash((self.table, frozenset(self.terms.items())))
 
     def key(self) -> tuple:
-        """Canonical hashable form (used for deduplication)."""
-        return tuple(sorted(self.terms.items()))
+        """Canonical hashable form (used for deduplication), ordered as the
+        exponent tuples are: the monomials without their degree field."""
+        fields = self.table.fields
+        return tuple(sorted((m & fields, c) for m, c in self.terms.items()))
 
     def _check(self, other: "Poly") -> None:
         if self.table is not other.table and self.table != other.table:
@@ -181,9 +277,10 @@ class Poly:
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = tuple(map(add, ma, mb))
+                m = ma + mb
                 s = out.get(m)
                 out[m] = ca * cb if s is None else s + ca * cb
+        self.table.check_exponents(reduce(or_, out))
         return Poly(self.table, out)  # nonzero: Q[x] has no zero divisors
 
     def __pow__(self, n: int) -> "Poly":
@@ -209,11 +306,12 @@ class Poly:
     def diff(self, var: int | str) -> "Poly":
         """Formal partial derivative with respect to one variable."""
         i = self.table.index(var) if isinstance(var, str) else var
+        shift, unit = self.table.shift(i), self.table.unit(i)
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            e = m[i]
+            e = m >> shift & FIELD_MASK
             if e:
-                nm = m[:i] + (e - 1,) + m[i + 1:]
+                nm = m - unit
                 s = out.get(nm)
                 v = c * e
                 out[nm] = v if s is None else s + v
@@ -221,18 +319,21 @@ class Poly:
 
     def subs(self, values: Mapping[str, Fraction | int]) -> "Poly":
         """Replace the named variables by rational values."""
-        idx_vals = {self.table.index(name): Fraction(v) for name, v in values.items()}
+        table = self.table
+        idx_vals = [
+            (table.shift(i), table.unit(i), Fraction(v))
+            for i, v in ((table.index(name), v) for name, v in values.items())
+        ]
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            rest = list(m)
-            for i, v in idx_vals.items():
-                e = m[i]
+            mono = m
+            for shift, unit, v in idx_vals:
+                e = m >> shift & FIELD_MASK
                 if e:
-                    rest[i] = 0
+                    mono -= e * unit
                     c *= v ** e
             if not c:
                 continue
-            mono = tuple(rest)
             s = out.get(mono, 0) + c  # c != 0, so only a stored key can cancel
             if s:
                 out[mono] = s
@@ -243,44 +344,42 @@ class Poly:
     # -- structure queries ----------------------------------------------------
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        return out
+        return {i for i, _ in self.table.factors(reduce(or_, self.terms, 0))}
 
     def parameter_names(self) -> set[str]:
         M = self.table.state_count
         return {self.table.names[i] for i in self.variables() if i >= M}
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max(self.terms, default=0) >> self.table.degree_shift
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ContractViolation("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return max(self.terms)
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
-    def split_by_state(self) -> dict[Monomial, "Poly"]:
+    def split_by_state(self) -> dict[tuple[int, ...], "Poly"]:
         """Group terms by their state-variable part.
 
         Keys are length-M exponent tuples; values are polynomials in the
         parameters only (state exponents zeroed).
         """
-        M = self.table.state_count
-        pad = (0,) * M
+        table = self.table
+        state_mask = table.state_mask
         groups: dict[Monomial, dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
-            state = m[:M]
-            rest = pad + m[M:]
-            groups.setdefault(state, {})[rest] = c
-        if groups.keys() == {pad}:  # state-free: self is its one group, shared, not copied
-            return {pad: self}
-        return {s: Poly(self.table, t) for s, t in groups.items()}
+            groups.setdefault(m & state_mask, {})[m] = c
+        if groups.keys() == {0}:  # state-free: self is its one group, shared, not copied
+            return {(0,) * table.state_count: self}
+        out = {}
+        for state, terms in groups.items():
+            key = table.split(state)[0]
+            strip = state | sum(key) << table.degree_shift  # the state part, packed
+            out[key] = Poly(table, {m - strip: c for m, c in terms.items()})
+        return out
 
     # -- normalization ---------------------------------------------------------
 
@@ -300,19 +399,12 @@ class Poly:
         """Re-express this polynomial over another table, optionally renaming
         variables.  Raises if a needed variable is missing in the target."""
         name_map = name_map or {}
-        index_map: dict[int, int] = {}
+        units: dict[int, Monomial] = {}
         for i in self.variables():
             name = self.table.names[i]
-            index_map[i] = table.index(name_map.get(name, name))
-        width = len(table.names)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            exp = [0] * width
-            for i, e in enumerate(m):
-                if e:
-                    exp[index_map[i]] = e
-            out[tuple(exp)] = c
-        return Poly(table, out)
+            units[i] = table.unit(table.index(name_map.get(name, name)))
+        factors = self.table.factors
+        return Poly(table, {sum(e * units[i] for i, e in factors(m)): c for m, c in self.terms.items()})
 
     # -- display ----------------------------------------------------------------
 
@@ -323,7 +415,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=grlex_key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             mono = monomial_str(self.table, m)
             if mono == "1":
@@ -355,13 +447,8 @@ def normalized_vector(vec: list[Poly]) -> list[Poly]:
 
 
 def monomial_str(table: VarTable, mono: Monomial) -> str:
-    factors = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            factors.append(table.names[i])
-        elif e > 1:
-            factors.append(f"{table.names[i]}^{e}")
-    return "*".join(factors) if factors else "1"
+    names = table.names
+    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in table.factors(mono)) or "1"
 
 
 class PolyMatrix:
@@ -400,5 +487,5 @@ class PolyMatrix:
 
     def variables(self) -> set[int]:
         """Indices of the variables that occur in some stored entry."""
-        monos = {mono for row in self.entries for e in row.values() for mono in e.terms}
-        return {i for mono in monos for i, k in enumerate(mono) if k}
+        terms = (e.terms for row in self.entries for e in row.values())
+        return {i for i, _ in self.table.factors(reduce(or_, (reduce(or_, t) for t in terms), 0))}

@@ -177,13 +177,15 @@ def is_gradient(vector: list[Poly]) -> bool:
     term by term: a term c*x^m of v_i with m_j > 0 needs v_j to hold the term
     at m - e_j + e_i with coefficient c*m_j/(m_i + 1)."""
     for i, v in enumerate(vector):
+        table = v.table
+        unit = table.unit(i)
         for m, c in v.terms.items():
-            for j, e in enumerate(m[: len(vector)]):
-                if e and j != i:
-                    mate = list(m)
-                    mate[j], mate[i] = e - 1, m[i] + 1
-                    if vector[j].terms.get(tuple(mate), 0) * (m[i] + 1) != c * e:
-                        return False
+            up = table.exponent(m, i) + 1
+            for j, e in table.factors(m):
+                if j >= len(vector):
+                    break
+                if j != i and vector[j].terms.get(m - table.unit(j) + unit, 0) * up != c * e:
+                    return False
     return True
 
 

@@ -80,16 +80,15 @@ class QuadraticForm:
     def from_coeff_vector(cls, table: VarTable, vec: Sequence) -> "QuadraticForm":
         """The form of a vector ordered as `form_positions`, whose entries are
         numbers or polynomials in the parameters."""
-        M, positions = table.state_count, form_positions(table.state_count)
+        positions = form_positions(table.state_count)
         if len(vec) != len(positions):
             raise ContractViolation("coefficient vector has wrong length")
-        constant = (0,) * len(table.names)
         terms = {}
         for (i, j), v in zip(positions, vec):
             if v:
-                state = tuple((m == i) + (m == j) for m in range(1, M + 1))
-                for mono, c in v.terms.items() if isinstance(v, Poly) else ((constant, v),):
-                    terms[state + mono[M:]] = Fraction(c, 2) if j == i else c
+                state = table.unit(i - 1) + (table.unit(j - 1) if j else 0)
+                for mono, c in v.terms.items() if isinstance(v, Poly) else ((0, v),):
+                    terms[state + mono] = Fraction(c, 2) if j == i else c
         return cls(Poly(table, terms))
 
     @classmethod
@@ -97,11 +96,12 @@ class QuadraticForm:
         """The form whose gradient is `vector`: a term of v_i at state s is C's
         term at s + e_i, halved when s = e_i, and one at x_j with j < i repeats
         v_j's x_i term and is not read.  A state degree above 1 raises."""
-        M = len(vector)
+        table = vector[0].table
         found: dict[int, dict] = {}  # position index -> C's terms there
         for i, v in enumerate(vector):
+            unit = table.unit(i)
             for mono, c in v.terms.items():
-                state = mono[:M]
+                state = table.split(mono)[0]
                 degree = sum(state)
                 if degree > 1:
                     raise ContractViolation("potential is not quadratic")
@@ -109,8 +109,8 @@ class QuadraticForm:
                     continue
                 state = state[:i] + (state[i] + 1,) + state[i + 1:]
                 k, factor = position_index(state)
-                found.setdefault(k, {})[state + mono[M:]] = Fraction(c, factor) if factor == 2 else c
-        return cls(Poly(vector[0].table, {m: c for k in sorted(found) for m, c in found[k].items()}))
+                found.setdefault(k, {})[mono + unit] = Fraction(c, factor) if factor == 2 else c
+        return cls(Poly(table, {m: c for k in sorted(found) for m, c in found[k].items()}))
 
     @classmethod
     def energy(cls, table: VarTable) -> "QuadraticForm":
@@ -126,10 +126,11 @@ class QuadraticForm:
 
     def _coefficient_terms(self):
         """(position index, parameter monomial, coefficient) of each term of C."""
-        M = self.M
+        split = self.table.split
         for mono, c in self.value.terms.items():
-            k, factor = position_index(mono[:M])
-            yield k, (0,) * M + mono[M:], c * factor
+            state, rest = split(mono)
+            k, factor = position_index(state)
+            yield k, rest, c * factor
 
     def coeff_vector(self) -> list[Poly]:
         """The dense coefficient vector, ordered as `form_positions`."""
@@ -153,7 +154,8 @@ class QuadraticForm:
         return acc
 
     def is_numeric(self) -> bool:
-        return not any(any(mono[self.M:]) for mono in self.value.terms)
+        param_mask = self.table.param_mask
+        return not any(mono & param_mask for mono in self.value.terms)
 
     def numeric_coeffs(self) -> list[Fraction]:
         if not self.is_numeric():
@@ -176,8 +178,9 @@ class QuadraticForm:
             return self
         coeffs = [c for _, _, c in self._coefficient_terms()]
         content = Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
-        M, first = self.M, next(iter(terms))[: self.M]
-        lead = max(takewhile(lambda mono: mono[:M] == first, terms), key=grlex_key)
+        state_mask = self.table.state_mask
+        first = next(iter(terms)) & state_mask
+        lead = max(takewhile(lambda mono: mono & state_mask == first, terms))
         return QuadraticForm(self.value.scale((-1 if terms[lead] < 0 else 1) / content))
 
     def __str__(self) -> str:

@@ -339,8 +339,8 @@ def find_sign_symmetries(g: Glom) -> list[SignSymmetry]:
     for i, comp in enumerate(assemble_field(g).components):
         for mono in comp.terms:
             bits = 1 << i
-            for j in range(M):
-                if mono[j] % 2:
+            for j, e in comp.table.factors(mono & comp.table.state_mask):
+                if e % 2:
                     bits ^= 1 << j
             if bits:
                 equations.add(bits)

@@ -88,7 +88,6 @@ Term = tuple[float, tuple[int, ...]]
 def _compile_poly(poly, assignment: Mapping[str, Fraction]) -> list[Term]:
     """Flatten a polynomial to (float coefficient, state index tuple) terms."""
     table = poly.table
-    M = table.state_count
     resolved = poly.subs(dict(assignment)) if assignment else poly
     leftover = resolved.parameter_names()
     if leftover:
@@ -96,7 +95,7 @@ def _compile_poly(poly, assignment: Mapping[str, Fraction]) -> list[Term]:
     # no parameter is left, so distinct terms have distinct state monomials
     terms = []
     for mono, coeff in resolved.terms.items():
-        idx = tuple(i for i in range(M) for _ in range(mono[i]))
+        idx = tuple(i for i, e in table.factors(mono) for _ in range(e))
         terms.append((_to_float(coeff, idx), idx))
     return terms
 

@@ -153,7 +153,7 @@ def poly_eval(poly: Poly, values: dict[int, Fraction]) -> Fraction:
     total = Fraction(0)
     for m, c in poly.terms.items():
         v = c
-        for i, e in enumerate(m):
+        for i, e in enumerate(poly.table.unpack(m)):
             if e:
                 v *= values[i] ** e
         total += v
@@ -162,7 +162,7 @@ def poly_eval(poly: Poly, values: dict[int, Fraction]) -> Fraction:
 
 def state_degree(poly: Poly) -> int:
     M = poly.table.state_count
-    return max((sum(m[:M]) for m in poly.terms), default=0)
+    return max((sum(poly.table.unpack(m)[:M]) for m in poly.terms), default=0)
 
 
 def dense_matrix(table: VarTable, rows: Sequence[Sequence[Poly]], cols: int | None = None) -> PolyMatrix:
@@ -584,10 +584,11 @@ def generic_point_to_full_rank(m: PolyMatrix, rng: random.Random):
 def monomial_gcd_reference(m: Poly, p: Poly) -> Poly:
     """gcd of the one-term m and a nonzero p, built variable by variable:
     each to the least power it has in m and in the terms of p."""
-    (mono,) = m.terms
+    (mono,) = map(m.table.unpack, m.terms)
+    exponents = [p.table.unpack(t) for t in p.terms]
     gcd_poly = m.table.const(1)
     for i, name in enumerate(m.table.names):
-        gcd_poly = gcd_poly * m.table.var(name) ** min(mono[i], *(t[i] for t in p.terms))
+        gcd_poly = gcd_poly * m.table.var(name) ** min(mono[i], *(t[i] for t in exponents))
     return gcd_poly
 
 
@@ -601,11 +602,11 @@ def monomial_gcd_reference(m: Poly, p: Poly) -> Poly:
 def _strip_content_reference(vec: list[Poly]) -> list[Poly]:
     table = vec[0].table
     vec = normalized_vector(vec)
-    monos = [m for v in vec for m in v.terms]
+    monos = [table.unpack(m) for v in vec for m in v.terms]
     mins = tuple(map(min, zip(*monos))) if monos else None
     if mins and any(mins):
         vec = [
-            Poly(table, {tuple(e - s for e, s in zip(m, mins)): c for m, c in v.terms.items()})
+            Poly(table, {table.pack([e - s for e, s in zip(table.unpack(m), mins)]): c for m, c in v.terms.items()})
             if v
             else v
             for v in vec
@@ -750,8 +751,9 @@ def apply_signs(poly: Poly, signs: Sequence[int]) -> Poly:
     out = {}
     for m, c in poly.terms.items():
         flip = 1
+        exponents = poly.table.unpack(m)
         for i in range(M):
-            if m[i] % 2 and signs[i] < 0:
+            if exponents[i] % 2 and signs[i] < 0:
                 flip = -flip
         out[m] = c if flip > 0 else -c
     return Poly(poly.table, out)
@@ -833,11 +835,11 @@ class EntriesForm:
         terms: dict = {}
         for (i, j), c in self.entries:
             for mono, a in c.terms.items():
-                exps = list(mono)
+                exps = list(self.table.unpack(mono))
                 exps[i - 1] += 1
                 if j is not None:
                     exps[j - 1] += 1
-                mono = tuple(exps)
+                mono = self.table.pack(exps)
                 terms[mono] = terms.get(mono, 0) + (a * Fraction(1, 2) if j == i else a)
         return Poly(self.table, terms)
 
@@ -845,7 +847,7 @@ class EntriesForm:
         return all(c.total_degree() == 0 for _, c in self.entries)
 
     def numeric_coeffs(self) -> list[Fraction]:
-        zero_mono = (0,) * len(self.table.names)
+        zero_mono = self.table.pack([0] * len(self.table.names))
         assert self.is_numeric()
         return [c.terms.get(zero_mono, 0) for c in self.coeff_vector()]
 
@@ -890,7 +892,7 @@ def row_labels(system: InvariantSystem) -> list[str]:
     """The state monomial of each row of an invariant system, printed."""
     table = system.matrix.table
     pad = (0,) * (len(table.names) - table.state_count)
-    return [monomial_str(table, mono + pad) for mono in system.row_monomials]
+    return [monomial_str(table, table.pack(mono + pad)) for mono in system.row_monomials]
 
 
 def row_by_label(system: InvariantSystem, label: str) -> list[Poly]:

@@ -282,7 +282,7 @@ def test_is_gradient_pairs_the_derivative_terms():
             exps[rng.randrange(M)] += 1
         if rng.random() < 0.5:
             exps[rng.randrange(M, width)] += 1
-        return Poly(table, {tuple(exps): Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3))})
+        return Poly(table, {table.pack(exps): Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3))})
 
     for trial in range(200):
         potential = sum((random_term(4) for _ in range(rng.randint(1, 6))), table.zero())

@@ -304,10 +304,11 @@ def test_instantiate_keeps_position_order_through_a_partial_cancellation():
     values = {"a1": 1, "b1": 1, "c1": Fraction(1, 3)}
     ref = EntriesForm.from_coeff_vector(table, vec)
     moved = list(ref.entries[0][1].subs(values).terms)
-    assert moved == [next(iter(table.var("p1").terms)), (0,) * len(table.names)]
+    assert moved == [next(iter(table.var("p1").terms)), table.pack([0] * len(table.names))]
     instance = QuadraticForm.from_coeff_vector(table, vec).instantiate(values)
     _assert_same_form(instance, ref.instantiate(values))
-    assert [position_index(m[:M])[0] for m in instance.value_poly().terms] == [0, 0, 1, 1, 4, 4]
+    states = [table.unpack(m)[:M] for m in instance.value_poly().terms]
+    assert [position_index(state)[0] for state in states] == [0, 0, 1, 1, 4, 4]
 
 
 def test_enumerate_rejects_a_repeated_name():
@@ -355,10 +356,11 @@ def test_system_columns_forms_and_labels_share_one_layout():
             unit = QuadraticForm.from_coeff_vector(table, [int(t == s) for t in range(n)])
             column = table.zero()
             for mono, row in zip(system.row_monomials, dense_rows(system.matrix)):
-                column = column + row[s] * Poly(table, {mono + pad: 1})
+                column = column + row[s] * Poly(table, {table.pack(mono + pad): 1})
             assert column == unit.time_derivative(field), labels[s]
             # the unit form is x_i^2/2, x_i*x_j or x_i, and its label names it
             ((mono, coeff),) = unit.value_poly().terms.items()
+            mono = table.unpack(mono)
             modes = [i + 1 for i in range(M) for _ in range(mono[i])]
             assert not any(mono[M:])
             if len(modes) == 1:
@@ -376,7 +378,7 @@ def test_system_columns_forms_and_labels_share_one_layout():
         units = [[int(t == s) for t in range(n)] for s in range(n)]
         for vec in [[0] * n, symbolic, *units]:
             form = QuadraticForm.from_coeff_vector(table, vec)
-            keys = [position_index(mono[:M])[0] for mono in form.value_poly().terms]
+            keys = [position_index(table.unpack(mono)[:M])[0] for mono in form.value_poly().terms]
             assert keys == sorted(keys) and len(set(keys)) == sum(map(bool, vec))
             assert form.coeff_vector() == [v if isinstance(v, Poly) else table.const(v) for v in vec]
             assert QuadraticForm.from_gradient(form.gradient()) == form

@@ -34,11 +34,11 @@ TABLE = model_table(3, 1)
 VARIABLES = tuple(TABLE.index(name) for name in ("x1", "x2", "a1", "p1"))
 
 
-def _monomial(exponents) -> tuple[int, ...]:
+def _monomial(exponents) -> int:
     mono = [0] * len(TABLE)
     for i, e in zip(VARIABLES, exponents):
         mono[i] = e
-    return tuple(mono)
+    return TABLE.pack(mono)
 
 
 monomials = st.tuples(*[st.integers(0, 2)] * len(VARIABLES)).map(_monomial)
@@ -127,12 +127,39 @@ def _scaled(case):
     return [lam * e for e in u], [mu * e for e in u]
 
 
+def _monomial_multiple(case):
+    # t * u and u, in either order: the ratio at every index is the monomial
+    # t or its inverse, so one direction divides exactly
+    u, t, swap = case
+    pair = [t * e for e in u], u
+    return pair[::-1] if swap else pair
+
+
+def _non_dividing_ratio(case):
+    # (x1 + c) * u and (p1 + d) * u: parallel, with a ratio that is not a
+    # polynomial in either direction
+    u, c, d = case
+    lam, mu = TABLE.var("x1") + TABLE.const(c), TABLE.var("p1") + TABLE.const(d)
+    return [lam * e for e in u], [mu * e for e in u]
+
+
 def _rezeroed(case):
     # one entry of the second vector set to zero, the zero pattern of the
     # first changed unless that entry was zero already
     (v1, v2), i = case
     i %= len(v2)
     return v1, [TABLE.zero() if j == i else e for j, e in enumerate(v2)]
+
+
+def _bent(case):
+    # one entry of the second vector times x2 + 1: the zero pattern stays,
+    # the vectors stop being parallel unless that entry is zero, and the
+    # quotient at the index of fewest terms, where one exists, no longer
+    # gives the other entries
+    (v1, v2), i = case
+    i %= len(v2)
+    bend = TABLE.var("x2") + TABLE.const(1)
+    return v1, [e * bend if j == i else e for j, e in enumerate(v2)]
 
 
 def _perturbed(case):
@@ -143,20 +170,26 @@ def _perturbed(case):
     return v1, [e + d if j == i else e for j, e in enumerate(v2)]
 
 
-# c * v and lam(x) * v (nonzero_polys holds constants as well), those
-# with one entry zeroed or perturbed, pairs of unrelated vectors, and
-# all-zero vectors
-scaled_pairs = st.tuples(vectors, nonzero_polys, nonzero_polys).map(_scaled)
+# c * v and lam(x) * v (nonzero_polys holds constants as well), monomial
+# multiples, ratios that divide in neither direction, those with one entry
+# zeroed, multiplied by x2 + 1 or perturbed, pairs of unrelated vectors, and all-zero vectors
+nonzero_vectors = st.lists(nonzero_polys, min_size=1, max_size=5)
+scaled_pairs = st.one_of(
+    st.tuples(vectors, nonzero_polys, nonzero_polys).map(_scaled),
+    st.tuples(nonzero_vectors, nonzero_terms, st.booleans()).map(_monomial_multiple),
+    st.tuples(nonzero_vectors, coefficients, coefficients).map(_non_dividing_ratio),
+)
 vector_pairs = st.one_of(
     scaled_pairs,
     st.tuples(scaled_pairs, st.integers(0, 4)).map(_rezeroed),
+    st.tuples(scaled_pairs, st.integers(0, 4)).map(_bent),
     st.tuples(scaled_pairs, st.integers(0, 4), nonzero_polys).map(_perturbed),
     st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.lists(polys, min_size=n, max_size=n)] * 2)),
     st.integers(1, 5).map(lambda n: ([TABLE.zero()] * n,) * 2),
 )
 
 
-@PROPERTY
+@settings(PROPERTY, max_examples=300)
 @given(vector_pairs)
 def test_proportional_matches_the_all_pairs_reference(pair):
     v1, v2 = pair

@@ -32,7 +32,7 @@ def sympy_rows(system, point):
             total = sympy.Integer(0)
             for mono, c in entry.terms.items():
                 term = sympy.Rational(c.numerator, c.denominator)
-                for i, k in enumerate(mono):
+                for i, k in enumerate(entry.table.unpack(mono)):
                     if k:
                         term *= values[names[i]] ** k
                 total += term
@@ -74,7 +74,7 @@ def to_sympy(poly):
     total = sympy.Integer(0)
     for mono, c in poly.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for i, k in enumerate(mono):
+        for i, k in enumerate(poly.table.unpack(mono)):
             if k:
                 term *= sympy.Symbol(names[i]) ** k
         total += term
