@@ -174,16 +174,25 @@ def load_model(path_or_name: str) -> Glom:
 # report serialization
 
 
-def poly_to_json(poly: Poly) -> dict[str, str]:
-    return {monomial_str(poly.table, mono): str(coeff) for mono, coeff in poly.terms.items()}
+def poly_to_json(poly: Poly, names: dict) -> dict[str, str]:
+    """{monomial: coefficient} strings.  `names`, one dict per report, keeps
+    each state and parameter part's string by table: parts repeat, monomials
+    do not."""
+    table, out = poly.table, {}
+    parts = names.setdefault(table, {})
+    for mono, coeff in poly.terms.items():
+        pieces = (mono & table.state_mask, mono & table.param_mask)
+        text = [parts.get(p) or parts.setdefault(p, monomial_str(table, p)) for p in pieces if p]
+        out["*".join(text) or "1"] = str(coeff)
+    return out
 
 
-def form_to_json(form: QuadraticForm) -> dict:
-    return poly_to_json(form.value_poly())
+def form_to_json(form: QuadraticForm, names: dict) -> dict:
+    return poly_to_json(form.value_poly(), names)
 
 
-def vector_to_json(vec: Sequence[Poly]) -> list[dict[str, str]]:
-    return [poly_to_json(p) for p in vec]
+def vector_to_json(vec: Sequence[Poly], names: dict) -> list[dict[str, str]]:
+    return [poly_to_json(p, names) for p in vec]
 
 
 def dump_report(report: dict, out: str | None) -> None:
@@ -246,7 +255,8 @@ def cmd_invariants(args, g: Glom, report: dict) -> int:
     report["generic_parameters"] = rep.generic
     if rep.param_point is not None:
         report["param_point"] = {k: str(v) for k, v in sorted(rep.param_point.items())}
-    report["basis"] = [form_to_json(f) for f in rep.basis]
+    names: dict = {}
+    report["basis"] = [form_to_json(f, names) for f in rep.basis]
     print(f"raw invariants: {rep.raw_count}   functionally independent: {rep.independent_count}")
     return EXIT_OK
 
@@ -256,8 +266,9 @@ def cmd_jacobi(args, g: Glom, report: dict) -> int:
     report["is_hamiltonian"] = rep.is_hamiltonian
     report["strict_jacobi"] = rep.strict_jacobi
     report["strict_divergence"] = rep.strict_divergence
-    report["aggregate_condition"] = poly_to_json(rep.aggregate)
-    report["constraint_polys"] = [poly_to_json(p) for p in rep.constraint_polys]
+    names: dict = {}
+    report["aggregate_condition"] = poly_to_json(rep.aggregate, names)
+    report["constraint_polys"] = [poly_to_json(p, names) for p in rep.constraint_polys]
     report["nonzero_triples"] = [list(t) for t in sorted(rep.residuals)]
     print(f"hamiltonian (aggregate): {rep.is_hamiltonian}   strict per-triple: {rep.strict_jacobi}")
     if rep.strict_divergence:
@@ -269,9 +280,10 @@ def cmd_casimirs(args, g: Glom, report: dict) -> int:
     cs = casimirs(g)
     report["advisory"] = cs.advisory
     report["nullspace_dimension"] = len(cs.nullspace_basis)
-    report["nullspace_basis"] = [vector_to_json(v) for v in cs.nullspace_basis]
+    names: dict = {}
+    report["nullspace_basis"] = [vector_to_json(v, names) for v in cs.nullspace_basis]
     report["gradient_flags"] = list(cs.gradient_flags)
-    report["casimirs"] = [form_to_json(c) for c in cs.casimirs]
+    report["casimirs"] = [form_to_json(c, names) for c in cs.casimirs]
     print(f"nullspace dimension: {len(cs.nullspace_basis)}   casimirs: {len(cs.casimirs)}")
     if cs.advisory:
         print("  advisory: Jacobi condition fails; conservation still holds by skewness")
@@ -302,6 +314,7 @@ def cmd_hierarchy(args, g: None, report: dict) -> int:
     report["k_max"] = args.k
     report["members"] = []
     rows = []
+    names: dict = {}
     for m in hierarchy_report(HierarchySpec(args.family, args.k)).members:
         report["members"].append(
             {
@@ -310,9 +323,9 @@ def cmd_hierarchy(args, g: None, report: dict) -> int:
                 "is_hamiltonian": m.jacobi.is_hamiltonian,
                 "strict_jacobi": m.jacobi.strict_jacobi,
                 "casimir_count": m.casimir_count,
-                "casimirs": [form_to_json(c) for c in m.casimir_set.casimirs],
-                "casimir_gradients": [vector_to_json(v) for v in m.casimir_set.gradients()],
-                "incremental_condition": poly_to_json(m.incremental.condition)
+                "casimirs": [form_to_json(c, names) for c in m.casimir_set.casimirs],
+                "casimir_gradients": [vector_to_json(v, names) for v in m.casimir_set.gradients()],
+                "incremental_condition": poly_to_json(m.incremental.condition, names)
                 if m.incremental
                 else None,
                 "projection_consistent": m.projection_consistent,

@@ -2,24 +2,22 @@
 
 Numeric matrices go through one sparse, fraction-free row reduction
 (`_pivot_rows`) of {column: value} rows, which `evaluate_at` makes of a
-PolyMatrix's sparse rows.  It first peels singleton rows: a row with one
-nonzero entry forces that unknown to zero, so its column becomes the
-unit pivot row {c: 1} and is struck from the other rows, which may
-cascade.  Peeled columns are pivot columns of the reduced row echelon
-form, so the rank, the pivot columns and the nullspace are those of the
-input.  The remaining rows, on the unpeeled columns, are taken one at a
-time, scaled to coprime integers and reduced against the pivot row at
-their leading column by row <- a*row - b*pivot (a, b the two leading
-entries divided by their gcd) and divided by the content, until they
-vanish or open a new pivot column.  The rank is the pivot count;
-nullspaces back-substitute over the sparse pivot rows.  Generic ranks of
-polynomial matrices are exact ranks at the best of a few random integer
-points (`generic_point`), stopping at the first to reach min(rows, cols),
-rounded down to even for a skew matrix (of even rank at any point), or
-whose kernel lifts: each of its nullspace vectors annihilates the
-polynomial matrix identically, which makes the rank there the generic
-rank.  Either stop is exact; the Schwartz-Zippel bound covers only trials
-that run to the end.
+PolyMatrix's sparse rows: a singleton peel (`_peel`), which makes the
+column of each row with one live entry a unit pivot row {c: 1} and
+strikes it from the other rows, then an integer elimination of the live
+rows on the unpeeled columns (`_eliminate`).  The rank is the pivot
+count; nullspaces back-substitute over the sparse pivot rows.
+
+Generic ranks of polynomial matrices are exact ranks at the best of a few
+random integer points (`generic_point`).  The peel depends only on which
+entries are stored, so it is done once per matrix, and each point
+evaluates and eliminates only the unpeeled core, or the whole matrix
+where an entry that peeled a column vanishes.  The trials stop at the
+first to reach min(rows, cols), rounded down to even for a skew matrix
+(of even rank at any point), or whose kernel lifts: each of its nullspace
+vectors annihilates the polynomial matrix identically, which makes the
+rank there the generic rank.  Either stop is exact; the Schwartz-Zippel
+bound covers only trials that run to the end.
 
 Polynomial nullspaces are taken of square skew matrices only.  They are
 empty at once when the rank at integer points is full.  Otherwise every
@@ -74,53 +72,67 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _pivot_rows(rows: Sequence[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
-    """Echelon form of the row space of {column: nonzero value} rows:
-    primitive integer rows keyed by their leading column.
-
-    Singleton rows are peeled first, in O(nnz): a row with one live entry,
-    at column c, puts e_c in the row space, so c is stored as the unit row
-    {c: 1} and struck from every other row, which may leave new singletons.
-    Rows left empty are dropped.  The rest, restricted to the unpeeled
-    columns, are taken one at a time: each is scaled to coprime integers and
-    reduced against the pivot row at its leading column until it vanishes or
-    opens a new pivot column.
-
-    The leading columns are those of the reduced row echelon form, whatever
-    the row order.  The peel keeps them: e_c in the row space means column c
-    lies outside the span of the other columns, so c is a pivot column, and
-    the unit rows together with the struck rows span the input's row space.
-    So the nullspace `back_substitute` reads off is unchanged too.  Growth
-    is bounded: each stored row, and each row met while reducing one, is the
-    primitive integer multiple of the row exact Gaussian elimination would
-    hold on the unpeeled submatrix (the row minus the combination of pivot
-    rows that clears its columns left of the leading one), whose entries are
-    ratios of its minors, which are minors of the input scaled to integer
-    rows; so no entry exceeds the largest such minor in absolute value
-    (Edmonds 1967).
-    """
+def _peel(rows: Sequence[Iterable[int]]) -> tuple[dict[int, int], list[int]]:
+    """The singleton peel of a pattern of rows, in O(stored entries): a row
+    with one live entry, at column c, puts e_c in the row space if that
+    entry, its witness, is nonzero; c is struck from every row, which may
+    leave new singletons.  Returns {c: its witness's row} and the live rows."""
     holders: dict[int, list[int]] = {}  # column -> indices of the rows holding it
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, []).append(i)
     live = [len(row) for row in rows]
     stack = [i for i, n in enumerate(live) if n == 1]
-    pivots: dict[int, dict[int, int]] = {}
+    peeled: dict[int, int] = {}
     while stack:
         i = stack.pop()
         if live[i] != 1:  # emptied by a singleton on the same column
             continue
-        c = next(j for j in rows[i] if j not in pivots)
-        pivots[c] = {c: 1}
+        c = next(j for j in rows[i] if j not in peeled)
+        peeled[c] = i
         for k in holders[c]:
             live[k] -= 1
             if live[k] == 1:
                 stack.append(k)
-    peeled = set(pivots)  # not `pivots`, which gains the elimination's own columns
-    for values, n in zip(rows, live):
-        if not n:  # every entry peeled
-            continue
-        values = {j: v for j, v in values.items() if j not in peeled}
+    return peeled, [i for i, n in enumerate(live) if n]
+
+
+def _pivot_rows(rows: Sequence[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Echelon form of the row space of {column: nonzero value} rows:
+    primitive integer rows keyed by their leading column.  Each column that
+    `_peel` strikes is the unit row {c: 1}; the live rows, on the unpeeled
+    columns, are then eliminated (`_eliminate`).
+
+    The leading columns are those of the reduced row echelon form, whatever
+    the row order.  The peel keeps them: e_c in the row space means column c
+    lies outside the span of the other columns, so c is a pivot column, and
+    the unit rows together with the struck rows span the input's row space.
+    So the nullspace `back_substitute` reads off is unchanged too.
+    """
+    peeled, kept = _peel(rows)
+    live = ({j: v for j, v in rows[i].items() if j not in peeled} for i in kept)
+    return _eliminate({c: {c: 1} for c in peeled}, live)
+
+
+def _eliminate(
+    pivots: dict[int, dict[int, int]], rows: Iterable[Mapping[int, Fraction | int]]
+) -> dict[int, dict[int, int]]:
+    """`pivots` extended by {column: nonzero value} rows, none of which
+    holds a column of the pivots it starts with.  Each row is taken in turn,
+    scaled to coprime integers and reduced against the pivot row at its
+    leading column by row <- a*row - b*pivot (a, b the two leading entries
+    divided by their gcd) and divided by its content, until it vanishes or
+    opens a new pivot column.
+
+    Growth is bounded: each stored row, and each row met while reducing one,
+    is the primitive integer multiple of the row exact Gaussian elimination
+    would hold on these rows (the row minus the combination of pivot rows
+    that clears its columns left of the leading one), whose entries are
+    ratios of its minors, which are minors of the input scaled to integer
+    rows; so no entry exceeds the largest such minor in absolute value
+    (Edmonds 1967).
+    """
+    for values in rows:
         den = lcm(*map(attrgetter("denominator"), values.values()))
         row = _primitive({j: int(v * den) for j, v in values.items()})
         while row:
@@ -233,10 +245,17 @@ def generic_point(
     variables and parameters alike, an independent integer from
     S = [2^20, 2^31), drawn from `rng` in the sorted order of the names, and
     reduces the matrix there exactly.  Returns the values (variable index ->
-    integer) and the `_pivot_rows` of the trial of largest rank, the first
-    one on a tie.  A matrix without variables is reduced once, at the empty
-    point.  Two rules stop the trials early, each once a trial has become
-    the best:
+    integer) and the pivot rows of the trial of largest rank, the first one
+    on a tie.  A matrix without variables is reduced once, at the empty
+    point.
+
+    The stored-entry pattern is peeled once (`_peel`).  A trial evaluates
+    only the core, the live rows on the unpeeled columns, and the multi-term
+    witnesses (a one-term entry is nonzero where no variable is 0, as on S),
+    and eliminates the core; where a witness vanishes it reduces the whole
+    matrix.  The rank and the `back_substitute` vectors at a point are
+    unique, so either way they are the matrix's.  Two rules stop the trials
+    early, each once a trial has become the best:
 
     - its rank is the largest possible: min(rows, cols), rounded down to
       even for a skew matrix, whose value at any point is a skew matrix, of
@@ -263,15 +282,25 @@ def generic_point(
     full = min(m.rows, m.cols)
     if m.is_skew():  # skew at every point, so of even rank there
         full -= full % 2
+    peeled, kept = _peel(m.entries)
+    core, witnesses = m, {}
+    if peeled:  # the core rows, then one row of the multi-term witnesses
+        witnesses = {c: e for c, i in peeled.items() if len((e := m.entries[i][c]).terms) > 1}
+        core_rows = ({j: e for j, e in m.entries[i].items() if j not in peeled} for i in kept)
+        core = PolyMatrix(m.table, m.cols, [*core_rows, witnesses])
     best: tuple[dict[int, int], dict[int, dict[int, int]]] | None = None
     for trial in range(1, GENERIC_TRIALS + 1):
         values = {i: rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in indices}
-        pivots = _pivot_rows(evaluate_at(m, values))
+        rows = evaluate_at(core, values)
+        if peeled and len(rows.pop()) < len(witnesses):  # a witness vanishes
+            reduced, pivots = m, _pivot_rows(evaluate_at(m, values))
+        else:
+            reduced, pivots = core, _eliminate({c: {c: 1} for c in peeled}, rows)
         if best is None or len(pivots) > len(best[1]):
             best = values, pivots
             if len(pivots) == full:
                 break
-            if trial < GENERIC_TRIALS and _kernel_lifts(m, pivots):
+            if trial < GENERIC_TRIALS and _kernel_lifts(reduced, pivots):
                 for _ in range((GENERIC_TRIALS - trial) * len(indices)):
                     rng.randrange(GENERIC_LOW, GENERIC_HIGH)
                 break
@@ -281,10 +310,12 @@ def generic_point(
 def _kernel_lifts(m: PolyMatrix, pivots: Mapping[int, Mapping[int, int]]) -> bool:
     """True iff every vector of `back_substitute(pivots, m.cols)` annihilates
     m identically: each row's stored entries, weighted by the vector, sum to
-    the zero polynomial term by term.  Rows go in the outer loop, so a
-    kernel that fails shows it at the first row where any vector fails,
-    even when some vector (the energy's, for an invariant system) always
-    lifts; the cost is O(stored terms) per vector."""
+    the zero polynomial term by term.  `generic_point` passes the core where
+    the peel held, as the vectors are zero on the peeled columns, and the
+    whole matrix where it did not.  Rows go in the outer loop, so a kernel
+    that fails shows it at the first row where any vector fails, even when
+    some vector (the energy's, for an invariant system) always lifts; the
+    cost is O(stored terms) per vector."""
     vectors = back_substitute(pivots, m.cols)
     for row in m.entries:
         for vec in vectors:

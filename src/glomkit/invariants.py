@@ -279,7 +279,9 @@ def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
 
     basis = tuple(QuadraticForm.from_coeff_vector(table, vec) for vec in vectors)
     independent = independent_count(basis, rng)
-    energy_included = basis_contains(basis, QuadraticForm.energy(table))
+    # the basis is independent (one vector per free column, zero on the
+    # others), so one rank decides whether the energy lies in its span
+    energy_included = span_rank([*basis, QuadraticForm.energy(table)]) == len(basis)
     return InvariantReport(
         len(vectors), independent, basis, energy_included, param_point is not None, param_point, seed
     )

@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,6 +41,7 @@ from helpers import (
     EntriesForm,
     build_system_reference,
     dense_rows,
+    generic_point_to_full_rank,
     ladder_models,
     map_signs,
     oracle_raw_count,
@@ -203,16 +205,18 @@ def test_one_elimination_of_the_system_per_trial(monkeypatch):
     # at the first point lifts to the symbolic system (dense K=4, model1),
     # that point ends the trials; where it does not (sparse K=3), all
     # GENERIC_TRIALS points are tried; a numeric system is reduced once
-    shapes = []
-    real = linalg._pivot_rows
+    ranks = []
+    real = linalg._eliminate
 
-    def recording(rows):
-        # dict rows carry no width: take one past the last column with a
-        # value, which is f_M's for these systems
-        shapes.append((len(rows), 1 + max(j for row in rows for j in row)))
-        return real(rows)
+    def recording(pivots, rows):
+        # every reduction ends here, of a peeled core or of a whole matrix;
+        # the system's are the ones that reach its rank, cols - raw count,
+        # which the gradients' and the span check's stay far below
+        pivots = real(pivots, rows)
+        ranks.append(len(pivots))
+        return pivots
 
-    monkeypatch.setattr(linalg, "_pivot_rows", recording)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
     model1 = builtin_model("model1")
     numeric = model1.with_params(
         {n: ParamSpec.exact(Fraction(k + 2)) for k, n in enumerate(model1.generic_param_names())}
@@ -224,9 +228,38 @@ def test_one_elimination_of_the_system_per_trial(monkeypatch):
         (numeric, 1),
     ):
         system = build_system(g)
-        shapes.clear()
-        count_invariants(g, seed=3)
-        assert shapes.count((system.rows, system.cols)) == eliminations
+        ranks.clear()
+        report = count_invariants(g, seed=3)
+        assert ranks.count(system.cols - report.raw_count) == eliminations
+
+
+def test_count_invariants_where_a_witness_of_the_system_vanishes(monkeypatch):
+    # euler with q1 scaled by -1: its system peels a column on -p1 + q1, and
+    # the first point is scripted to p1 = q1, where that entry vanishes and
+    # the rank falls.  The report must be the one of the full-numeric
+    # reference, whose trials reduce the whole system at every point
+    g = builtin_model("euler").with_params({"q1": ParamSpec.scaled("q1", -1)})
+    m = build_system(g).matrix
+    peeled, _ = linalg._peel(m.entries)
+    assert "-p1 + q1" in {str(m.entries[i][c]) for c, i in peeled.items()}
+
+    class FirstPointScripted(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.script = [linalg.GENERIC_LOW] * 2  # p1, q1 of the first trial
+
+        def randrange(self, *bounds):
+            if bounds == (linalg.GENERIC_LOW, linalg.GENERIC_HIGH) and self.script:
+                return self.script.pop(0)
+            return super().randrange(*bounds)
+
+    monkeypatch.setattr(invariants, "random", SimpleNamespace(Random=FirstPointScripted))
+    for seed in (0, 1):
+        report = count_invariants(g, seed=seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(invariants, "generic_point", generic_point_to_full_rank)
+            assert report == count_invariants(g, seed=seed)
+        assert report.param_point["p1"] != report.param_point["q1"] and report.raw_count == 2
 
 
 def test_a_numeric_form_is_one_polynomial():

@@ -423,10 +423,12 @@ def test_generic_point_does_not_stop_at_a_kernel_that_does_not_lift(monkeypatch)
     # rank 1 where a1 != b1.  Trial 1 draws a1 = b1: rank 0, and its kernel
     # vector e1 leaves a1 - b1 in the first row, so the trials go on; trial
     # 2's kernel vector e2 annihilates the zero second column, which ends
-    # them, with trial 3's values still drawn
-    points = []
-    real = linalg.evaluate_at
-    monkeypatch.setattr(linalg, "evaluate_at", lambda m, values: points.append(values) or real(m, values))
+    # them, with trial 3's values still drawn.  Trial 1 reduces the whole
+    # matrix, since a1 - b1 peeled its column, so it evaluates twice but
+    # eliminates once
+    eliminations = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda pivots, rows: eliminations.append(1) or real(pivots, rows))
     table = model_table(3, 1)
     m = parsed_matrix(table, [["a1 - b1", "0"], ["0", "0"]])
     a1, b1 = table.index("a1"), table.index("b1")
@@ -435,7 +437,33 @@ def test_generic_point_does_not_stop_at_a_kernel_that_does_not_lift(monkeypatch)
     values, pivots = generic_point(m, rng)
     assert values == {a1: low + 1, b1: low}
     assert len(pivots) == 1 and rng.values == []
-    assert len(points) == 2
+    assert len(eliminations) == 2
+
+
+def test_generic_point_reduces_the_whole_matrix_where_a_witness_vanishes():
+    # columns 0 and 1 are peeled on a1 - b1, and the core is the last two
+    # rows on columns 2 and 3, of generic rank 3 in all.  Trial 1's a1 = b1
+    # zeroes both witnesses, so that trial reduces the whole matrix, of
+    # rank 2 there.  Its kernel vector (-1, 1, 0, 0) fails the first row,
+    # though it annihilates the core and the row of the two witnesses, so
+    # the trials go on; trial 2's kernel lifts, and trial 3 is only drawn
+    table = model_table(3, 1)
+    rows = [
+        ["a1 - b1", "0", "0", "0"],
+        ["0", "a1 - b1", "0", "0"],
+        ["1", "1", "a1 - b1", "a1 - b1"],
+        ["0", "0", "1", "1"],
+    ]
+    m = parsed_matrix(table, rows)
+    a1, b1 = table.index("a1"), table.index("b1")
+    low = GENERIC_LOW
+    script = [low, low, low + 1, low, low + 2, low]
+    rng = ScriptedRng(script)
+    values, pivots = generic_point(m, rng)
+    assert values == {a1: low + 1, b1: low} and len(pivots) == 3 and rng.values == []
+    assert pivots == linalg._pivot_rows(linalg.evaluate_at(m, values))
+    assert (values, pivots) == generic_point_to_full_rank(m, ScriptedRng(script))
+    assert rank_rational(dense_rows(m, {a1: low, b1: low})) == 2
 
 
 def test_lift_stop_changes_no_point_and_no_draw():
