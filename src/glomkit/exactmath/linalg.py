@@ -8,16 +8,16 @@ strikes it from the other rows, then an integer elimination of the live
 rows on the unpeeled columns (`_eliminate`).  The rank is the pivot
 count; nullspaces back-substitute over the sparse pivot rows.
 
-Generic ranks of polynomial matrices are exact ranks at the best of a few
-random integer points (`generic_point`).  The peel depends only on which
-entries are stored, so it is done once per matrix, and each point
-evaluates and eliminates only the unpeeled core, or the whole matrix
-where an entry that peeled a column vanishes.  The trials stop at the
-first to reach min(rows, cols), rounded down to even for a skew matrix
-(of even rank at any point), or whose kernel lifts: each of its nullspace
-vectors annihilates the polynomial matrix identically, which makes the
-rank there the generic rank.  Either stop is exact; the Schwartz-Zippel
-bound covers only trials that run to the end.
+Generic ranks of polynomial matrices are taken at the best of a few
+random integer points (`generic_point`).  A stored entry is a nonzero
+polynomial, so the peel holds over the field of rational functions: it is
+done once per matrix, and each point evaluates and eliminates only the
+unpeeled core.  The trials stop at the first to reach min(rows, cols),
+rounded down to even for a skew matrix (of even rank at any point), or
+whose kernel lifts: each of its nullspace vectors annihilates the
+polynomial matrix identically, which makes its rank the generic rank.
+Either stop is exact; the Schwartz-Zippel bound covers only trials that
+run to the end.
 
 Polynomial nullspaces are taken of square skew matrices only.  They are
 empty at once when the rank at integer points is full.  Otherwise every
@@ -243,38 +243,42 @@ def generic_point(
 
     Each trial gives every variable that occurs in the matrix, state
     variables and parameters alike, an independent integer from
-    S = [2^20, 2^31), drawn from `rng` in the sorted order of the names, and
-    reduces the matrix there exactly.  Returns the values (variable index ->
-    integer) and the pivot rows of the trial of largest rank, the first one
-    on a tie.  A matrix without variables is reduced once, at the empty
-    point.
+    S = [2^20, 2^31), drawn from `rng` in the sorted order of the names.
+    Returns the values (variable index -> integer) and the pivot rows of the
+    trial of largest rank, the first one on a tie.  A matrix without
+    variables is reduced once, at the empty point.
 
-    The stored-entry pattern is peeled once (`_peel`).  A trial evaluates
-    only the core, the live rows on the unpeeled columns, and the multi-term
-    witnesses (a one-term entry is nonzero where no variable is 0, as on S),
-    and eliminates the core; where a witness vanishes it reduces the whole
-    matrix.  The rank and the `back_substitute` vectors at a point are
-    unique, so either way they are the matrix's.  Two rules stop the trials
-    early, each once a trial has become the best:
+    The stored-entry pattern is peeled once (`_peel`).  Every stored entry
+    is a nonzero polynomial, so the peel holds over the field of rational
+    functions: the rank r there is |peeled| plus the rank of the core, the
+    live rows on the unpeeled columns.  A trial evaluates the core only and
+    eliminates it below the unit rows {c: 1} of the peeled columns, so its
+    rank, |peeled| plus the core's rank at the point, never exceeds r, even
+    where an entry that peeled a column vanishes.  Its `back_substitute`
+    vectors are zero on the peeled columns, which hold every entry of the
+    rows that the peel struck, so every vector annihilates the whole matrix
+    at the point; they span its kernel there unless a peeling entry
+    vanishes at it.  Two rules stop the trials early, each once a trial has
+    become the best:
 
     - its rank is the largest possible: min(rows, cols), rounded down to
       even for a skew matrix, whose value at any point is a skew matrix, of
       even rank;
-    - its kernel lifts (`_kernel_lifts`): every nullspace vector at the
-      point annihilates the polynomial matrix identically.  Those vectors
+    - its kernel lifts (`_kernel_lifts`): every vector annihilates the
+      core, and so the whole polynomial matrix, identically.  Those vectors
       are independent over Q, so over the field of rational functions too,
-      and the rank there is at most the rank at the point, which never
-      exceeds it: the two are equal, no later trial can be better, and the
-      skipped trials' values are still drawn, leaving `rng` where the
-      trials that were not needed would have left it.
+      and r is at most the trial's rank, which never exceeds it: the two
+      are equal, no later trial can be better, and the skipped trials'
+      values are still drawn, leaving `rng` where the trials that were not
+      needed would have left it.
 
-    The rank found never exceeds the rank r over the field of rational
-    functions, and equals r whenever either rule stopped the trials: both
-    are exact.  Otherwise let Delta be a nonzero r x r minor of the matrix
-    and D its total degree (at most r times the largest entry degree).  A
-    trial falls short only where Delta vanishes, which by Schwartz-Zippel
-    happens with probability at most D / |S| = D / (2^31 - 2^20); all three
-    trials fall short with probability at most (D / (2^31 - 2^20))^3.
+    So the rank found equals r whenever either rule stopped the trials:
+    both are exact.  Otherwise let Delta be a nonzero minor of the core of
+    order r - |peeled| and D its total degree (at most r - |peeled| times
+    the largest entry degree).  A trial falls short only where Delta
+    vanishes, which by Schwartz-Zippel happens with probability at most
+    D / |S| = D / (2^31 - 2^20); all three trials fall short with
+    probability at most (D / (2^31 - 2^20))^3.
     """
     indices = sorted(m.variables(), key=m.table.names.__getitem__)
     if not indices:
@@ -283,24 +287,17 @@ def generic_point(
     if m.is_skew():  # skew at every point, so of even rank there
         full -= full % 2
     peeled, kept = _peel(m.entries)
-    core, witnesses = m, {}
-    if peeled:  # the core rows, then one row of the multi-term witnesses
-        witnesses = {c: e for c, i in peeled.items() if len((e := m.entries[i][c]).terms) > 1}
-        core_rows = ({j: e for j, e in m.entries[i].items() if j not in peeled} for i in kept)
-        core = PolyMatrix(m.table, m.cols, [*core_rows, witnesses])
+    core_rows = [{j: e for j, e in m.entries[i].items() if j not in peeled} for i in kept]
+    core = PolyMatrix(m.table, m.cols, core_rows)
     best: tuple[dict[int, int], dict[int, dict[int, int]]] | None = None
     for trial in range(1, GENERIC_TRIALS + 1):
         values = {i: rng.randrange(GENERIC_LOW, GENERIC_HIGH) for i in indices}
-        rows = evaluate_at(core, values)
-        if peeled and len(rows.pop()) < len(witnesses):  # a witness vanishes
-            reduced, pivots = m, _pivot_rows(evaluate_at(m, values))
-        else:
-            reduced, pivots = core, _eliminate({c: {c: 1} for c in peeled}, rows)
+        pivots = _eliminate({c: {c: 1} for c in peeled}, evaluate_at(core, values))
         if best is None or len(pivots) > len(best[1]):
             best = values, pivots
             if len(pivots) == full:
                 break
-            if trial < GENERIC_TRIALS and _kernel_lifts(reduced, pivots):
+            if trial < GENERIC_TRIALS and _kernel_lifts(core, pivots):
                 for _ in range((GENERIC_TRIALS - trial) * len(indices)):
                     rng.randrange(GENERIC_LOW, GENERIC_HIGH)
                 break
@@ -310,9 +307,9 @@ def generic_point(
 def _kernel_lifts(m: PolyMatrix, pivots: Mapping[int, Mapping[int, int]]) -> bool:
     """True iff every vector of `back_substitute(pivots, m.cols)` annihilates
     m identically: each row's stored entries, weighted by the vector, sum to
-    the zero polynomial term by term.  `generic_point` passes the core where
-    the peel held, as the vectors are zero on the peeled columns, and the
-    whole matrix where it did not.  Rows go in the outer loop, so a kernel
+    the zero polynomial term by term.  `generic_point` passes the core only:
+    the vectors are zero on the peeled columns, which hold every entry of
+    the rows the peel struck.  Rows go in the outer loop, so a kernel
     that fails shows it at the first row where any vector fails, even when
     some vector (the energy's, for an invariant system) always lifts; the
     cost is O(stored terms) per vector."""
@@ -330,7 +327,7 @@ def _kernel_lifts(m: PolyMatrix, pivots: Mapping[int, Mapping[int, int]]) -> boo
 
 
 def generic_rank(m: PolyMatrix, seed: int = 0) -> int:
-    """Generic rank of a polynomial matrix: the rank at the point that
+    """Generic rank of a polynomial matrix: the rank of the trial that
     `generic_point` picks with random.Random(seed), exact when the matrix
     has no variables or a stop rule ended the trials, with the failure
     bound stated there otherwise."""

@@ -372,8 +372,6 @@ class Poly:
         groups: dict[Monomial, dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
             groups.setdefault(m & state_mask, {})[m] = c
-        if groups.keys() == {0}:  # state-free: self is its one group, shared, not copied
-            return {(0,) * table.state_count: self}
         out = {}
         for state, terms in groups.items():
             key = table.split(state)[0]

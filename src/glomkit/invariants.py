@@ -259,12 +259,13 @@ def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
     """Count quadratic invariants and reconstruct a basis.
 
     The raw count is cols - generic rank of the system.  The basis is the
-    exact nullspace at `generic_point`'s best random integer parameter
-    point, which is also reported (coefficients are instance-specific,
-    counts are generic); the count is too high only if all its trials fall
-    short, chance at most (D / (2^31 - 2^20))^3 with D the degree of a
-    maximal nonzero minor.  A fully numeric model is solved exactly.  The
-    functionally independent count is `independent_count` of the basis.
+    nullspace of `generic_point`'s best trial, each form conserved at its
+    random integer parameter point, which is also reported (coefficients
+    are instance-specific, counts are generic); the count is too high only
+    if all its trials fall short, chance at most (D / (2^31 - 2^20))^3 with
+    D the degree of a maximal nonzero minor of the unpeeled core.  A fully
+    numeric model is solved exactly.  The functionally independent count is
+    `independent_count` of the basis.
     """
     rng = random.Random(seed)
     system = build_system(g)

@@ -9,7 +9,7 @@ import pytest
 
 from glomkit import invariants
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import Poly, VarTable, generic_rank, linalg
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, generic_rank, linalg
 from glomkit.exactmath.linalg import GENERIC_TRIALS, back_substitute, generic_point
 from glomkit.hamiltonian import casimirs
 from glomkit.invariants import (
@@ -41,7 +41,6 @@ from helpers import (
     EntriesForm,
     build_system_reference,
     dense_rows,
-    generic_point_to_full_rank,
     ladder_models,
     map_signs,
     oracle_raw_count,
@@ -236,12 +235,14 @@ def test_one_elimination_of_the_system_per_trial(monkeypatch):
 def test_count_invariants_where_a_witness_of_the_system_vanishes(monkeypatch):
     # euler with q1 scaled by -1: its system peels a column on -p1 + q1, and
     # the first point is scripted to p1 = q1, where that entry vanishes and
-    # the rank falls.  The report must be the one of the full-numeric
-    # reference, whose trials reduce the whole system at every point
+    # the rank of the whole system falls.  The peel holds over Q(params), so
+    # the first trial still reaches the symbolic rank, 7 of 9 columns, and
+    # is reported; its basis is conserved at that point
     g = builtin_model("euler").with_params({"q1": ParamSpec.scaled("q1", -1)})
     m = build_system(g).matrix
     peeled, _ = linalg._peel(m.entries)
     assert "-p1 + q1" in {str(m.entries[i][c]) for c, i in peeled.items()}
+    assert len(linalg._echelon_poly(m)[1]) == 7
 
     class FirstPointScripted(random.Random):
         def __init__(self, seed):
@@ -256,10 +257,38 @@ def test_count_invariants_where_a_witness_of_the_system_vanishes(monkeypatch):
     monkeypatch.setattr(invariants, "random", SimpleNamespace(Random=FirstPointScripted))
     for seed in (0, 1):
         report = count_invariants(g, seed=seed)
-        with monkeypatch.context() as patched:
-            patched.setattr(invariants, "generic_point", generic_point_to_full_rank)
-            assert report == count_invariants(g, seed=seed)
-        assert report.param_point["p1"] != report.param_point["q1"] and report.raw_count == 2
+        assert report.param_point["p1"] == report.param_point["q1"] and report.raw_count == 2
+        point = report.param_point  # symbol values; slot q1 holds -q1
+        exact = g.with_params(
+            {n: ParamSpec.exact(s.coeff * point[s.symbol]) for n, s in g.slots().items() if s.is_symbolic}
+        )
+        assert all(verify_conserved(exact, form) for form in report.basis)
+
+
+def test_peel_and_symbolic_core_rank_certify_the_count():
+    # each peeled row holds, besides its own column, only columns peeled
+    # before it, and a stored entry is a nonzero polynomial, so the peel
+    # holds over Q(params) and the generic rank is the peeled column count
+    # plus the symbolic rank of the core (`_echelon_poly`): a certificate of
+    # each count, on the models whose core eliminates fast
+    models = {name: builtin_model(name) for name in ("model1", "model2", "model3", "euler")}
+    models |= {f"{name}_nlf": no_linear_feedback(builtin_model(name)) for name in ("model4", "model5")}
+    ladders = (("sparse", range(2, 5), range(2, 7)), ("dense", range(3, 5), range(3, 7)))
+    for family, general, feedback_free in ladders:
+        models |= {f"{family}{K}": builtin_model(family, K) for K in general}
+        models |= {f"{family}{K}_nlf": no_linear_feedback(builtin_model(family, K)) for K in feedback_free}
+    for name, g in models.items():
+        system = build_system(g)
+        m = system.matrix
+        peeled, kept = linalg._peel(m.entries)
+        before: set[int] = set()
+        for c, i in peeled.items():  # in peel order
+            assert m.entries[i].keys() - before == {c}, name
+            before.add(c)
+        core_rows = [{j: e for j, e in m.entries[i].items() if j not in peeled} for i in kept]
+        core = PolyMatrix(m.table, m.cols, core_rows)
+        certified = len(peeled) + len(linalg._echelon_poly(core)[1])
+        assert certified == system.cols - count_invariants(g).raw_count, name
 
 
 def test_a_numeric_form_is_one_polynomial():

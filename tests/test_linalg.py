@@ -391,14 +391,16 @@ class ScriptedRng:
 
 
 def test_generic_point_keeps_the_first_best_trial():
-    # rank 2 of 3 where a1 != b1; trial 1 draws a1 = b1, trials 2 and 3
-    # reach rank 2, and the earlier of the two is returned
+    # rank 2 of 3 where a1 != b1, with no singleton row to peel, so the
+    # drop is inside the core: trial 1 draws a1 = b1, of rank 1 there.
+    # Trials 2 and 3 reach rank 2, and the kernel (1, 1, -a1 - b1) at a
+    # point never lifts, so both run and the earlier is returned
     table = model_table(3, 1)
-    rows = [["a1 - b1", "0", "0"], ["0", "b1", "0"], ["a1 - b1", "b1", "0"]]
-    m = parsed_matrix(table, rows)
+    m = parsed_matrix(table, [["a1", "b1", "1"], ["b1", "a1", "1"], ["a1 + b1", "a1 + b1", "2"]])
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
     rng = ScriptedRng([low, low, low + 1, low, low + 2, low])  # a1, b1 per trial
+    assert linalg._peel(m.entries)[0] == {}
     assert rank_rational(dense_rows(m, {a1: low, b1: low})) == 1
     values, pivots = generic_point(m, rng)
     assert values == {a1: low + 1, b1: low}
@@ -406,11 +408,14 @@ def test_generic_point_keeps_the_first_best_trial():
 
 
 def test_generic_point_stops_at_full_rank():
+    # rank 2 where a1 != b1, with no singleton row: trial 1's a1 = b1 drops
+    # the core to rank 1, and trial 2 reaches full rank, which ends the trials
     table = model_table(3, 1)
-    m = parsed_matrix(table, [["a1 - b1", "0"], ["0", "b1"]])
+    m = parsed_matrix(table, [["a1", "b1"], ["b1", "a1"]])
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
     rng = ScriptedRng([low, low, low + 1, low, low + 2, low])
+    assert linalg._peel(m.entries)[0] == {}
     values, pivots = generic_point(m, rng)
     assert values == {a1: low + 1, b1: low}
     assert len(pivots) == 2 and rng.values == [low + 2, low]
@@ -420,33 +425,38 @@ def test_generic_point_stops_at_full_rank():
 
 
 def test_generic_point_does_not_stop_at_a_kernel_that_does_not_lift(monkeypatch):
-    # rank 1 where a1 != b1.  Trial 1 draws a1 = b1: rank 0, and its kernel
-    # vector e1 leaves a1 - b1 in the first row, so the trials go on; trial
-    # 2's kernel vector e2 annihilates the zero second column, which ends
-    # them, with trial 3's values still drawn.  Trial 1 reduces the whole
-    # matrix, since a1 - b1 peeled its column, so it evaluates twice but
-    # eliminates once
-    eliminations = []
-    real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda pivots, rows: eliminations.append(1) or real(pivots, rows))
+    # rank 2 of 3 where a1 != b1, with no singleton row.  Trial 1 draws
+    # a1 = b1: rank 1, and its kernel vector (-1, 1, 0) leaves b1 - a1 in
+    # the first row, so the trials go on; trial 2's kernel vector e3
+    # annihilates the zero third column, which ends them, with trial 3's
+    # values still drawn.  Each trial evaluates and eliminates the core once
+    calls = []
+
+    def counted(name):
+        real = getattr(linalg, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("evaluate_at", "_eliminate"):
+        monkeypatch.setattr(linalg, name, counted(name))
     table = model_table(3, 1)
-    m = parsed_matrix(table, [["a1 - b1", "0"], ["0", "0"]])
+    m = parsed_matrix(table, [["a1", "b1", "0"], ["b1", "a1", "0"], ["0", "0", "0"]])
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
     rng = ScriptedRng([low, low, low + 1, low, low + 2, low])
     values, pivots = generic_point(m, rng)
     assert values == {a1: low + 1, b1: low}
-    assert len(pivots) == 1 and rng.values == []
-    assert len(eliminations) == 2
+    assert len(pivots) == 2 and rng.values == []
+    assert calls.count("evaluate_at") == calls.count("_eliminate") == 2
 
 
-def test_generic_point_reduces_the_whole_matrix_where_a_witness_vanishes():
+def test_generic_point_reaches_the_generic_rank_where_a_witness_vanishes():
     # columns 0 and 1 are peeled on a1 - b1, and the core is the last two
     # rows on columns 2 and 3, of generic rank 3 in all.  Trial 1's a1 = b1
-    # zeroes both witnesses, so that trial reduces the whole matrix, of
-    # rank 2 there.  Its kernel vector (-1, 1, 0, 0) fails the first row,
-    # though it annihilates the core and the row of the two witnesses, so
-    # the trials go on; trial 2's kernel lifts, and trial 3 is only drawn
+    # zeroes both peeling entries, and the whole matrix is of rank 2 there;
+    # the peel holds over the rational functions, so the trial still finds
+    # rank 3, with the peeled unit rows and the core's rank 1 at the point.
+    # Its kernel vector (0, 0, -1, 1) annihilates the matrix at the point
+    # and lifts, which ends the trials
     table = model_table(3, 1)
     rows = [
         ["a1 - b1", "0", "0", "0"],
@@ -457,13 +467,16 @@ def test_generic_point_reduces_the_whole_matrix_where_a_witness_vanishes():
     m = parsed_matrix(table, rows)
     a1, b1 = table.index("a1"), table.index("b1")
     low = GENERIC_LOW
-    script = [low, low, low + 1, low, low + 2, low]
-    rng = ScriptedRng(script)
+    rng = ScriptedRng([low, low, low + 1, low, low + 2, low])
+    assert sorted(linalg._peel(m.entries)[0]) == [0, 1]
     values, pivots = generic_point(m, rng)
-    assert values == {a1: low + 1, b1: low} and len(pivots) == 3 and rng.values == []
-    assert pivots == linalg._pivot_rows(linalg.evaluate_at(m, values))
-    assert (values, pivots) == generic_point_to_full_rank(m, ScriptedRng(script))
-    assert rank_rational(dense_rows(m, {a1: low, b1: low})) == 2
+    assert values == {a1: low, b1: low} and rng.values == []
+    assert len(pivots) == len(linalg._echelon_poly(m)[1]) == 3
+    point = dense_rows(m, values)
+    assert rank_rational(point) == 2
+    vectors = linalg.back_substitute(pivots, m.cols)
+    assert vectors == [[0, 0, -1, 1]]
+    assert all(sum(r[j] * v[j] for j in range(m.cols)) == 0 for r in point for v in vectors)
 
 
 def test_lift_stop_changes_no_point_and_no_draw():
