@@ -15,7 +15,7 @@ repaired.  Parsing is strict: unknown and duplicate keys are rejected.
 
 Reports are emitted as JSON with sorted keys and normalized rationals,
 so a fixed command line and seed always produce identical bytes.  Exit
-codes: 0 success, 1 validation failure, 2 usage error.
+codes: 0 success, 1 validation failure or out of memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -472,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    command = "glomkit"
     try:
         seed_text = os.environ.get("GLOM_SEED", "0")
         try:
@@ -482,7 +483,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        report: dict[str, Any] = {"command": args.cmd}
+        command = args.cmd
+        report: dict[str, Any] = {"command": command}
         if hasattr(args, "seed"):  # a command with --seed
             if args.seed is None:
                 args.seed = default_seed
@@ -501,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (ConfigError, EnergyViolation, ContractViolation, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        print(f"error: out of memory in {command}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -245,8 +245,7 @@ def generic_point(
     variables and parameters alike, an independent integer from
     S = [2^20, 2^31), drawn from `rng` in the sorted order of the names.
     Returns the values (variable index -> integer) and the pivot rows of the
-    trial of largest rank, the first one on a tie.  A matrix without
-    variables is reduced once, at the empty point.
+    trial of largest rank, the first one on a tie.
 
     The stored-entry pattern is peeled once (`_peel`).  Every stored entry
     is a nonzero polynomial, so the peel holds over the field of rational
@@ -272,6 +271,9 @@ def generic_point(
       values are still drawn, leaving `rng` where the trials that were not
       needed would have left it.
 
+    A matrix without variables draws nothing, and the kernel of a constant
+    matrix lifts, so its first trial is its only one.
+
     So the rank found equals r whenever either rule stopped the trials:
     both are exact.  Otherwise let Delta be a nonzero minor of the core of
     order r - |peeled| and D its total degree (at most r - |peeled| times
@@ -281,8 +283,6 @@ def generic_point(
     probability at most (D / (2^31 - 2^20))^3.
     """
     indices = sorted(m.variables(), key=m.table.names.__getitem__)
-    if not indices:
-        return {}, _pivot_rows(evaluate_at(m, {}))
     full = min(m.rows, m.cols)
     if m.is_skew():  # skew at every point, so of even rank there
         full -= full % 2
@@ -608,6 +608,4 @@ def proportional(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:
 
 def poly_proportional(a: Poly, b: Poly) -> bool:
     """True iff a = c*b for some nonzero rational c (or both are zero)."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    return a.scale(b.leading_coefficient()) == b.scale(a.leading_coefficient())
+    return a.normalized() == b.normalized()

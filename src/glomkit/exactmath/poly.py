@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import neg, or_
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import ContractViolation
@@ -235,10 +235,11 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _merge(self, other: "Poly", terms: Iterable[tuple[Monomial, Fraction | int]]) -> "Poly":
+        """self plus the given terms of other (its own or their negations)."""
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
+        for m, c in terms:
             s = out.get(m)
             if s is None:
                 out[m] = c
@@ -250,25 +251,16 @@ class Poly:
                     del out[m]
         return Poly(self.table, out) if out else self.table._zero
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._merge(other, other.terms.items())
+
     def __neg__(self) -> "Poly":
         if not self.terms:
             return self
         return Poly(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s = s - c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly(self.table, out) if out else self.table._zero
+        return self._merge(other, zip(other.terms, map(neg, other.terms.values())))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -383,11 +375,7 @@ class Poly:
 
     def content(self) -> Fraction:
         """Positive rational g such that self/g has coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = gcd(*(c.numerator for c in self.terms.values()))
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return Fraction(num, den)
+        return rational_content(self.terms.values())
 
     def normalized(self) -> "Poly":
         """self divided by its content, with a positive leading coefficient."""
@@ -431,15 +419,23 @@ class Poly:
         return out
 
 
+def rational_content(coeffs: Iterable[Fraction | int]) -> Fraction:
+    """The positive rational g such that the nonzero coeffs divided by g are
+    coprime integers: the gcd of their numerators over the lcm of their
+    denominators, and 1 when there are none."""
+    coeffs = list(coeffs)
+    if not coeffs:
+        return Fraction(1)
+    return Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
+
+
 def normalized_vector(vec: list[Poly]) -> list[Poly]:
-    """vec divided by its rational content (the gcd of the numerators over
-    the lcm of the denominators of the entries' contents), signed so its
-    first nonzero entry has a positive leading coefficient."""
+    """vec divided by the rational content of all its coefficients, signed
+    so its first nonzero entry has a positive leading coefficient."""
     nonzero = [v for v in vec if v]
     if not nonzero:
         return vec
-    contents = [v.content() for v in nonzero]
-    g = Fraction(gcd(*(c.numerator for c in contents)), lcm(*(c.denominator for c in contents)))
+    g = rational_content(c for v in nonzero for c in v.terms.values())
     factor = (-1 if nonzero[0].leading_coefficient() < 0 else 1) / g
     return [v.scale(factor) for v in vec]
 

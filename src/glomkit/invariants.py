@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import takewhile
-from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
 from .exactmath import Poly, PolyMatrix, VarTable, grlex_key
 from .exactmath.linalg import back_substitute, generic_point, rank_rational
+from .exactmath.poly import rational_content
 from .models import Glom, VectorField, assemble_field, builtin_model, no_linear_feedback
 
 SUBCLASS_VARY_LIMIT = 20
@@ -160,10 +160,7 @@ class QuadraticForm:
     def numeric_coeffs(self) -> list[Fraction]:
         if not self.is_numeric():
             raise ContractViolation("form has symbolic coefficients")
-        vec = [0] * len(form_positions(self.M))
-        for k, _, c in self._coefficient_terms():
-            vec[k] = c if c.denominator != 1 else c.numerator
-        return vec
+        return [c.terms.get(0, 0) for c in self.coeff_vector()]
 
     def instantiate(self, values: Mapping[str, Fraction]) -> "QuadraticForm":
         """The named parameters replaced.  A key whose sum cancels and returns
@@ -176,8 +173,7 @@ class QuadraticForm:
         terms = self.value.terms
         if not terms:
             return self
-        coeffs = [c for _, _, c in self._coefficient_terms()]
-        content = Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
+        content = rational_content(c for _, _, c in self._coefficient_terms())
         state_mask = self.table.state_mask
         first = next(iter(terms)) & state_mask
         lead = max(takewhile(lambda mono: mono & state_mask == first, terms))
@@ -281,8 +277,10 @@ def count_invariants(g: Glom, seed: int = 0) -> InvariantReport:
     basis = tuple(QuadraticForm.from_coeff_vector(table, vec) for vec in vectors)
     independent = independent_count(basis, rng)
     # the basis is independent (one vector per free column, zero on the
-    # others), so one rank decides whether the energy lies in its span
-    energy_included = span_rank([*basis, QuadraticForm.energy(table)]) == len(basis)
+    # others), so one rank decides whether the energy (every d_i = 1) lies
+    # in its span
+    energy = [int(i == j) for i, j in form_positions(table.state_count)]
+    energy_included = rank_rational([*vectors, energy]) == len(vectors)
     return InvariantReport(
         len(vectors), independent, basis, energy_included, param_point is not None, param_point, seed
     )
@@ -299,8 +297,7 @@ def independent_count(basis: Sequence[QuadraticForm], rng: random.Random) -> int
 
 def basis_contains(basis: Sequence[QuadraticForm], candidate: QuadraticForm) -> bool:
     """Exact span membership via coefficient-vector rank comparison."""
-    rows = [form.numeric_coeffs() for form in basis]
-    return rank_rational([*rows, candidate.numeric_coeffs()]) == rank_rational(rows)
+    return span_rank([*basis, candidate]) == span_rank(basis)
 
 
 def span_rank(forms: Sequence[QuadraticForm]) -> int:

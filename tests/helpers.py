@@ -3,6 +3,7 @@ closed-form invariants of the sparse feedback-free family, the
 criterion-11 conservation fixtures, the Hamiltonian test models, and
 independent brute-force oracles (among them the matrix-vector product
 behind J x = f and J v = 0, the all-pairs proportionality test, the
+cross-scaling proportionality of two polynomials, the
 bilinear Jacobi residual, the O(M^2) gradient test, the hierarchy
 increments and recurrence flags from two whole-member Jacobi passes per
 step, the two-attempt Casimir projection rule, the interpreted RK4
@@ -233,6 +234,14 @@ def proportional_reference(v1: Sequence[Poly], v2: Sequence[Poly]) -> bool:
     return all(
         v1[i] * v2[j] == v1[j] * v2[i] for i, j in itertools.combinations(range(len(v1)), 2)
     )
+
+
+def poly_proportional_reference(a: Poly, b: Poly) -> bool:
+    """a = c*b for a nonzero rational c, or both zero: each scaled by the
+    other's leading coefficient; the oracle for poly_proportional."""
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    return a.scale(b.leading_coefficient()) == b.scale(a.leading_coefficient())
 
 
 def triple_residual(a: PolyMatrix, b: PolyMatrix, triple: tuple[int, int, int]) -> Poly:

@@ -32,6 +32,14 @@ def write(tmp_path: Path, name: str, doc) -> str:
     return str(path)
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_bundled_fixtures_parse_and_match_builtins():
     for name in FIXTURE_NAMES:
         assert load_model(name) == builtin_model(name)
@@ -331,6 +339,32 @@ def test_hierarchy_command(tmp_path):
     assert report["recurrent"] is True
 
 
+def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hierarchy_report", exhausted)
+    assert main(["hierarchy", "--family", "dense1", "--k", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory in hierarchy\n")
+
+
+def test_out_of_memory_under_an_address_space_limit_is_one_line_error():
+    # the child caps its address space 16 MB above what it holds after the
+    # import, which dense1 K=30 outgrows within a second
+    pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("no /proc/self/statm to read the address space size from")
+    script = (
+        "import resource, sys\n"
+        "from glomkit import cli\n"
+        "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (16 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "sys.exit(cli.main(['hierarchy', '--family', 'dense1', '--k', '30']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory in hierarchy\n")
+
+
 def test_simulate_command(tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -459,11 +493,8 @@ def test_repeated_assignment_names_the_symbol(capsys, assign):
 
 
 def test_runs_as_module():
-    env = dict(os.environ)
-    src = str(Path(__file__).parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "glomkit", "--help"], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "glomkit", "--help"], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: glomkit")

@@ -11,7 +11,9 @@ from glomkit import invariants
 from glomkit.errors import ContractViolation
 from glomkit.exactmath import Poly, PolyMatrix, VarTable, generic_rank, linalg
 from glomkit.exactmath.linalg import GENERIC_TRIALS, back_substitute, generic_point
+from glomkit.exactmath.poly import normalized_vector
 from glomkit.hamiltonian import casimirs
+from glomkit.hierarchy import member
 from glomkit.invariants import (
     QuadraticForm,
     basis_contains,
@@ -34,13 +36,16 @@ from glomkit.models import (
     assemble_field,
     builtin_model,
     find_sign_symmetries,
+    instantiate,
     no_linear_feedback,
 )
 
 from helpers import (
+    FAMILY_TOP_K,
     EntriesForm,
     build_system_reference,
     dense_rows,
+    hamiltonian_models,
     ladder_models,
     map_signs,
     oracle_raw_count,
@@ -191,7 +196,7 @@ def test_count_survives_a_coefficient_divisible_by_the_modulus():
     assert system.cols - generic_rank(system.matrix, seed=1) == 2
     for seed in range(4):
         report = count_invariants(g, seed=seed)
-        exact = g.with_params({n: ParamSpec.exact(v) for n, v in report.param_point.items()})
+        exact = instantiate(g, report.param_point)
         assert report.raw_count == oracle_raw_count(exact, n_points=40, seed=seed) == 2
         assert report.independent_count == 2
         for form in report.basis:
@@ -258,11 +263,18 @@ def test_count_invariants_where_a_witness_of_the_system_vanishes(monkeypatch):
     for seed in (0, 1):
         report = count_invariants(g, seed=seed)
         assert report.param_point["p1"] == report.param_point["q1"] and report.raw_count == 2
-        point = report.param_point  # symbol values; slot q1 holds -q1
-        exact = g.with_params(
-            {n: ParamSpec.exact(s.coeff * point[s.symbol]) for n, s in g.slots().items() if s.is_symbolic}
-        )
+        exact = instantiate(g, report.param_point)  # slot q1 holds -q1
         assert all(verify_conserved(exact, form) for form in report.basis)
+
+
+def test_basis_is_conserved_at_the_reported_point_of_tied_and_scaled_slots():
+    # the constrained model4 and model5 members tie and scale slots, so the
+    # point's symbol values are not its slot values: `instantiate` maps them
+    # through each slot's ParamSpec
+    for g in (member("model4", 3), member("model5", 3), builtin_model("sparse", 4)):
+        report = count_invariants(g)
+        exact = instantiate(g, report.param_point)
+        assert report.basis and all(verify_conserved(exact, form) for form in report.basis)
 
 
 def test_peel_and_symbolic_core_rank_certify_the_count():
@@ -352,6 +364,23 @@ def test_forms_match_the_entries_reference():
     form, ref = QuadraticForm.from_coeff_vector(table, vec), EntriesForm.from_coeff_vector(table, vec)
     _assert_same_form(form.normalized(), ref.normalized())
     assert str(form.normalized()) == "-x1*x2*a1*b1*c1 + 1/2*x1^2*a1*q1 - 1/2*x1^2*p1"
+
+
+def test_form_normalization_is_the_vector_rule():
+    # QuadraticForm.normalized walks C's terms; it must agree with
+    # normalized_vector on the dense coefficient vector, also for each form
+    # scaled by a negative or non-integer factor first
+    models = [builtin_model(f"model{n}") for n in range(1, 6)]
+    for family, top in FAMILY_TOP_K.items():
+        models += [member(family, K, c) for K in range(1, top + 1) for c in (True, False)]
+    forms = [form for g in models for form in casimirs(g).casimirs]
+    forms += [form for g in hamiltonian_models().values() for form in count_invariants(g).basis]
+    assert len(forms) > 40
+    for form in forms:
+        for factor in (1, -1, Fraction(-3, 7), Fraction(10, 3)):
+            scaled = QuadraticForm(form.value.scale(factor))
+            want = QuadraticForm.from_coeff_vector(form.table, normalized_vector(scaled.coeff_vector()))
+            assert scaled.normalized() == want, str(form)
 
 
 def test_instantiate_keeps_position_order_through_a_partial_cancellation():

@@ -24,7 +24,7 @@ from glomkit.exactmath import linalg
 from glomkit.hamiltonian import build_J
 from glomkit.hierarchy import member
 from glomkit.invariants import build_system
-from glomkit.models import Glom, builtin_model, generic_gyrostat, no_linear_feedback
+from glomkit.models import Glom, builtin_model, generic_gyrostat, instantiate, no_linear_feedback
 
 from helpers import (
     FAMILY_TOP_K,
@@ -422,6 +422,32 @@ def test_generic_point_stops_at_full_rank():
     # without variables: one exact elimination and no draw
     values, pivots = generic_point(constant_matrix(table, [[1, 2], [2, 4]]), ScriptedRng([]))
     assert values == {} and len(pivots) == 1
+
+
+def test_generic_point_without_variables_is_one_trial_at_the_empty_point(monkeypatch):
+    # a constant matrix draws nothing, and its first trial ends the trials,
+    # by full rank or by its kernel lifting; its pivots are those of the
+    # whole matrix reduced at once
+    table = model_table(3, 1)
+    values = {n: Fraction(k + 2, 3) for k, n in enumerate(builtin_model("model2").generic_param_names())}
+    matrices = [
+        constant_matrix(table, [[1, 2], [2, 4]]),
+        constant_matrix(table, [[0, 0, 0]] * 2),
+        constant_matrix(table, [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]),
+        constant_matrix(table, [[Fraction(1, 2), 3, 0], [0, 1, Fraction(-5, 7)], [1, 0, 1]]),
+        build_system(instantiate(builtin_model("model2"), values)).matrix,
+    ]
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda pivots, rows: calls.append(1) or real(pivots, rows))
+    for m in matrices:
+        assert not m.variables()
+        rng = random.Random(5)
+        state = rng.getstate()
+        calls.clear()
+        got = generic_point(m, rng)
+        assert len(calls) == 1 and rng.getstate() == state
+        assert got == ({}, linalg._pivot_rows(linalg.evaluate_at(m, {})))
 
 
 def test_generic_point_does_not_stop_at_a_kernel_that_does_not_lift(monkeypatch):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from glomkit.errors import ContractViolation
-from glomkit.exactmath import Poly, PolyMatrix, VarTable, divide_exact, grlex_key
+from glomkit.exactmath import Poly, PolyMatrix, VarTable, divide_exact, grlex_key, poly_proportional
 from glomkit.exactmath.poly import EXPONENT_MAX, normalized_vector
 from glomkit.models import builtin_model
 
-from helpers import model_table, parse, poly_eval, state_degree
+from helpers import model_table, parse, poly_eval, poly_proportional_reference, state_degree
 
 
 @pytest.fixture
@@ -112,6 +112,36 @@ def test_primitive_and_content(table):
     assert (-p).normalized() == p.normalized()
     vec = [table.zero(), parse(table, "-2/3*x1"), parse(table, "4*p1")]
     assert normalized_vector(vec) == [table.zero(), parse(table, "x1"), parse(table, "-6*p1")]
+
+
+def test_poly_proportional_matches_the_cross_scaling_reference(table):
+    # proportional means equal after normalization; the reference scales
+    # each polynomial by the other's leading coefficient instead
+    rng = random.Random(17)
+
+    def random_poly():
+        return Poly(
+            table,
+            {
+                table.pack([rng.randrange(3) for _ in table.names]): Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                for _ in range(rng.randrange(5))
+            },
+        )
+
+    factors = [Fraction(0), Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 3), Fraction(2, 7)]
+    outcomes = {}
+    for _ in range(400):
+        a = random_poly()
+        pairs = {"scaled": a.scale(rng.choice(factors)), "unrelated": random_poly()}
+        if len(a.terms) > 1:
+            # one coefficient moved: same support, another ratio there
+            m = rng.choice(list(a.terms))
+            pairs["bent"] = Poly(table, {**a.terms, m: a.terms[m] * 2})
+        for kind, b in pairs.items():
+            got = poly_proportional(a, b)
+            assert got == poly_proportional(b, a) == poly_proportional_reference(a, b), (a, b)
+            outcomes.setdefault(kind, set()).add(got)
+    assert outcomes == {"scaled": {True, False}, "unrelated": {True, False}, "bent": {False}}
 
 
 def test_remap_between_tables():
